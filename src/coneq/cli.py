@@ -159,14 +159,6 @@ def _shift_sweep(P: NonnegMatrix, tol, offsets) -> list:
     return out
 
 
-def _type1_rows(P: NonnegMatrix, lam) -> list:
-    return oracle.shifted_image_rows(P, lam, sign=-1)  # lambda*I - P
-
-
-def _type2_rows(P: NonnegMatrix, lam) -> list:
-    return oracle.shifted_image_rows(P, lam, sign=1)  # P - lambda*I
-
-
 def _rhs(b: ConeVector) -> list:
     return [exact_fraction(e) for e in b.entries]
 
@@ -183,7 +175,8 @@ def _check_type1_battery(P: NonnegMatrix, tol) -> dict:
     for lam in _shift_sweep(P, tol, offsets):
         for b in _sample_vectors(P):
             rep = eq_type1.solvability_conditions(P, lam, b, tol)
-            lp = oracle.feasible_nonneg_solution(_type1_rows(P, lam), _rhs(b)).feasible
+            rows = oracle.shifted_image_rows(P, lam, sign=-1)  # lambda*I - P
+            lp = oracle.feasible_nonneg_solution(rows, _rhs(b)).feasible
             cases += 1
             votes = (rep.b, rep.g, rep.h, rep.j)
             if not rep.consistent or any(v != lp for v in votes):
@@ -207,7 +200,8 @@ def _check_above_regime(P: NonnegMatrix, tol) -> dict:
             if not scalar_lt(spectral.local_spectral_radius(P, b, tol), lam, tol):
                 continue
             comb = eq_type2.combinatorial_solvable_above(P, lam, b, tol)
-            lp = oracle.feasible_nonneg_solution(_type2_rows(P, lam), _rhs(b)).feasible
+            rows = oracle.shifted_image_rows(P, lam, sign=1)  # P - lambda*I
+            lp = oracle.feasible_nonneg_solution(rows, _rhs(b)).feasible
             cases += 1
             issue = None
             if comb != lp:
@@ -282,13 +276,6 @@ def _check_face_at_rho(P: NonnegMatrix, tol) -> dict:
     }
 
 
-def _poly_at(coeffs, v: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * v + c
-    return acc
-
-
 def _certified_window_shift(coeffs, lo: float, rho: Fraction, k: int):
     """A rational shift in (lo, rho), Sturm-certified: not an eigenvalue, and
     no other real eigenvalue between it and rho.  None if six nudges toward
@@ -299,7 +286,7 @@ def _certified_window_shift(coeffs, lo: float, rho: Fraction, k: int):
         lam = Fraction(t).limit_denominator(10**6)
         if float(lam) > lo and lam < rho:
             if (
-                _poly_at(coeffs, lam) != 0
+                oracle._poly_eval(coeffs, lam) != 0
                 and oracle.count_real_roots_in(coeffs, lam, rho) == 1
             ):
                 return lam

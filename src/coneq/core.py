@@ -253,10 +253,6 @@ def vec_sub(a, b) -> tuple:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vec_scale(c, a) -> tuple:
-    return tuple(c * x for x in a)
-
-
 def snap_cone(entries: Sequence, mode: str, tol: Tolerance = DEFAULT_TOL) -> ConeVector:
     """Wrap float entries that are nonnegative up to eq_tol noise as a ConeVector.
 

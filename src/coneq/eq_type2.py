@@ -58,6 +58,7 @@ from .spectral import (
     distinguished_eigenvalues,
     fv_eigenvector,
     local_spectral_radius,
+    max_distinguished_order,
     spectral_pair,
     spectral_radius,
     taxonomy,
@@ -537,7 +538,7 @@ def image_membership(
     rho_b = local_spectral_radius(P, b, tol)
     in_s1 = scalar_le(rho_b, lam, tol) and oracle.feasible_nonneg_solution(rows, rhs).feasible
     in_s2 = oracle.feasible_nonneg_solution(rows, rhs, support_within=j_verts).feasible
-    m_lam = _max_order(P, lam, tol)
+    m_lam = max_distinguished_order(P, lam, tol)
     pair_b = spectral_pair(P, b, tol)
     from .core import lex_leq
 
@@ -545,9 +546,3 @@ def image_membership(
         pair_b, SpectralPair(as_scalar(lam, P.mode), m_lam - 1), tol
     )
     return MembershipReport(in_s1, in_s2, in_s3)
-
-
-def _max_order(P, lam, tol):
-    from .spectral import max_distinguished_order
-
-    return max_distinguished_order(P, lam, tol)

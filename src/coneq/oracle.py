@@ -2,12 +2,13 @@
 eigendecomposition, generalized eigencomponents, a Krylov estimate of the
 local spectral radius, and exact characteristic-polynomial root counting.
 
-The LP solver is a plain two-phase tableau simplex over ``Fraction`` with
-Bland's rule, so feasibility verdicts are exact and termination is
-guaranteed.  All variables are nonnegative; >= rows get slack variables
-internally.  The float-lane helpers (eig_all, decompose_generalized,
-krylov_local_rho) are deliberately independent of the combinatorial modules
-so the two routes can disagree loudly in tests if one of them is wrong.
+The LP solver is a two-phase tableau simplex with Bland's rule on integers
+over one common denominator, pivoted fraction-free (Bareiss), so verdicts
+are exact and termination is guaranteed.  All variables are nonnegative;
+>= rows get slack variables internally.  The float-lane helpers (eig_all,
+decompose_generalized, krylov_local_rho) are deliberately independent of the
+combinatorial modules so the two routes can disagree loudly in tests if one
+of them is wrong.
 """
 
 from __future__ import annotations
@@ -80,86 +81,92 @@ class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     witness: Optional[tuple]  # values of the n original variables
     objective: Optional[Fraction]
+    pivots: int  # simplex pivots, phase 1 (driving artificials out included) and phase 2
 
     @property
     def feasible(self) -> bool:
         return self.status != "infeasible"
 
 
-def _pivot(tableau, basis, row, col):
-    piv = tableau[row][col]
-    inv = Fraction(1) / piv
-    tableau[row] = [e * inv for e in tableau[row]]
+def _pivot(tableau, basis, d, row, col) -> int:
+    """Fraction-free pivot on the pivot p = tableau[row][col] of the tableau
+    standing for tableau / d; returns the new d, |p|.  Other rows r become
+    (r*p - r[col]*pivot_row) / d, exactly: each entry is a minor of the
+    integer system.  A negative p flips every row to keep d positive."""
     prow = tableau[row]
-    for r in range(len(tableau)):
-        if r != row and tableau[r][col] != 0:
-            f = tableau[r][col]
-            tableau[r] = [e - f * p for e, p in zip(tableau[r], prow)]
+    p = prow[col]
+    for r, cur in enumerate(tableau):
+        if r == row:
+            continue
+        f = cur[col]
+        if f:
+            tableau[r] = [(e * p - f * q) // d for e, q in zip(cur, prow)]
+        elif p != d:
+            tableau[r] = [e * p // d for e in cur]
     basis[row] = col
+    if p < 0:
+        tableau[:] = [[-e for e in cur] for cur in tableau]
+    return abs(p)
 
 
-def _simplex_min(tableau, basis, cost):
-    """Minimize cost.x over the tableau rows (Bland's rule).  Returns
-    ("optimal", value) or ("unbounded", None); mutates tableau/basis."""
+def _simplex_min(tableau, basis, d, cost):
+    """Minimize the integer cost.x over the tableau rows (Bland's rule).
+    Returns (status, optimum times d or None, d, pivots); mutates tableau
+    and basis.  The reduced-cost row (times d) is pivoted as a last row."""
     m = len(tableau)
-    width = len(cost) + 1  # cost has no rhs entry; tableau rows do
-    # reduced cost row: cost minus basic contributions
-    z = list(cost) + [Fraction(0)]
-    for r in range(m):
-        c = basis[r]
-        if z[c] != 0:
-            f = z[c]
-            z = [e - f * t for e, t in zip(z, tableau[r])]
+    z = [c * d for c in cost] + [0]
+    for r, c in enumerate(basis):
+        if cost[c]:
+            z = [e - cost[c] * t for e, t in zip(z, tableau[r])]
+    tableau.append(z)
+    pivots = 0
     while True:
-        enter = next((j for j in range(width - 1) if z[j] < 0), None)
+        z = tableau[m]
+        enter = next((j for j in range(len(cost)) if z[j] < 0), None)
         if enter is None:
-            return "optimal", -z[-1], z
-        best_row, best_ratio = None, None
+            return "optimal", -tableau.pop()[-1], d, pivots
+        best, num, den = None, 0, 1  # the least ratio rhs/a so far is num/den
         for r in range(m):
             a = tableau[r][enter]
             if a > 0:
-                ratio = tableau[r][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[best_row])
-                ):
-                    best_row, best_ratio = r, ratio
-        if best_row is None:
-            return "unbounded", None, z
-        f = z[enter]
-        _pivot(tableau, basis, best_row, enter)
-        if f != 0:
-            z = [e - f * p for e, p in zip(z, tableau[best_row])]
+                lhs, rhs = tableau[r][-1] * den, num * a  # cross-multiplied, a, den > 0
+                if best is None or lhs < rhs or (lhs == rhs and basis[r] < basis[best]):
+                    best, num, den = r, tableau[r][-1], a
+        if best is None:
+            tableau.pop()
+            return "unbounded", None, d, pivots
+        d = _pivot(tableau, basis, d, best, enter)
+        pivots += 1
+
+
+def _scaled(values, scale) -> list:
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def solve_lp(problem: LPProblem) -> LPResult:
-    """Two-phase exact simplex.  Feasibility and optima are exact."""
-    n = problem.n
-    rows = []
-    n_slack = len(problem.ge_rows)
-    total = n + n_slack
-    for coeffs, rhs in problem.eq_rows:
-        rows.append(([*coeffs] + [Fraction(0)] * n_slack, rhs))
-    for k, (coeffs, rhs) in enumerate(problem.ge_rows):
-        slack = [Fraction(0)] * n_slack
-        slack[k] = Fraction(-1)
-        rows.append(([*coeffs] + slack, rhs))
+    """Two-phase exact simplex.  Feasibility and optima are exact.
+
+    All rows of [A | b] are scaled to integers by one common factor: that
+    scales the artificial variables and the phase-1 cost uniformly, so the
+    pivots are the ones a rational tableau takes."""
+    n, n_eq = problem.n, len(problem.eq_rows)
+    rows = problem.eq_rows + problem.ge_rows
     m = len(rows)
-    # nonnegative right-hand sides
+    total = n + m - n_eq  # >= rows get slack variables
+    scale = math.lcm(*(e.denominator for coeffs, rhs in rows for e in (*coeffs, rhs)))
     tableau = []
-    for coeffs, rhs in rows:
-        if rhs < 0:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
-        tableau.append(list(coeffs) + [Fraction(0)] * m + [rhs])
-    for r in range(m):
-        tableau[r][total + r] = Fraction(1)  # artificial
+    for r, (coeffs, rhs) in enumerate(rows):
+        row = _scaled(coeffs, scale) + [0] * (total - n + m) + _scaled([rhs], scale)
+        if r >= n_eq:
+            row[n + r - n_eq] = -scale
+        if rhs < 0:  # nonnegative right-hand sides
+            row = [-e for e in row]
+        row[total + r] = 1  # artificial
+        tableau.append(row)
     basis = [total + r for r in range(m)]
-    phase1_cost = [Fraction(0)] * total + [Fraction(1)] * m
-    status, value, _ = _simplex_min(tableau, basis, phase1_cost)
+    status, value, d, pivots = _simplex_min(tableau, basis, 1, [0] * total + [1] * m)
     if status != "optimal" or value != 0:
-        return LPResult("infeasible", None, None)
+        return LPResult("infeasible", None, None, pivots)
     # drive artificials out of the basis, dropping redundant rows
     keep = []
     for r in range(m):
@@ -167,29 +174,28 @@ def solve_lp(problem: LPProblem) -> LPResult:
             col = next((j for j in range(total) if tableau[r][j] != 0), None)
             if col is None:
                 continue  # redundant zero row
-            _pivot(tableau, basis, r, col)
+            d = _pivot(tableau, basis, d, r, col)
+            pivots += 1
         keep.append(r)
-    tableau = [tableau[r] for r in keep]
-    basis = [basis[r] for r in keep]
     # freeze artificial columns at zero
-    for r in range(len(tableau)):
-        row = tableau[r]
-        tableau[r] = row[:total] + [row[-1]]
+    tableau = [tableau[r][:total] + tableau[r][-1:] for r in keep]
+    basis = [basis[r] for r in keep]
 
     def extract():
         x = [Fraction(0)] * total
         for r, c in enumerate(basis):
-            x[c] = tableau[r][-1]
+            x[c] = Fraction(tableau[r][-1], d)
         return tuple(x[:n])
 
     if problem.objective is None:
-        return LPResult("optimal", extract(), None)
-    sign = Fraction(-1) if problem.maximize else Fraction(1)
-    cost = [sign * c for c in problem.objective] + [Fraction(0)] * n_slack
-    status, value, _ = _simplex_min(tableau, basis, cost)
+        return LPResult("optimal", extract(), None, pivots)
+    sign = -1 if problem.maximize else 1
+    cost_scale = math.lcm(*(c.denominator for c in problem.objective))
+    cost = _scaled([sign * c for c in problem.objective], cost_scale)
+    status, value, d, more = _simplex_min(tableau, basis, d, cost + [0] * (total - n))
     if status == "unbounded":
-        return LPResult("unbounded", None, None)
-    return LPResult("optimal", extract(), sign * value)
+        return LPResult("unbounded", None, None, pivots + more)
+    return LPResult("optimal", extract(), sign * Fraction(value, d * cost_scale), pivots + more)
 
 
 def lp_feasible(problem: LPProblem) -> LPResult:
@@ -223,7 +229,7 @@ def feasible_nonneg_solution(
         x = [Fraction(0)] * n
         for k, j in enumerate(cols):
             x[j] = res.witness[k]
-        return LPResult("optimal", tuple(x), None)
+        return LPResult("optimal", tuple(x), None, res.pivots)
     rows = [(row, r) for row, r in zip(mat_rows, rhs)]
     return lp_feasible(LPProblem.build(n, eq_rows=rows))
 
@@ -243,12 +249,10 @@ def shifted_image_rows(P: NonnegMatrix, lam: Scalar, sign: int = 1):
 # exact dense helpers
 
 
-def solve_signed(mat_rows, rhs) -> Optional[list]:
-    """One sign-unrestricted solution of M x = rhs over the rationals, or None
-    if the system is inconsistent.  Gauss-Jordan with free variables at 0."""
-    m = len(mat_rows)
-    n = len(mat_rows[0]) if m else 0
-    a = [[exact_fraction(e) for e in row] + [exact_fraction(rhs[i])] for i, row in enumerate(mat_rows)]
+def _gauss_jordan(a, n: int) -> list:
+    """Reduce the rational rows a in place over their first n columns to
+    reduced row echelon form; returns the pivot column of each pivot row."""
+    m = len(a)
     pivots = []
     r = 0
     for col in range(n):
@@ -266,9 +270,18 @@ def solve_signed(mat_rows, rhs) -> Optional[list]:
         r += 1
         if r == m:
             break
-    for k in range(r, m):
-        if a[k][n] != 0:
-            return None
+    return pivots
+
+
+def solve_signed(mat_rows, rhs) -> Optional[list]:
+    """One sign-unrestricted solution of M x = rhs over the rationals, or None
+    if the system is inconsistent.  Gauss-Jordan with free variables at 0."""
+    m = len(mat_rows)
+    n = len(mat_rows[0]) if m else 0
+    a = [[exact_fraction(e) for e in row] + [exact_fraction(rhs[i])] for i, row in enumerate(mat_rows)]
+    pivots = _gauss_jordan(a, n)
+    if any(a[k][n] != 0 for k in range(len(pivots), m)):
+        return None
     x = [Fraction(0)] * n
     for row_i, col in enumerate(pivots):
         x[col] = a[row_i][n]
@@ -277,26 +290,9 @@ def solve_signed(mat_rows, rhs) -> Optional[list]:
 
 def nullspace_exact(mat_rows) -> list:
     """Rational basis of the nullspace of M (list of column vectors)."""
-    m = len(mat_rows)
-    n = len(mat_rows[0]) if m else 0
+    n = len(mat_rows[0]) if mat_rows else 0
     a = [[exact_fraction(e) for e in row] for row in mat_rows]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((k for k in range(r, m) if a[k][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = Fraction(1) / a[r][col]
-        a[r] = [e * inv for e in a[r]]
-        for k in range(m):
-            if k != r and a[k][col] != 0:
-                f = a[k][col]
-                a[k] = [e - f * p for e, p in zip(a[k], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
+    pivots = _gauss_jordan(a, n)
     basis = []
     free = [c for c in range(n) if c not in pivots]
     for fc in free:
@@ -518,11 +514,10 @@ def _cluster_eigenvalues(vals, tol: Tolerance, matrix=None):
     changed = True
     while changed and len(clusters) > 1:
         changed = False
+        means = [np.mean([vals[i] for i in cl]) for cl in clusters]
         for p in range(len(clusters)):
             for q in range(p + 1, len(clusters)):
-                mean_p = np.mean([vals[i] for i in clusters[p]])
-                mean_q = np.mean([vals[i] for i in clusters[q]])
-                if abs(mean_p - mean_q) > gate:
+                if abs(means[p] - means[q]) > gate:
                     continue
                 joint = clusters[p] + clusters[q]
                 m = len(joint)

@@ -1,10 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 from numpy.testing import assert_allclose
 from pytest import raises as assert_raises
 
-from coneq.core import FLOAT, RATIONAL, ConeVector, InvalidInput, NonnegMatrix
+from coneq.core import DEFAULT_TOL, FLOAT, RATIONAL, ConeVector, InvalidInput, NonnegMatrix
 from coneq import oracle
 from coneq.oracle import (
     LPProblem,
@@ -35,6 +36,210 @@ T = mat([[2, 0], [1, 1]])
 U = mat([[1, 1], [0, 1]])
 S = mat([[0, 1], [1, 0]])
 A = mat([[2, 1, 0], [0, 1, 0], [0, 0, 1]])
+
+
+# The two-phase Fraction simplex that solve_lp replaced, kept as the
+# reference for the integer tableau.  It also counts what the fuzz reaches:
+# pivots, ratio ties, negative pivots (driving artificials out) and dropped
+# redundant rows.
+
+
+def _ref_pivot(tableau, basis, row, col, seen):
+    piv = tableau[row][col]
+    seen["pivots"] += 1
+    seen["negative pivots"] += piv < 0
+    inv = Fraction(1) / piv
+    tableau[row] = [e * inv for e in tableau[row]]
+    prow = tableau[row]
+    for r in range(len(tableau)):
+        if r != row and tableau[r][col] != 0:
+            f = tableau[r][col]
+            tableau[r] = [e - f * p for e, p in zip(tableau[r], prow)]
+    basis[row] = col
+
+
+def _ref_simplex_min(tableau, basis, cost, seen):
+    m = len(tableau)
+    width = len(cost) + 1
+    z = list(cost) + [Fraction(0)]
+    for r in range(m):
+        c = basis[r]
+        if z[c] != 0:
+            f = z[c]
+            z = [e - f * t for e, t in zip(z, tableau[r])]
+    while True:
+        enter = next((j for j in range(width - 1) if z[j] < 0), None)
+        if enter is None:
+            return "optimal", -z[-1]
+        best_row, best_ratio = None, None
+        for r in range(m):
+            a = tableau[r][enter]
+            if a > 0:
+                ratio = tableau[r][-1] / a
+                seen["ties"] += ratio == best_ratio
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[r] < basis[best_row])
+                ):
+                    best_row, best_ratio = r, ratio
+        if best_row is None:
+            return "unbounded", None
+        f = z[enter]
+        _ref_pivot(tableau, basis, best_row, enter, seen)
+        if f != 0:
+            z = [e - f * p for e, p in zip(z, tableau[best_row])]
+
+
+def _ref_solve_lp(problem, seen):
+    """(status, witness, objective, pivots) of the Fraction simplex."""
+    n = problem.n
+    rows = []
+    n_slack = len(problem.ge_rows)
+    total = n + n_slack
+    for coeffs, rhs in problem.eq_rows:
+        rows.append(([*coeffs] + [Fraction(0)] * n_slack, rhs))
+    for k, (coeffs, rhs) in enumerate(problem.ge_rows):
+        slack = [Fraction(0)] * n_slack
+        slack[k] = Fraction(-1)
+        rows.append(([*coeffs] + slack, rhs))
+    m = len(rows)
+    tableau = []
+    for coeffs, rhs in rows:
+        if rhs < 0:
+            coeffs = [-c for c in coeffs]
+            rhs = -rhs
+        tableau.append(list(coeffs) + [Fraction(0)] * m + [rhs])
+    for r in range(m):
+        tableau[r][total + r] = Fraction(1)
+    basis = [total + r for r in range(m)]
+    before = seen["pivots"]
+    status, value = _ref_simplex_min(
+        tableau, basis, [Fraction(0)] * total + [Fraction(1)] * m, seen
+    )
+    if status != "optimal" or value != 0:
+        return "infeasible", None, None, seen["pivots"] - before
+    keep = []
+    for r in range(m):
+        if basis[r] >= total:
+            col = next((j for j in range(total) if tableau[r][j] != 0), None)
+            if col is None:
+                seen["dropped rows"] += 1
+                continue
+            _ref_pivot(tableau, basis, r, col, seen)
+        keep.append(r)
+    tableau = [tableau[r][:total] + [tableau[r][-1]] for r in keep]
+    basis = [basis[r] for r in keep]
+
+    def extract():
+        x = [Fraction(0)] * total
+        for r, c in enumerate(basis):
+            x[c] = tableau[r][-1]
+        return tuple(x[:n])
+
+    if problem.objective is None:
+        return "optimal", extract(), None, seen["pivots"] - before
+    sign = Fraction(-1) if problem.maximize else Fraction(1)
+    cost = [sign * c for c in problem.objective] + [Fraction(0)] * n_slack
+    status, value = _ref_simplex_min(tableau, basis, cost, seen)
+    if status == "unbounded":
+        return "unbounded", None, None, seen["pivots"] - before
+    return "optimal", extract(), sign * value, seen["pivots"] - before
+
+
+def _ref_cluster_eigenvalues(vals, tol, matrix):
+    """oracle._cluster_eigenvalues as it was, with the cluster means taken
+    again for every candidate pair; returns the clusters and the merges."""
+    scale = max([1.0] + [abs(v) for v in vals])
+    thresh = tol.eig_tol * scale
+    order = sorted(range(len(vals)), key=lambda i: (vals[i].real, vals[i].imag))
+    clusters = []
+    for i in order:
+        placed = False
+        for cl in clusters:
+            if any(abs(vals[i] - vals[j]) <= thresh for j in cl):
+                cl.append(i)
+                placed = True
+                break
+        if not placed:
+            clusters.append([i])
+    if len(clusters) < 2:
+        return clusters, 0
+    n = len(vals)
+    eps = float(np.finfo(float).eps)
+    gate = scale * max(10.0 * tol.eig_tol, (64.0 * eps) ** (1.0 / n))
+    a = np.asarray(matrix, dtype=complex)
+    merges = 0
+    changed = True
+    while changed and len(clusters) > 1:
+        changed = False
+        for p in range(len(clusters)):
+            for q in range(p + 1, len(clusters)):
+                mean_p = np.mean([vals[i] for i in clusters[p]])
+                mean_q = np.mean([vals[i] for i in clusters[q]])
+                if abs(mean_p - mean_q) > gate:
+                    continue
+                joint = clusters[p] + clusters[q]
+                m = len(joint)
+                mu = complex(np.mean([vals[i] for i in joint]))
+                shifted = a - mu * np.eye(n)
+                s = max(1.0, float(np.linalg.norm(shifted, np.inf)))
+                sig = np.linalg.svd(
+                    np.linalg.matrix_power(shifted / s, m), compute_uv=False
+                )
+                smax = sig[0] if len(sig) else 0.0
+                cutoff = max(oracle.RANK_REL * smax, 1e-13)
+                null_dim = int(np.sum(sig <= cutoff)) if smax > 0 else n
+                if null_dim >= m:
+                    clusters[p] = joint
+                    del clusters[q]
+                    merges += 1
+                    changed = True
+                    break
+            if changed:
+                break
+    return clusters, merges
+
+
+def _fuzz_lp(rnd):
+    """A small LP mixing eq and ge rows, with unequal denominators, negative
+    and zero right-hand sides, repeated and redundant rows, and min, max or
+    no objective."""
+    n = rnd.randint(1, 6)
+    dens = rnd.sample([1, 2, 3, 4, 5, 7, 9], 3)
+
+    def value(lo=-3, hi=4):
+        return Fraction(rnd.randint(lo, hi), rnd.choice(dens))
+
+    def row():
+        coeffs = [value() if rnd.random() < 0.7 else Fraction(0) for _ in range(n)]
+        return coeffs, (Fraction(0) if rnd.random() < 0.3 else value(-4, 6))
+
+    eq_rows = [row() for _ in range(rnd.randint(0, 3))]
+    ge_rows = [row() for _ in range(rnd.randint(0, 3))]
+    if eq_rows and rnd.random() < 0.3:  # a combination of eq rows, redundant when feasible
+        picked = [rnd.choice(eq_rows) for _ in range(2)]
+        w = [value(1, 3) for _ in picked]
+        eq_rows.append((
+            [sum(wk * r[0][j] for wk, r in zip(w, picked)) for j in range(n)],
+            sum(wk * r[1] for wk, r in zip(w, picked)),
+        ))
+    if ge_rows and rnd.random() < 0.2:
+        ge_rows.append(rnd.choice(ge_rows))
+    objective = None
+    if rnd.random() < 0.75:
+        objective = [value() for _ in range(n)]
+    return LPProblem.build(n, eq_rows, ge_rows, objective, rnd.random() < 0.5)
+
+
+def _face_probe_lps(P, lam):
+    """The per-coordinate LPs that eq_type2.solvable_face_probe solves."""
+    img = shifted_image_rows(P, lam)
+    ge_rows = [(row, Fraction(0)) for row in img]
+    norm_row = ([Fraction(1)] * P.n, Fraction(1))
+    return [
+        LPProblem.build(P.n, [norm_row], ge_rows, img[i], True) for i in range(P.n)
+    ]
 
 
 class TestLP:
@@ -91,6 +296,43 @@ class TestLP:
         first = feasible_nonneg_solution(rows, [Fraction(0), Fraction(0), Fraction(0)])
         second = feasible_nonneg_solution(rows, [Fraction(0), Fraction(0), Fraction(0)])
         assert first.witness == second.witness
+
+    def test_matches_the_fraction_simplex(self):
+        # status, witness, objective and pivot count all equal the Fraction
+        # simplex's, on fuzzed LPs and on the face-probe LPs of fuzzed
+        # matrices; the fuzz must reach every path the two could part on
+        rnd = rng(91)
+        problems = [_fuzz_lp(rnd) for _ in range(900)]
+        for _ in range(12):
+            P = fuzz_matrix(rnd, n_max=7)
+            for r in set(class_radii(P)):
+                for lam in {r, r + Fraction(1, 3), r - Fraction(1, 3)} - {Fraction(0)}:
+                    problems += _face_probe_lps(P, lam)
+        seen = Counter()
+        statuses = Counter()
+        for prob in problems:
+            want = _ref_solve_lp(prob, seen)
+            res = solve_lp(prob)
+            assert (res.status, res.witness, res.objective, res.pivots) == want, prob
+            kind = "none" if prob.objective is None else "max" if prob.maximize else "min"
+            statuses[res.status, "-" if res.status == "infeasible" else kind] += 1
+        # optimal under each kind of objective, unbounded min and max, infeasible
+        assert len(statuses) == 6 and min(statuses.values()) >= 20, statuses
+        assert seen["ties"] >= 50 and seen["negative pivots"] >= 10, seen
+        assert seen["dropped rows"] >= 10, seen
+
+    def test_pivot_count(self):
+        # no pivot when the artificial basis is already optimal and every
+        # row is redundant; at least one as soon as a row must be pivoted in
+        assert solve_lp(LPProblem.build(2, objective=(1, 2))).pivots == 0
+        zero_row = LPProblem.build(2, eq_rows=[((0, 0), 0)], objective=(1, 1))
+        assert solve_lp(zero_row).pivots == 0
+        rows = shifted_image_rows(T, Fraction(2))
+        assert feasible_nonneg_solution(rows, [Fraction(0), Fraction(1)]).pivots > 0
+        pinned = feasible_nonneg_solution([[1, 1], [0, 1]], [2, 1], support_within={1, 2})
+        assert pinned.pivots > 0
+        infeasible = LPProblem.build(1, eq_rows=[((1,), 1), ((1,), 2)])
+        assert solve_lp(infeasible).pivots > 0
 
 
 class TestExactLinearAlgebra:
@@ -174,6 +416,42 @@ class TestDenseEigen:
         assert eig_all(A) == [(1 + 0j), (1 + 0j), (2 + 0j)]
         assert eig_all(S) == [(-1 + 0j), (1 + 0j)]
         assert eig_all(S) == eig_all(S)
+
+    def test_eigenvalue_clusters_match_the_pairwise_means(self):
+        # the cluster means are taken once per merge pass; the clusters must
+        # come out as when they were taken for every pair, on fuzzed matrices,
+        # their transposes and Jordan chains (whose eigenvalues split apart)
+        rnd = rng(53)
+        mats = [
+            np.array([[2.0, 1, 0], [0, 2, 1], [0, 0, 2]]),
+            np.array([[1.0, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]),
+            np.array([[3.0, 1, 0, 0, 0], [0, 3, 1, 0, 0], [0, 0, 3, 0, 0],
+                      [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]]),
+        ]
+        for _ in range(60):
+            a = fuzz_matrix(rnd, n_max=8).to_numpy()
+            mats += [a, a.T]
+        for _ in range(30):  # Jordan chains behind a random similarity
+            sizes = [rnd.randint(1, 3) for _ in range(rnd.randint(1, 3))]
+            n = sum(sizes)
+            jordan = np.zeros((n, n))
+            start = 0
+            for size in sizes:
+                ev = float(rnd.randint(1, 3))
+                for i in range(start, start + size):
+                    jordan[i, i] = ev
+                    if i + 1 < start + size:
+                        jordan[i, i + 1] = 1.0
+                start += size
+            sim = np.array([[rnd.randint(-2, 2) for _ in range(n)] for _ in range(n)]) + 3 * np.eye(n)
+            mats.append(sim @ jordan @ np.linalg.inv(sim))
+        merges = 0
+        for a in mats:
+            vals = list(np.linalg.eigvals(a))
+            want, merged = _ref_cluster_eigenvalues(vals, DEFAULT_TOL, a)
+            assert oracle._cluster_eigenvalues(vals, DEFAULT_TOL, a) == want
+            merges += merged
+        assert merges >= 10
 
     def test_decompose_jordan_block(self):
         d = decompose_generalized(U.to_float(), ConeVector.unit(2, 2, FLOAT))
