@@ -9,7 +9,8 @@ bijection with the P-invariant faces of the orthant, which is why almost all
 solvability questions in the other modules reduce to computations here.
 
 Classes are listed in a fixed topological order: access only goes forward
-(class c can access class d only if c <= d).
+(class c can access class d only if c <= d).  ``condense`` is memoised per
+matrix (a matrix hashes once, on first use), so repeated lookups are O(1).
 """
 
 from __future__ import annotations

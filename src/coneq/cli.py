@@ -102,10 +102,6 @@ def _vector_from_path(path: str, mode: str, n: int) -> ConeVector:
     return vec
 
 
-def _flag_scalar(text: str, mode: str):
-    return _read_scalar(text, mode)
-
-
 # ---------------------------------------------------------------------------
 # verbs
 
@@ -465,11 +461,11 @@ def _dispatch(args) -> dict:
     if args.verb == "analyze":
         return _cmd_analyze(P, tol)
     if args.verb == "solve1":
-        lam = _flag_scalar(args.lam, mode)
+        lam = _read_scalar(args.lam, mode)
         b = _vector_from_path(args.b, mode, P.n)
         return eq_type1.solve1(P, lam, b, tol).to_json_dict()
     if args.verb == "solve2":
-        lam = _flag_scalar(args.lam, mode)
+        lam = _read_scalar(args.lam, mode)
         b = _vector_from_path(args.b, mode, P.n)
         return eq_type2.solvable2(P, lam, b, tol).to_json_dict()
     if args.verb == "cw":
@@ -478,7 +474,7 @@ def _dispatch(args) -> dict:
             return collatz_wielandt.cw_numbers(P, x, tol).to_json_dict()
         return collatz_wielandt.cw_sets(P, tol).to_json_dict()
     if args.verb == "alt":
-        s = _flag_scalar(args.shift, mode)
+        s = _read_scalar(args.shift, mode)
         x = _vector_from_path(args.x, mode, P.n)
         Z = alternating.ZMatrix.make(s, P)
         return alternating.alt_length(Z, x, args.max_steps, tol).to_json_dict()

@@ -293,6 +293,20 @@ class NonnegMatrix:
                 if e < 0:
                     raise InvalidInput(f"negative entry {e} in nonnegative matrix")
 
+    def __hash__(self) -> int:
+        # memoised on first use, not at construction: most matrices built
+        # along the way (transposes, submatrices, shifted copies) are never
+        # hashed, while the structure caches hash the same matrix many times
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.rows, self.mode))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # str hashes are salted per process, so the memo must not travel
+        return {"rows": self.rows, "mode": self.mode}
+
     @staticmethod
     def make(rows: Iterable[Iterable], mode: str = RATIONAL) -> "NonnegMatrix":
         return NonnegMatrix(tuple(_read_entries(r, mode) for r in rows), mode)

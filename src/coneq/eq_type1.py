@@ -37,6 +37,7 @@ from .core import (
     scalar_le,
     scalar_lt,
     scalars_equal,
+    solve_linear,
     support,
     vec_sub,
     zero,
@@ -66,13 +67,12 @@ def _unsolvable_witness(P, lam, b, tol):
     """A distinguished class with radius >= lambda from which supp(b) is
     reachable; exists whenever the equation is unsolvable."""
     analysis = condense(P)
-    radii = class_radii(P, tol)
     tax = taxonomy(P, tol)
     bmask = analysis.classes_meeting(support(b))
     for c in range(analysis.class_count):
         if (
             tax.distinguished[c]
-            and scalar_le(lam, radii[c], tol)
+            and scalar_le(lam, tax.radii[c], tol)
             and analysis.reach[c] & bmask
         ):
             return c
@@ -98,22 +98,15 @@ def minimal_solution(
         for i in range(sub.n)
     ]
     rhs = [b.entries[i - 1] for i in idx]
-    sol = oracle_solve(mrows, rhs, P.mode)
+    sol = solve_linear(mrows, rhs, P.mode)
+    if sol is None:
+        raise NumericFailure("principal subsystem unexpectedly singular")
     entries = [zero(P.mode)] * P.n
     for k, i in enumerate(idx):
         entries[i - 1] = sol[k]
     if P.mode == FLOAT:
         entries = [max(0.0, e) if abs(e) <= tol.eq_tol else e for e in entries]
     return ConeVector(tuple(entries), P.mode)
-
-
-def oracle_solve(mrows, rhs, mode):
-    from .core import solve_linear
-
-    sol = solve_linear(mrows, rhs, mode)
-    if sol is None:
-        raise NumericFailure("principal subsystem unexpectedly singular")
-    return sol
 
 
 @dataclass(frozen=True)
@@ -149,12 +142,11 @@ def solve1(P: NonnegMatrix, lam: Scalar, b: ConeVector, tol: Tolerance = DEFAULT
     _check_inputs(P, lam, b)
     rho_b = local_spectral_radius(P, b, tol)
     analysis = condense(P)
-    radii = class_radii(P, tol)
     tax = taxonomy(P, tol)
     freedom = tuple(
         c
         for c in range(analysis.class_count)
-        if tax.distinguished[c] and scalars_equal(radii[c], lam, tol)
+        if tax.distinguished[c] and scalars_equal(tax.radii[c], lam, tol)
     )
     if not scalar_lt(rho_b, lam, tol):
         witness = _unsolvable_witness(P, lam, b, tol)
@@ -253,11 +245,10 @@ def _condition_g(P, lam, b, tol) -> bool:
 
 def _condition_h(P, lam, b, tol) -> bool:
     analysis = condense(P)
-    radii = class_radii(P, tol)
     tax = taxonomy(P, tol)
     bmask = analysis.classes_meeting(support(b))
     for c in range(analysis.class_count):
-        if tax.distinguished[c] and scalar_le(lam, radii[c], tol):
+        if tax.distinguished[c] and scalar_le(lam, tax.radii[c], tol):
             if analysis.reach[c] & bmask:
                 return False
     return True
@@ -446,7 +437,7 @@ def solvability_conditions(
         raise InvalidInput("the condition battery requires b != 0")
     cond_g = _condition_g(P, lam, b, tol)
     cond_h = _condition_h(P, lam, b, tol)
-    cond_b = scalar_lt(local_spectral_radius(P, b, tol), lam, tol)
+    cond_b = support(b) <= solvable_set(P, lam, tol)
     cond_c = _condition_c(P, lam, b, tol)
     cond_d = _condition_d(P, lam, b, tol)
     cond_e = _peripheral_components(P, b, lam, tol, modulus=True)

@@ -74,13 +74,11 @@ def _check_inputs(P, lam, b):
 
 def _distinguished_at(P, lam, tol):
     """Class indices of distinguished classes whose radius equals lam."""
-    analysis = condense(P)
-    radii = class_radii(P, tol)
     tax = taxonomy(P, tol)
     return [
         c
-        for c in range(analysis.class_count)
-        if tax.distinguished[c] and scalars_equal(radii[c], lam, tol)
+        for c, (r, d) in enumerate(zip(tax.radii, tax.distinguished))
+        if d and scalars_equal(r, lam, tol)
     ]
 
 
@@ -284,7 +282,6 @@ def tracedown_witness(P: NonnegMatrix, class_index: int, tol: Tolerance = DEFAUL
     Perron vectors.
     """
     analysis = condense(P)
-    radii = class_radii(P, tol)
     tax = taxonomy(P, tol)
     k = analysis.class_count
     if not 0 <= class_index < k:
@@ -306,7 +303,7 @@ def tracedown_witness(P: NonnegMatrix, class_index: int, tol: Tolerance = DEFAUL
     exact = P.mode == RATIONAL and isinstance(rho, Fraction) and all(
         _block_exact_row_sum(block_of(c)) is not None or len(analysis.classes[c]) == 1
         for c in range(k)
-        if analysis.has_access(c, class_index) and scalars_equal(radii[c], rho, tol)
+        if analysis.has_access(c, class_index) and scalars_equal(tax.radii[c], rho, tol)
     )
     mode = RATIONAL if exact else FLOAT
     work = P if mode == P.mode else P.to_float()
@@ -337,7 +334,7 @@ def tracedown_witness(P: NonnegMatrix, class_index: int, tol: Tolerance = DEFAUL
                     for dj, j in enumerate(dcls)
                     if work.rows[i - 1][j - 1] != 0
                 )
-        if scalars_equal(radii[c], rho, tol):
+        if scalars_equal(tax.radii[c], rho, tol):
             _, vec = perron_vector_block(
                 [[work.rows[i - 1][j - 1] for j in cls] for i in cls], tol
             )

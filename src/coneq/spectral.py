@@ -10,6 +10,10 @@ The local spectral radius of x is the largest class radius over classes with
 access to supp(x); the order of x is the longest access chain of classes at
 that radius inside the smallest initial superset of supp(x).  Both facts are
 cross-checked against dense eigendecompositions in the test suite.
+
+Structure lookups are memoised per (matrix, tolerance): ``class_radii`` and
+``taxonomy`` (classes, radii and flags together) are computed once, and the
+other functions here read them from those caches.
 """
 
 from __future__ import annotations
@@ -116,6 +120,7 @@ def spectral_radius(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> Scalar:
     return max(radii) if radii else zero(P.mode)
 
 
+@lru_cache(maxsize=512)
 def taxonomy(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> ClassTaxonomy:
     return classify(condense(P), class_radii(P, tol), tol)
 
@@ -174,11 +179,8 @@ def distinguished_eigenvalues(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> 
 
     These are exactly the eigenvalues admitting a nonnegative eigenvector.
     """
-    analysis = condense(P)
-    radii = class_radii(P, tol)
-    tax = classify(analysis, radii, tol)
-    vals = [radii[c] for c in range(analysis.class_count) if tax.distinguished[c]]
-    vals.sort()
+    tax = taxonomy(P, tol)
+    vals = sorted(r for r, d in zip(tax.radii, tax.distinguished) if d)
     out = []
     for v in vals:
         if not out or not scalars_equal(out[-1], v, tol):
@@ -198,14 +200,13 @@ def fv_eigenvector(
     whole vector degrades to floats.
     """
     analysis = condense(P)
-    radii = class_radii(P, tol)
-    tax = classify(analysis, radii, tol)
+    tax = taxonomy(P, tol)
     k = analysis.class_count
     if not 0 <= class_index < k:
         raise InvalidInput(f"class index {class_index} outside 0..{k - 1}")
     if not tax.distinguished[class_index]:
         raise InvalidInput("eigenvector construction requires a distinguished class")
-    lam = radii[class_index]
+    lam = tax.radii[class_index]
     involved = [c for c in range(k) if analysis.has_access(c, class_index)]
 
     def block_of(c):

@@ -25,6 +25,7 @@ from coneq.core import (
     support,
 )
 from coneq.classes import condense, smallest_initial_superset
+from coneq.spectral import class_radii
 
 from fuzz import fuzz_matrix, fuzz_vector, rng
 
@@ -173,3 +174,82 @@ def test_rational_pipeline_is_deterministic():
     first = saturate(P, x).entries
     again = saturate(P, x).entries
     assert first == again
+
+
+class _CountingFraction(Fraction):
+    """A Fraction that counts how often it is hashed."""
+
+    hashed = 0
+
+    def __hash__(self):
+        type(self).hashed += 1
+        return super().__hash__()
+
+
+class TestMatrixHash:
+    def test_equal_matrices_built_separately_hash_equal(self):
+        rnd = rng(4101)
+        for _ in range(20):
+            P = fuzz_matrix(rnd)
+            Q = NonnegMatrix.make([list(row) for row in P.rows], RATIONAL)
+            assert P is not Q and P == Q
+            assert hash(P) == hash(Q) == hash(P) == hash((P.rows, P.mode))
+
+    def test_repr_and_equality_ignore_the_memo(self):
+        P = NonnegMatrix.make([[1, 2], [0, 3]], RATIONAL)
+        Q = NonnegMatrix.make([[1, 2], [0, 3]], RATIONAL)
+        before = repr(P)
+        hash(P)
+        assert repr(P) == before == repr(Q)
+        assert P == Q and Q == P
+
+    def test_hash_is_computed_on_first_use_only(self):
+        c = _CountingFraction
+        c.hashed = 0
+        P = NonnegMatrix(((c(1), c(2)), (c(0), c(3))), RATIONAL)
+        P.transpose()
+        P.submatrix([1])
+        assert c.hashed == 0
+        hash(P)
+        assert c.hashed == 4
+        hash(P)
+        assert {P: 1}[P] == 1
+        assert c.hashed == 4
+
+    def test_pickled_matrix_hashes_like_a_fresh_one_in_another_process(self):
+        import os
+        import pickle
+        import subprocess
+        import sys
+
+        import coneq
+
+        P = NonnegMatrix.make([[1, Fraction(1, 2)], [0, 3]], RATIONAL)
+        hash(P)
+        seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(coneq.__file__)))
+        child = (
+            "import pickle, sys\n"
+            "from coneq.core import NonnegMatrix\n"
+            "P = pickle.loads(sys.stdin.buffer.read())\n"
+            "fresh = NonnegMatrix.make([list(r) for r in P.rows], P.mode)\n"
+            "print(hash(P) == hash(fresh), P == fresh, hash(fresh))\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", child], input=pickle.dumps(P), env=env,
+            capture_output=True, check=True, timeout=60,
+        ).stdout.decode().split()
+        assert out[:2] == ["True", "True"]
+        # the child salts str hashes differently, so a memo carried over
+        # from this process would have disagreed
+        assert int(out[2]) != hash(P)
+
+    def test_rational_and_float_copies_stay_unequal(self):
+        P = NonnegMatrix.make([[1, 2], [0, 3]], RATIONAL)
+        F = P.to_float()
+        assert P.rows == F.rows  # 1 == 1.0 entry by entry
+        assert P != F and len({P, F}) == 2
+        # so the structure caches keep one entry per mode
+        assert all(isinstance(r, Fraction) for r in class_radii(P))
+        assert all(isinstance(r, float) for r in class_radii(F))

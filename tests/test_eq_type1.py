@@ -308,6 +308,22 @@ class TestConditionBattery:
         with assert_raises(InvalidInput):
             solvability_conditions(T, F(1), ConeVector.zero_vector(2))
 
+    def test_b_does_not_share_the_local_radius_with_g(self, monkeypatch):
+        # b tests supp(b) against the solvable set, g the local spectral
+        # radius; a fault in local_spectral_radius must split them
+        rnd = rng(70)
+        while True:
+            P = fuzz_matrix(rnd, n_max=5)
+            b = fuzz_vector(rnd, P.n)
+            lam = next((lam for lam in lambda_sweep(P) if not solvable1(P, lam, b)), None)
+            if lam is not None:
+                break
+        rep = solvability_conditions(P, lam, b)
+        assert rep.consistent and not rep.b and not rep.g
+        monkeypatch.setattr(eq_type1, "local_spectral_radius", lambda P, x, tol: F(0))
+        rep = solvability_conditions(P, lam, b)
+        assert not rep.b and rep.g and not rep.consistent
+
     def test_battery_agrees_with_feasibility(self):
         rnd = rng(67)
         cases = 0

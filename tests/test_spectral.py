@@ -6,16 +6,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from coneq.core import (
+    DEFAULT_TOL,
     FLOAT,
     RATIONAL,
     ConeVector,
     InvalidInput,
     NonnegMatrix,
     SpectralPair,
+    Tolerance,
     saturate,
     support,
 )
-from coneq.classes import condense
+from coneq.classes import classify, condense
 from coneq.spectral import (
     class_radii,
     distinguished_eigenvalues,
@@ -28,8 +30,9 @@ from coneq.spectral import (
     spectral_pair,
     spectral_radius,
     spectral_report,
+    taxonomy,
 )
-from coneq import oracle
+from coneq import oracle, spectral
 
 from fuzz import fuzz_matrix, fuzz_vector, rng
 
@@ -238,3 +241,70 @@ def test_local_radius_matches_krylov_restriction():
         want = float(local_spectral_radius(P, x))
         got = oracle.krylov_local_rho(P, x)
         assert abs(got - want) <= 1e-6 * max(1.0, want)
+
+
+def _irregular(rnd, P: NonnegMatrix) -> NonnegMatrix:
+    """P with every entry scaled by 1 or 2: most blocks lose their constant
+    row sums, so their radii come out as floats (irrational in general)."""
+    return NonnegMatrix.make([[e * rnd.choice((1, 2)) for e in row] for row in P.rows], RATIONAL)
+
+
+def _memo_cases():
+    rnd = rng(4201)
+    out = []
+    for _ in range(25):
+        P = fuzz_matrix(rnd)
+        Q = _irregular(rnd, fuzz_matrix(rnd))
+        out += [P, Q, P.to_float(), Q.to_float()]
+    return out
+
+
+def _uncached_taxonomy(P, tol=DEFAULT_TOL):
+    return classify(condense(P), class_radii(P, tol), tol)
+
+
+class TestTaxonomyMemo:
+    def test_repeat_call_returns_the_same_object(self):
+        P = fuzz_matrix(rng(4202))
+        assert taxonomy(P) is taxonomy(P)
+        Q = NonnegMatrix.make([list(row) for row in P.rows], RATIONAL)
+        assert taxonomy(Q) is taxonomy(P)
+
+    def test_equals_classify_on_fuzzed_matrices(self):
+        irrational = 0
+        for P in _memo_cases():
+            tax = taxonomy(P, DEFAULT_TOL)
+            assert tax == _uncached_taxonomy(P, DEFAULT_TOL)
+            assert tax.radii == class_radii(P, DEFAULT_TOL)
+            irrational += P.mode == RATIONAL and any(isinstance(r, float) for r in tax.radii)
+        assert irrational >= 10
+
+    def test_each_tolerance_has_its_own_entry(self):
+        P = mat([[1, 0], [1, 1 + 1e-7]], FLOAT)
+        loose = Tolerance(eig_tol=1e-6)
+        tight, wide = taxonomy(P), taxonomy(P, loose)
+        assert tight is not wide
+        assert tight == _uncached_taxonomy(P) and wide == _uncached_taxonomy(P, loose)
+        # 1 and 1 + 1e-7 are two radii under the default tolerance, one under the loose one
+        assert tight.basic != wide.basic
+        assert taxonomy(P, loose) is wide and taxonomy(P) is tight
+
+    def test_callers_are_unchanged(self, monkeypatch):
+        cases = _memo_cases()
+        memo = [_taxonomy_callers(P) for P in cases]
+        monkeypatch.setattr(spectral, "taxonomy", _uncached_taxonomy)
+        assert memo == [_taxonomy_callers(P) for P in cases]
+        vectors = [v for _, vs in memo for v in vs if isinstance(v, ConeVector)]
+        assert len(vectors) >= 100 and sum(v.mode == FLOAT for v in vectors) >= 20
+
+
+def _taxonomy_callers(P):
+    """distinguished_eigenvalues(P), and fv_eigenvector(P, c) or its error
+    message for every class c."""
+    vectors = []
+    for c in range(condense(P).class_count):
+        try:
+            vectors.append(fv_eigenvector(P, c))
+        except InvalidInput as exc:
+            vectors.append(str(exc))
+    return distinguished_eigenvalues(P), vectors
