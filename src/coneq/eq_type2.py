@@ -412,24 +412,14 @@ def resolvent_sign(P: NonnegMatrix, lam: Scalar, tol: Tolerance = DEFAULT_TOL) -
 
 
 def _det_and_inverse_exact(rows):
+    """(det, inverse) of a square rational matrix, (0, None) when singular:
+    the exact elimination kernel run on [A | I]."""
     n = len(rows)
-    a = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i, r in enumerate(rows)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0), None
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [e * inv for e in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [e - f * p for e, p in zip(a[r], a[col])]
-    return det, [row[n:] for row in a]
+    a = [[*r, *(int(i == j) for j in range(n))] for i, r in enumerate(rows)]
+    T, pivots, d, det = oracle._gauss_jordan(a, n)
+    if len(pivots) < n:
+        return det, None
+    return det, [[Fraction(e, d) for e in row[n:]] for row in T]
 
 
 def _adjugate_exact(rows):
@@ -452,25 +442,7 @@ def _adjugate_exact(rows):
 
 
 def _det_exact(rows):
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    a = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [e - f * p for e, p in zip(a[r], a[col])]
-    return det
+    return oracle._gauss_jordan(rows, len(rows))[3]
 
 
 def _adjugate_float(a):

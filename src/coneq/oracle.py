@@ -5,7 +5,9 @@ local spectral radius, and exact characteristic-polynomial root counting.
 The LP solver is a two-phase tableau simplex with Bland's rule on integers
 over one common denominator, pivoted fraction-free (Bareiss), so verdicts
 are exact and termination is guaranteed.  All variables are nonnegative;
->= rows get slack variables internally.  The float-lane helpers (eig_all,
+>= rows get slack variables internally.  The signed solve, the exact
+nullspaces and the determinants share the LP's fraction-free integer pivot
+in one Gauss-Jordan kernel.  The float-lane helpers (eig_all,
 decompose_generalized, krylov_local_rho) are deliberately independent of the
 combinatorial modules so the two routes can disagree loudly in tests if one
 of them is wrong.
@@ -88,7 +90,7 @@ class LPResult:
         return self.status != "infeasible"
 
 
-def _pivot(tableau, basis, d, row, col) -> int:
+def _pivot(tableau, d, row, col) -> int:
     """Fraction-free pivot on the pivot p = tableau[row][col] of the tableau
     standing for tableau / d; returns the new d, |p|.  Other rows r become
     (r*p - r[col]*pivot_row) / d, exactly: each entry is a minor of the
@@ -103,7 +105,6 @@ def _pivot(tableau, basis, d, row, col) -> int:
             tableau[r] = [(e * p - f * q) // d for e, q in zip(cur, prow)]
         elif p != d:
             tableau[r] = [e * p // d for e in cur]
-    basis[row] = col
     if p < 0:
         tableau[:] = [[-e for e in cur] for cur in tableau]
     return abs(p)
@@ -135,7 +136,8 @@ def _simplex_min(tableau, basis, d, cost):
         if best is None:
             tableau.pop()
             return "unbounded", None, d, pivots
-        d = _pivot(tableau, basis, d, best, enter)
+        d = _pivot(tableau, d, best, enter)
+        basis[best] = enter
         pivots += 1
 
 
@@ -174,7 +176,8 @@ def solve_lp(problem: LPProblem) -> LPResult:
             col = next((j for j in range(total) if tableau[r][j] != 0), None)
             if col is None:
                 continue  # redundant zero row
-            d = _pivot(tableau, basis, d, r, col)
+            d = _pivot(tableau, d, r, col)
+            basis[r] = col
             pivots += 1
         keep.append(r)
     # freeze artificial columns at zero
@@ -249,28 +252,43 @@ def shifted_image_rows(P: NonnegMatrix, lam: Scalar, sign: int = 1):
 # exact dense helpers
 
 
-def _gauss_jordan(a, n: int) -> list:
-    """Reduce the rational rows a in place over their first n columns to
-    reduced row echelon form; returns the pivot column of each pivot row."""
-    m = len(a)
-    pivots = []
-    r = 0
+def _gauss_jordan(rows, n: int) -> tuple:
+    """Fraction-free Gauss-Jordan over the first n columns of the rational
+    rows, with the LP's _pivot.  Each row is scaled to integers once (all-int
+    rows are only copied); that changes no row space, so every pivot entry of
+    the integer rows T ends equal to d and T / d is the reduced row echelon
+    form.  Returns (T, pivot columns, d, det): det is None unless there are n
+    rows, then their determinant over those columns, read from the row swaps,
+    the sign of each pivot and d over the row scale factors."""
+    T, scale = [], 1
+    for row in rows:
+        if all(type(e) is int for e in row):
+            T.append(list(row))
+        else:
+            row = [exact_fraction(e) for e in row]
+            s = math.lcm(*(e.denominator for e in row))
+            T.append(_scaled(row, s))
+            scale *= s
+    m = len(T)
+    pivots, d, sign = [], 1, 1
     for col in range(n):
-        piv = next((k for k in range(r, m) if a[k][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = Fraction(1) / a[r][col]
-        a[r] = [e * inv for e in a[r]]
-        for k in range(m):
-            if k != r and a[k][col] != 0:
-                f = a[k][col]
-                a[k] = [e - f * p for e, p in zip(a[k], a[r])]
-        pivots.append(col)
-        r += 1
+        r = len(pivots)
         if r == m:
             break
-    return pivots
+        piv = next((k for k in range(r, m) if T[k][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            T[r], T[piv] = T[piv], T[r]
+            sign = -sign
+        if T[r][col] < 0:
+            sign = -sign
+        d = _pivot(T, d, r, col)
+        pivots.append(col)
+    det = None
+    if m == n:
+        det = Fraction(sign * d, scale) if len(pivots) == n else Fraction(0)
+    return T, pivots, d, det
 
 
 def solve_signed(mat_rows, rhs) -> Optional[list]:
@@ -278,28 +296,25 @@ def solve_signed(mat_rows, rhs) -> Optional[list]:
     if the system is inconsistent.  Gauss-Jordan with free variables at 0."""
     m = len(mat_rows)
     n = len(mat_rows[0]) if m else 0
-    a = [[exact_fraction(e) for e in row] + [exact_fraction(rhs[i])] for i, row in enumerate(mat_rows)]
-    pivots = _gauss_jordan(a, n)
-    if any(a[k][n] != 0 for k in range(len(pivots), m)):
+    T, pivots, d, _ = _gauss_jordan([[*row, rhs[i]] for i, row in enumerate(mat_rows)], n)
+    if any(T[k][n] for k in range(len(pivots), m)):
         return None
     x = [Fraction(0)] * n
-    for row_i, col in enumerate(pivots):
-        x[col] = a[row_i][n]
+    for i, col in enumerate(pivots):
+        x[col] = Fraction(T[i][n], d)
     return x
 
 
 def nullspace_exact(mat_rows) -> list:
     """Rational basis of the nullspace of M (list of column vectors)."""
     n = len(mat_rows[0]) if mat_rows else 0
-    a = [[exact_fraction(e) for e in row] for row in mat_rows]
-    pivots = _gauss_jordan(a, n)
+    T, pivots, d, _ = _gauss_jordan(mat_rows, n)
     basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
-        for row_i, col in enumerate(pivots):
-            v[col] = -a[row_i][fc]
+        for i, col in enumerate(pivots):
+            v[col] = Fraction(-T[i][fc], d)
         basis.append(v)
     return basis
 
@@ -330,18 +345,18 @@ def generalized_nullspace_exact(mat_rows, mu: Fraction) -> list:
     The kernels N((M - mu*I)^k) grow strictly with k until the first k at
     which they stop growing, and stay put from then on; so the power is
     raised one step at a time and the search stops there.  Denominators are
-    cleared once, so the powers are taken in Python ints.  Scaling changes no
-    kernel, and equal kernels have the same reduced row echelon form, so the
-    basis is the one nullspace_exact gives for (M - mu*I)^n itself.
+    cleared once, so the powers are taken and eliminated in Python ints.
+    Scaling changes no kernel, and equal kernels have the same reduced row
+    echelon form, so the basis is the one nullspace_exact gives for
+    (M - mu*I)^n itself.
     """
     n = len(mat_rows)
     mu = exact_fraction(mu)
-    shifted = [
-        [exact_fraction(mat_rows[i][j]) - (mu if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    denom = math.lcm(*(e.denominator for row in shifted for e in row))
-    base = [[int(e * denom) for e in row] for row in shifted]
+    rows = [[exact_fraction(e) for e in row] for row in mat_rows]
+    denom = math.lcm(mu.denominator, *(e.denominator for row in rows for e in row))
+    base = [_scaled(row, denom) for row in rows]
+    for i in range(n):
+        base[i][i] -= mu.numerator * (denom // mu.denominator)
     cols = list(zip(*base))
     power = base
     basis = nullspace_exact(power)

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from coneq.eq_type2 import (
     subcritical_window,
     tracedown_witness,
 )
-from coneq import oracle
+from coneq import eq_type2, oracle
 
 from fuzz import fuzz_irreducible, fuzz_matrix, fuzz_vector, lambda_sweep, rng
 
@@ -46,6 +47,74 @@ Z2 = mat([[0, 0], [0, 0]])
 
 def vec(*entries):
     return ConeVector.make(list(entries))
+
+
+# The Fraction eliminations that eq_type2's determinant and inverse used
+# before they ran on the integer kernel, kept as the reference; they count
+# what the fuzz reaches.
+
+
+def _ref_det_and_inverse(rows, seen):
+    n = len(rows)
+    a = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i, r in enumerate(rows)]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            seen["singular"] += 1
+            return Fraction(0), None
+        if piv != col:
+            seen["row swap"] += 1
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        seen["negative pivot"] += a[col][col] < 0
+        det *= a[col][col]
+        inv = Fraction(1) / a[col][col]
+        a[col] = [e * inv for e in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [e - f * p for e, p in zip(a[r], a[col])]
+    seen["nonsingular"] += 1
+    return det, [row[n:] for row in a]
+
+
+def _ref_det(rows):
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    a = [list(r) for r in rows]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = Fraction(1) / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                f = a[r][col] * inv
+                a[r] = [e - f * p for e, p in zip(a[r], a[col])]
+    return det
+
+
+def _fuzz_square(rnd, seen):
+    """A square rational matrix over unequal denominators, with negative and
+    zero entries; at times singular through a repeated or combined row."""
+    n = rnd.randint(1, 6)
+    dens = rnd.sample([1, 2, 3, 4, 5, 7], 3)
+    rows = [
+        [Fraction(rnd.randint(-4, 4), rnd.choice(dens)) if rnd.random() < 0.7 else Fraction(0) for _ in range(n)]
+        for _ in range(n)
+    ]
+    seen["unequal denominators"] += len({e.denominator for row in rows for e in row}) > 1
+    if n > 1 and rnd.random() < 0.25:
+        i, j = rnd.sample(range(n), 2)
+        rows[i] = [a * Fraction(rnd.randint(-2, 2), rnd.choice(dens)) for a in rows[j]]
+    return rows
 
 
 class TestDecision:
@@ -280,6 +349,42 @@ class TestResolventSign:
         assert (rs.inverse_positive, rs.adjugate_positive) == (False, False)
         rs = resolvent_sign(S, F(1))
         assert (rs.inverse_positive, rs.adjugate_positive) == (None, True)
+
+    def test_determinant_and_inverse_match_the_fraction_elimination(self):
+        # the integer kernel's determinant and inverse equal the Fraction
+        # loops', on fuzzed singular and nonsingular matrices with row swaps,
+        # negative pivots and unequal denominators
+        rnd = rng(1003)
+        seen = Counter()
+        for _ in range(600):
+            rows = _fuzz_square(rnd, seen)
+            det, inv = eq_type2._det_and_inverse_exact(rows)
+            assert (det, inv) == _ref_det_and_inverse(rows, seen), rows
+            assert type(det) is Fraction
+            assert eq_type2._det_exact(rows) == _ref_det(rows) == det
+            assert type(eq_type2._det_exact(rows)) is Fraction
+            minor = [row[1:] for row in rows[1:]]
+            assert eq_type2._det_exact(minor) == _ref_det(minor)
+        assert eq_type2._det_exact([]) == 1
+        kinds = ("singular", "nonsingular", "row swap", "negative pivot", "unequal denominators")
+        assert all(seen[k] >= 50 for k in kinds), seen
+
+    def test_verdicts_match_the_fraction_elimination(self, monkeypatch):
+        # resolvent_sign gives the verdicts of the Fraction loops at, below
+        # and above the radius of fuzzed irreducible matrices
+        rnd = rng(1004)
+        cases = []
+        for _ in range(30):
+            P = fuzz_irreducible(rnd)
+            rho = spectral_radius(P)
+            cases += [(P, lam) for lam in (rho, rho - F(1, 3), rho + F(1, 3), rho / 2, F(0))]
+        got = [resolvent_sign(P, lam) for P, lam in cases]
+        monkeypatch.setattr(eq_type2, "_det_and_inverse_exact", lambda rows: _ref_det_and_inverse(rows, Counter()))
+        monkeypatch.setattr(eq_type2, "_det_exact", _ref_det)
+        assert got == [resolvent_sign(P, lam) for P, lam in cases]
+        assert {(rs.inverse_positive, rs.adjugate_positive) for rs in got} >= {
+            (True, True), (False, True), (None, True), (False, False)
+        }
 
     def test_requires_an_irreducible_matrix(self):
         with assert_raises(InvalidInput):

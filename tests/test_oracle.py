@@ -201,6 +201,104 @@ def _ref_cluster_eigenvalues(vals, tol, matrix):
     return clusters, merges
 
 
+# The Fraction Gauss-Jordan that the integer kernel replaced, kept as the
+# reference for nullspace_exact and solve_signed.  It also counts negative
+# pivots, where the kernel flips the signs of its rows.
+
+
+def _ref_gauss_jordan(a, n, seen):
+    m = len(a)
+    pivots = []
+    r = 0
+    for col in range(n):
+        piv = next((k for k in range(r, m) if a[k][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        seen["negative pivot"] += a[r][col] < 0
+        inv = Fraction(1) / a[r][col]
+        a[r] = [e * inv for e in a[r]]
+        for k in range(m):
+            if k != r and a[k][col] != 0:
+                f = a[k][col]
+                a[k] = [e - f * p for e, p in zip(a[k], a[r])]
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    return pivots
+
+
+def _ref_solve_signed(mat_rows, rhs, seen):
+    m = len(mat_rows)
+    n = len(mat_rows[0]) if m else 0
+    a = [[Fraction(e) for e in row] + [Fraction(rhs[i])] for i, row in enumerate(mat_rows)]
+    pivots = _ref_gauss_jordan(a, n, seen)
+    if any(a[k][n] != 0 for k in range(len(pivots), m)):
+        return None
+    x = [Fraction(0)] * n
+    for row_i, col in enumerate(pivots):
+        x[col] = a[row_i][n]
+    return x
+
+
+def _ref_nullspace(mat_rows, seen):
+    n = len(mat_rows[0]) if mat_rows else 0
+    a = [[Fraction(e) for e in row] for row in mat_rows]
+    pivots = _ref_gauss_jordan(a, n, seen)
+    seen["rank-deficient"] += len(pivots) < min(len(mat_rows), n)
+    basis = []
+    for fc in [c for c in range(n) if c not in pivots]:
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for row_i, col in enumerate(pivots):
+            v[col] = -a[row_i][fc]
+        basis.append(v)
+    return basis
+
+
+def _fuzz_system(rnd, seen):
+    """Rows and a right-hand side of M x = rhs, m != n or square: zero,
+    repeated and combined rows, pure-int rows, float entries and rows of
+    Fractions over unequal denominators; the right-hand side is M x0 or, at
+    times, random (inconsistent when M is rank-deficient)."""
+    m, n = rnd.randint(1, 7), rnd.randint(1, 7)
+    seen["m != n" if m != n else "square"] += 1
+    dens = rnd.sample([1, 2, 3, 4, 5, 7, 9], 3)
+
+    def value():
+        return Fraction(rnd.randint(-4, 4), rnd.choice(dens))
+
+    rows = []
+    for _ in range(m):
+        kind = rnd.random()
+        if kind < 0.08:
+            row, what = [0] * n, "zero row"
+        elif kind < 0.2 and rows:
+            row, what = list(rnd.choice(rows)), "repeated row"
+        elif kind < 0.32 and len(rows) >= 2:
+            u, v = rnd.sample(rows, 2)
+            w = value()
+            row, what = [Fraction(a) + w * Fraction(b) for a, b in zip(u, v)], "combined row"
+        elif kind < 0.5:
+            row, what = [rnd.randint(-3, 3) for _ in range(n)], "pure-int row"
+        elif kind < 0.6:
+            row, what = [rnd.choice([0.5, -1.25, 0.1, 3.0, 1 / 3, 0.0]) for _ in range(n)], "float entry"
+        else:
+            row = [value() if rnd.random() < 0.7 else Fraction(0) for _ in range(n)]
+            what = "Fraction row"
+        if len({Fraction(e).denominator for e in row}) > 1:
+            seen["unequal denominators"] += 1
+        seen[what] += 1
+        rows.append(row)
+    if rnd.random() < 0.3:
+        rhs = [value() for _ in range(m)]
+    else:
+        x0 = [value() for _ in range(n)]
+        rhs = [sum(Fraction(a) * b for a, b in zip(row, x0)) for row in rows]
+    return rows, rhs
+
+
 def _fuzz_lp(rnd):
     """A small LP mixing eq and ge rows, with unequal denominators, negative
     and zero right-hand sides, repeated and redundant rows, and min, max or
@@ -240,6 +338,37 @@ def _face_probe_lps(P, lam):
     return [
         LPProblem.build(P.n, [norm_row], ge_rows, img[i], True) for i in range(P.n)
     ]
+
+
+def _jordan_behind_similarity(rnd, n):
+    """S J S^-1 for Jordan chains J with rational eigenvalues and a random
+    unimodular integer S (so the entries stay integers); returns the rows
+    and the eigenvalues."""
+    jordan = [[Fraction(0)] * n for _ in range(n)]
+    eigenvalues = set()
+    start = 0
+    while start < n:
+        size = min(n - start, rnd.randint(1, 4))
+        ev = Fraction(rnd.randint(-2, 4), rnd.choice([1, 2, 3]))
+        eigenvalues.add(ev)
+        for i in range(start, start + size):
+            jordan[i][i] = ev
+            if i + 1 < start + size:
+                jordan[i][i + 1] = Fraction(1)
+        start += size
+    sim = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in sim]
+    for _ in range(2 * n):  # row additions keep det 1 and the inverse integral
+        i, j = rnd.sample(range(n), 2)
+        c = rnd.randint(-2, 2)
+        sim[i] = [a + c * b for a, b in zip(sim[i], sim[j])]
+        for row in inv:
+            row[j] -= c * row[i]
+
+    def mul(x, y):
+        return [[sum(x[i][t] * y[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+
+    return mul(mul(sim, jordan), inv), eigenvalues
 
 
 class TestLP:
@@ -348,6 +477,42 @@ class TestExactLinearAlgebra:
         assert v[0] + v[1] == 0 and v != [0, 0]
         assert nullspace_exact([[1, 0], [0, 1]]) == []
 
+    def test_kernel_matches_the_fraction_gauss_jordan(self):
+        # nullspace bases and signed solutions equal the Fraction loop's,
+        # value for value and all Fractions, on fuzzed systems that reach
+        # every kind of row and every outcome
+        rnd = rng(97)
+        seen = Counter()
+        for _ in range(1000):
+            rows, rhs = _fuzz_system(rnd, seen)
+            basis = nullspace_exact(rows)
+            assert basis == _ref_nullspace(rows, seen), rows
+            sol = solve_signed(rows, rhs)
+            want = _ref_solve_signed(rows, rhs, seen)
+            assert sol == want, (rows, rhs)
+            seen["inconsistent"] += want is None
+            for v in basis + ([sol] if sol else []):
+                assert all(type(e) is Fraction for e in v)
+        kinds = (
+            "m != n", "square", "rank-deficient", "zero row", "repeated row",
+            "combined row", "negative pivot", "unequal denominators", "pure-int row",
+            "float entry", "inconsistent",
+        )
+        assert all(seen[k] >= 50 for k in kinds), seen
+
+    def test_kernel_reduces_to_integer_echelon_form(self):
+        # T / d is the reduced row echelon form: every pivot entry is d and
+        # every other entry of a pivot column is 0; the determinant of a
+        # square matrix comes out too, 0 when it is singular
+        T_, pivots, d, det = oracle._gauss_jordan([[0, 2, 4], [Fraction(1, 2), 1, 0], [1, 2, 0]], 3)
+        assert pivots == [0, 1] and d > 0 and det == 0
+        for i, col in enumerate(pivots):
+            assert [row[col] for row in T_] == [d if k == i else 0 for k in range(3)]
+        assert [Fraction(e, d) for e in T_[0]] == [1, 0, -4]
+        assert oracle._gauss_jordan([[0, 1], [-2, 0]], 2)[3] == 2
+        assert oracle._gauss_jordan([[Fraction(1, 3), 1], [0.5, 0]], 2)[3] == Fraction(-1, 2)
+        assert oracle._gauss_jordan([[1, 2, 3]], 3)[3] is None
+
     def test_matrix_power(self):
         sq = matrix_power_exact([[1, 1], [0, 1]], 5)
         assert sq == [[Fraction(1), Fraction(5)], [Fraction(0), Fraction(1)]]
@@ -360,7 +525,8 @@ class TestExactLinearAlgebra:
 
     def test_generalized_nullspace_matches_the_nth_power(self):
         # the basis must be the one of N((M - mu*I)^n), vector for vector,
-        # on fuzzed transposes up to n = 12, at every class radius (some of
+        # on fuzzed transposes up to n = 12 and on Jordan chains of n 7-12
+        # behind a similarity, at every class radius or eigenvalue (some of
         # index > 1) and at a shift that is no eigenvalue
         rnd = rng(73)
         jordan = [[2, 1, 0, 0], [0, 2, 1, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
@@ -369,6 +535,9 @@ class TestExactLinearAlgebra:
             P = fuzz_matrix(rnd, n_min=7, n_max=12) if k % 2 else fuzz_matrix(rnd)
             rows = [list(r) for r in P.transpose().rows]
             cases += [(rows, mu) for mu in set(class_radii(P)) | {Fraction(7, 3)}]
+        for _ in range(8):  # Jordan chains behind a random integer similarity, n 7-12
+            rows, eigenvalues = _jordan_behind_similarity(rnd, rnd.randint(7, 12))
+            cases += [(rows, mu) for mu in eigenvalues | {Fraction(7, 3)}]
         deep = 0
         for rows, mu in cases:
             n = len(rows)
@@ -380,7 +549,7 @@ class TestExactLinearAlgebra:
             assert generalized_nullspace_exact(rows, mu) == want, (rows, mu)
             if len(nullspace_exact(shifted)) < len(want):
                 deep += 1
-        assert deep >= 5
+        assert deep >= 15
         assert any(len(rows) >= 10 for rows, _ in cases)
 
 
