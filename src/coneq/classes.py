@@ -11,6 +11,13 @@ solvability questions in the other modules reduce to computations here.
 Classes are listed in a fixed topological order: access only goes forward
 (class c can access class d only if c <= d).  ``condense`` is memoised per
 matrix (a matrix hashes once, on first use), so repeated lookups are O(1).
+
+``ClassTaxonomy`` is the one structure record per matrix: the classes and
+their access relation, the class radii, the basic, final, initial,
+distinguished and semi-distinguished flags, the distinguished eigenvalues,
+and the derived initial sets every decision procedure asks for (the
+accessors of a set of classes, the largest initial set below a shift).
+``spectral.taxonomy`` builds it once per (matrix, tolerance).
 """
 
 from __future__ import annotations
@@ -192,16 +199,22 @@ def dual_face(vertices: Iterable[int], n: int) -> frozenset:
 
 @dataclass(frozen=True)
 class ClassTaxonomy:
-    """Per-class radii and structural flags.
+    """The structure record of a matrix: classes, radii and flags.
 
+    analysis       the classes and their access relation (see condense)
+    radii          per-class spectral radius; rho is the largest
     basic          radius equals the spectral radius of the whole matrix
     final          no access to any other class
     initial        no access from any other class
     distinguished  radius strictly exceeds that of every other accessor class
     distinguished_transpose  the same for the transposed access relation
     semi_distinguished       every accessor class has radius <= its own
+    distinguished_eigenvalues  radii of distinguished classes, deduplicated,
+                               ascending: the eigenvalues admitting a
+                               nonnegative eigenvector
     """
 
+    analysis: ClassAnalysis
     radii: tuple
     rho: object
     basic: tuple
@@ -210,6 +223,15 @@ class ClassTaxonomy:
     distinguished: tuple
     distinguished_transpose: tuple
     semi_distinguished: tuple
+    distinguished_eigenvalues: tuple
+
+    def distinguished_at(self, lam, tol: Tolerance = DEFAULT_TOL) -> tuple:
+        """Indices of distinguished classes whose radius equals lam."""
+        return tuple(
+            c
+            for c, flag in enumerate(self.distinguished)
+            if flag and scalars_equal(self.radii[c], lam, tol)
+        )
 
     def semi_distinguished_at(self, lam, tol: Tolerance = DEFAULT_TOL) -> tuple:
         """Indices of semi-distinguished classes whose radius equals lam."""
@@ -218,6 +240,25 @@ class ClassTaxonomy:
             for c, flag in enumerate(self.semi_distinguished)
             if flag and scalars_equal(self.radii[c], lam, tol)
         )
+
+    def accessor_vertices(self, classes: Iterable[int]) -> frozenset:
+        """Vertices of the classes with access to one of the given classes:
+        the smallest initial set containing them."""
+        mask = 0
+        for c in classes:
+            mask |= 1 << c
+        return self.analysis.vertices_of_mask(self.analysis.accessors_mask(mask))
+
+    def initial_below(self, lam, tol: Tolerance = DEFAULT_TOL, strict: bool = True) -> tuple:
+        """Indices of the classes all of whose accessors have radius < lam
+        (<= lam when not strict): the largest initial set of classes below
+        lam."""
+        below = scalar_lt if strict else scalar_le
+        blocked = 0
+        for c, r in enumerate(self.radii):
+            if not below(r, lam, tol):
+                blocked |= self.analysis.reach[c]
+        return tuple(c for c in range(len(self.radii)) if not blocked >> c & 1)
 
     def to_json_dict(self) -> dict:
         from .core import format_scalar
@@ -271,7 +312,11 @@ def classify(
         )
         for c in range(k)
     )
+    dvals = []
+    for r in sorted(r for r, d in zip(radii, distinguished) if d):
+        if not dvals or not scalars_equal(dvals[-1], r, tol):
+            dvals.append(r)
     return ClassTaxonomy(
-        tuple(radii), rho, basic, final, initial, distinguished,
-        distinguished_transpose, semi,
+        analysis, tuple(radii), rho, basic, final, initial, distinguished,
+        distinguished_transpose, semi, tuple(dvals),
     )

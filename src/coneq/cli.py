@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 from . import alternating, collatz_wielandt, eq_type1, eq_type2, oracle, spectral
-from .classes import condense, smallest_initial_superset
+from .classes import smallest_initial_superset
 from .core import (
     DEFAULT_TOL,
     FLOAT,
@@ -107,26 +107,18 @@ def _vector_from_path(path: str, mode: str, n: int) -> ConeVector:
 
 
 def _cmd_analyze(P: NonnegMatrix, tol) -> dict:
-    analysis = condense(P)
     tax = spectral.taxonomy(P, tol)
-    out = analysis.to_json_dict()
+    out = tax.analysis.to_json_dict()
     out["taxonomy"] = tax.to_json_dict()
     out["spectral"] = spectral.spectral_report(P, tol).to_json_dict()
-    faces = []
-    for lam in spectral.distinguished_eigenvalues(P, tol):
-        mask = 0
-        for c in range(analysis.class_count):
-            if tax.distinguished[c] and scalars_equal(tax.radii[c], lam, tol):
-                mask |= 1 << c
-        carriers = analysis.vertices_of_mask(analysis.accessors_mask(mask))
-        faces.append(
-            {
-                "eigenvalue": format_scalar(lam),
-                "eigenvector_face": sorted(carriers),
-                "necessary_face": sorted(eq_type2.necessary_face(P, lam, tol)),
-            }
-        )
-    out["faces"] = faces
+    out["faces"] = [
+        {
+            "eigenvalue": format_scalar(lam),
+            "eigenvector_face": sorted(tax.accessor_vertices(tax.distinguished_at(lam, tol))),
+            "necessary_face": sorted(eq_type2.necessary_face(P, lam, tol)),
+        }
+        for lam in tax.distinguished_eigenvalues
+    ]
     return out
 
 
@@ -249,18 +241,17 @@ def _check_face_at_rho(P: NonnegMatrix, tol) -> dict:
     if not isinstance(rho, Fraction):
         raise InvalidInput("this check needs an exact rational spectral radius")
     probe = eq_type2.solvable_face_probe(P, rho, tol)
-    analysis = condense(P)
-    closure = smallest_initial_superset(analysis, probe)
+    tax = spectral.taxonomy(P, tol)
+    closure = smallest_initial_superset(tax.analysis, probe)
     necessary = eq_type2.necessary_face(P, rho, tol)
     issues = []
     if closure != necessary:
         issues.append("probe closure differs from the necessary face")
-    tax = spectral.taxonomy(P, tol)
     witnesses = 0
-    for c in range(analysis.class_count):
+    for c in range(tax.analysis.class_count):
         if tax.basic[c] and tax.distinguished_transpose[c]:
             witnesses += 1
-            problem = _verify_tracedown(P, analysis, rho, c, tol)
+            problem = _verify_tracedown(P, tax.analysis, rho, c, tol)
             if problem is not None:
                 issues.append(f"trace-down witness for class {c}: {problem}")
     return {
@@ -296,13 +287,8 @@ def _check_window_below_rho(P: NonnegMatrix, tol) -> dict:
     rho = spectral.spectral_radius(P, tol)
     if not isinstance(rho, Fraction):
         raise InvalidInput("this check needs an exact rational spectral radius")
-    analysis = condense(P)
     tax = spectral.taxonomy(P, tol)
-    basic_mask = 0
-    for c in range(analysis.class_count):
-        if tax.basic[c]:
-            basic_mask |= 1 << c
-    expected = analysis.vertices_of_mask(analysis.accessors_mask(basic_mask))
+    expected = tax.accessor_vertices(c for c, flag in enumerate(tax.basic) if flag)
     rho_f = float(rho)
     reals = [v.real for v in oracle.eig_all(P, tol) if v.imag == 0]
     below = [v for v in reals if v < rho_f - 1e-9 * max(1.0, rho_f)]
@@ -454,6 +440,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse keeps no state between parses, so one parser serves every call
+_PARSER = _build_parser()
+
+
 def _dispatch(args) -> dict:
     mode = args.mode
     tol = DEFAULT_TOL
@@ -484,7 +474,7 @@ def _dispatch(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         payload = _dispatch(args)
     except InvalidInput as exc:

@@ -132,21 +132,16 @@ def rho_in_sigma1(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     class is final.  Cross-checked against the face formulation: classes with
     access to a distinguished basic class, together with classes receiving no
     access from any basic class, must exhaust all classes."""
-    analysis = condense(P)
     tax = taxonomy(P, tol)
-    k = analysis.class_count
-    primary = all(tax.final[c] for c in range(k) if tax.basic[c])
-    dist_basic_mask = 0
-    basic_reach = 0
-    for c in range(k):
-        if tax.basic[c]:
-            basic_reach |= analysis.reach[c]
-            if tax.distinguished[c]:
-                dist_basic_mask |= 1 << c
-    i1 = analysis.accessors_mask(dist_basic_mask)
-    i2 = ~basic_reach & ((1 << k) - 1)
-    full = (1 << k) - 1
-    if primary != ((i1 | i2) == full):
+    basic = [c for c, flag in enumerate(tax.basic) if flag]
+    primary = all(tax.final[c] for c in basic)
+    # every class a basic class reaches must have access to a distinguished
+    # basic class
+    reached = 0
+    for c in basic:
+        reached |= tax.analysis.reach[c]
+    face = tax.accessor_vertices(c for c in basic if tax.distinguished[c])
+    if primary != (tax.analysis.vertices_of_mask(reached) <= face):
         raise NumericFailure("final-class and face routes disagree on attainment")
     return primary
 
@@ -271,13 +266,8 @@ def _generalized_null_is_eigen(P: NonnegMatrix, rho: Fraction) -> bool:
 def _basic_closure_no_lower_dval(P: NonnegMatrix, rho: Fraction, tol: Tolerance) -> bool:
     """The principal submatrix on classes with access to a basic class must
     have no distinguished eigenvalue other than rho."""
-    analysis = condense(P)
     tax = taxonomy(P, tol)
-    basic_mask = 0
-    for c in range(analysis.class_count):
-        if tax.basic[c]:
-            basic_mask |= 1 << c
-    j_verts = sorted(analysis.vertices_of_mask(analysis.accessors_mask(basic_mask)))
+    j_verts = sorted(tax.accessor_vertices(c for c, flag in enumerate(tax.basic) if flag))
     if not j_verts:
         return True
     sub = P.submatrix(j_verts)
@@ -316,10 +306,9 @@ def boundary_report(P: NonnegMatrix, x: ConeVector, tol: Tolerance = DEFAULT_TOL
     img = P.apply(x.entries)
     b = snap_cone([cw.R_upper * e - i for e, i in zip(x.entries, img)], P.mode, tol)
     on_boundary = support(b) < support(x)
-    analysis = condense(P)
     closure_is_face = (
         not b.is_zero()
-        and smallest_initial_superset(analysis, support(b)) == support(x)
+        and smallest_initial_superset(condense(P), support(b)) == support(x)
     )
     strict = scalar_lt(cw.rho_x, cw.R_upper, tol)
     return BoundaryReport(b, on_boundary, strict == closure_is_face)

@@ -43,7 +43,7 @@ from .core import (
     zero,
 )
 from .spectral import (
-    class_radii,
+    class_radii,  # noqa: F401  (bench/test_smoke.py expects this binding)
     distinguished_eigenvalues,
     local_spectral_radius,
     taxonomy,
@@ -66,15 +66,10 @@ def solvable1(P: NonnegMatrix, lam: Scalar, b: ConeVector, tol: Tolerance = DEFA
 def _unsolvable_witness(P, lam, b, tol):
     """A distinguished class with radius >= lambda from which supp(b) is
     reachable; exists whenever the equation is unsolvable."""
-    analysis = condense(P)
     tax = taxonomy(P, tol)
-    bmask = analysis.classes_meeting(support(b))
-    for c in range(analysis.class_count):
-        if (
-            tax.distinguished[c]
-            and scalar_le(lam, tax.radii[c], tol)
-            and analysis.reach[c] & bmask
-        ):
+    bmask = tax.analysis.classes_meeting(support(b))
+    for c, r in enumerate(tax.radii):
+        if tax.distinguished[c] and scalar_le(lam, r, tol) and tax.analysis.reach[c] & bmask:
             return c
     return None
 
@@ -89,8 +84,7 @@ def minimal_solution(
         return ConeVector.zero_vector(P.n, P.mode)
     if not solvable1(P, lam, b, tol):
         raise InvalidInput("no nonnegative solution exists at this shift")
-    analysis = condense(P)
-    idx = sorted(smallest_initial_superset(analysis, support(b)))
+    idx = sorted(smallest_initial_superset(condense(P), support(b)))
     sub = P.submatrix(idx)
     lam_s = as_scalar(lam, P.mode)
     mrows = [
@@ -141,13 +135,7 @@ def solve1(P: NonnegMatrix, lam: Scalar, b: ConeVector, tol: Tolerance = DEFAULT
     """Decide and, if possible, construct the minimal nonnegative solution."""
     _check_inputs(P, lam, b)
     rho_b = local_spectral_radius(P, b, tol)
-    analysis = condense(P)
-    tax = taxonomy(P, tol)
-    freedom = tuple(
-        c
-        for c in range(analysis.class_count)
-        if tax.distinguished[c] and scalars_equal(tax.radii[c], lam, tol)
-    )
+    freedom = taxonomy(P, tol).distinguished_at(lam, tol)
     if not scalar_lt(rho_b, lam, tol):
         witness = _unsolvable_witness(P, lam, b, tol)
         return SolveReport1(
@@ -193,18 +181,8 @@ def solvable_set(P: NonnegMatrix, lam: Scalar, tol: Tolerance = DEFAULT_TOL) -> 
     """
     if lam <= 0:
         raise InvalidInput("the shift must be strictly positive")
-    analysis = condense(P)
-    radii = class_radii(P, tol)
-    k = analysis.class_count
-    verts = []
-    for c in range(k):
-        if all(
-            scalar_lt(radii[d], lam, tol)
-            for d in range(k)
-            if analysis.has_access(d, c)
-        ):
-            verts.extend(analysis.classes[c])
-    return frozenset(verts)
+    tax = taxonomy(P, tol)
+    return frozenset(v for c in tax.initial_below(lam, tol) for v in tax.analysis.classes[c])
 
 
 @dataclass(frozen=True)
@@ -241,17 +219,6 @@ class ConditionReport:
 
 def _condition_g(P, lam, b, tol) -> bool:
     return scalar_lt(local_spectral_radius(P, b, tol), lam, tol)
-
-
-def _condition_h(P, lam, b, tol) -> bool:
-    analysis = condense(P)
-    tax = taxonomy(P, tol)
-    bmask = analysis.classes_meeting(support(b))
-    for c in range(analysis.class_count):
-        if tax.distinguished[c] and scalar_le(lam, tax.radii[c], tol):
-            if analysis.reach[c] & bmask:
-                return False
-    return True
 
 
 # cap on the entries of the squared powers; the square of a capped n x n
@@ -349,10 +316,9 @@ def _condition_d(P, lam, b, tol):
     return None
 
 
-def _peripheral_components(P, b, lam, tol, modulus: bool):
-    """Float check that b has no generalized eigencomponent at eigenvalues
-    with |mu| >= lam (modulus=True) against P itself."""
-    dec = oracle.decompose_generalized(P, b, tol)
+def _peripheral_components(dec, b, lam, tol) -> bool:
+    """Float check that b, decomposed along the generalized eigenspaces of P,
+    has no component at eigenvalues with |mu| >= lam."""
     lam_f = float(lam)
     for comp in dec.components:
         mag = abs(comp.eigenvalue)
@@ -365,16 +331,14 @@ def _peripheral_components(P, b, lam, tol, modulus: bool):
 def _support_overlap_float(P, b, lam, tol, distinguished_only: bool, dvals=()):
     """Float check of the |z|-form conditions: generalized eigenvectors z of
     the transpose at the relevant eigenvalues must have supports disjoint
-    from supp(b)."""
+    from supp(b).  The eigenspaces of P^T are the ones decompose_generalized
+    would use; only those of the relevant clusters are computed."""
     a_t = P.to_numpy().T
-    n = P.n
-    vals = np.linalg.eigvals(a_t)
-    scale = max(1.0, float(np.max(np.abs(vals))) if n else 1.0)
+    vals, clusters, _ = oracle._eigen_clusters(a_t, tol)
+    scale = max(1.0, float(np.max(np.abs(vals))))
     lam_f = float(lam)
     bv = b.to_numpy()
-    clusters = oracle._cluster_eigenvalues(list(vals), tol, a_t)
-    for cl in clusters:
-        mu = complex(np.mean([vals[i] for i in cl]))
+    for mu, mult in clusters:
         if distinguished_only:
             if abs(mu.imag) > tol.eig_tol * scale:
                 continue
@@ -385,17 +349,7 @@ def _support_overlap_float(P, b, lam, tol, distinguished_only: bool, dvals=()):
         else:
             if abs(mu) < lam_f - tol.eig_tol * max(1.0, lam_f):
                 continue
-        mult = len(cl)
-        shifted = a_t.astype(complex) - mu * np.eye(n)
-        s = max(1.0, float(np.linalg.norm(shifted, np.inf)))
-        powered = np.linalg.matrix_power(shifted / s, mult)
-        _, sig, vh = np.linalg.svd(powered)
-        smax = sig[0] if len(sig) else 0.0
-        cutoff = max(oracle.RANK_REL * smax, 1e-13)
-        null_dim = int(np.sum(sig <= cutoff)) if smax > 0 else n
-        basis = vh.conj().T[:, n - null_dim:]
-        for col in range(basis.shape[1]):
-            z = basis[:, col]
+        for z in oracle._shift_null(a_t.astype(complex), mu, mult)[1].T:
             if float(np.abs(z) @ bv) > 1e-7 * max(1.0, float(b.inf_norm())):
                 return False
     return True
@@ -436,17 +390,18 @@ def solvability_conditions(
     if b.is_zero():
         raise InvalidInput("the condition battery requires b != 0")
     cond_g = _condition_g(P, lam, b, tol)
-    cond_h = _condition_h(P, lam, b, tol)
+    cond_h = _unsolvable_witness(P, lam, b, tol) is None
     cond_b = support(b) <= solvable_set(P, lam, tol)
     cond_c = _condition_c(P, lam, b, tol)
     cond_d = _condition_d(P, lam, b, tol)
-    cond_e = _peripheral_components(P, b, lam, tol, modulus=True)
+    dec = oracle.decompose_generalized(P, b, tol)
+    cond_e = _peripheral_components(dec, b, lam, tol)
     dvals = distinguished_eigenvalues(P, tol)
     exact_fj = _orthogonal_exact(P, b, lam, tol, dvals)
     if exact_fj is not None:
         cond_f, cond_j = exact_fj
     else:
-        cond_f = _peripheral_distinguished_float(P, b, lam, tol, dvals)
+        cond_f = _peripheral_distinguished_float(dec, b, lam, tol, dvals)
         cond_j = _support_overlap_float(P, b, lam, tol, True, dvals)
     cond_i = _support_overlap_float(P, b, lam, tol, False)
     decided = [cond_b, cond_e, cond_f, cond_g, cond_h, cond_i, cond_j]
@@ -458,10 +413,9 @@ def solvability_conditions(
     )
 
 
-def _peripheral_distinguished_float(P, b, lam, tol, dvals) -> bool:
+def _peripheral_distinguished_float(dec, b, lam, tol, dvals) -> bool:
     """Float fallback for the distinguished-orthogonality condition: the
     components of b at distinguished eigenvalues >= lambda must vanish."""
-    dec = oracle.decompose_generalized(P, b, tol)
     lam_f = float(lam)
     for comp in dec.components:
         mu = comp.eigenvalue

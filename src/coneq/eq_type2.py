@@ -54,7 +54,9 @@ from .core import (
 )
 from .eq_type1 import minimal_solution
 from .spectral import (
-    class_radii,
+    _back_substitute,
+    _exact_blocks,
+    class_radii,  # noqa: F401  (bench/test_smoke.py expects this binding)
     distinguished_eigenvalues,
     fv_eigenvector,
     local_spectral_radius,
@@ -72,31 +74,12 @@ def _check_inputs(P, lam, b):
         raise InvalidInput("the shift must be strictly positive")
 
 
-def _distinguished_at(P, lam, tol):
-    """Class indices of distinguished classes whose radius equals lam."""
-    tax = taxonomy(P, tol)
-    return [
-        c
-        for c, (r, d) in enumerate(zip(tax.radii, tax.distinguished))
-        if d and scalars_equal(r, lam, tol)
-    ]
-
-
 def combinatorial_solvable_above(P, lam, b, tol=DEFAULT_TOL) -> bool:
     """The access test for the regime lambda > rho_b: lambda distinguished and
     every class meeting supp(b) reaches a lambda-distinguished class."""
-    dist = _distinguished_at(P, lam, tol)
-    if not dist:
-        return False
-    analysis = condense(P)
-    dist_mask = 0
-    for c in dist:
-        dist_mask |= 1 << c
-    bmask = analysis.classes_meeting(support(b))
-    for c in range(analysis.class_count):
-        if bmask >> c & 1 and not (analysis.reach[c] & dist_mask):
-            return False
-    return True
+    tax = taxonomy(P, tol)
+    dist = tax.distinguished_at(lam, tol)
+    return bool(dist) and support(b) <= tax.accessor_vertices(dist)
 
 
 def solve2_above(
@@ -116,16 +99,9 @@ def solve2_above(
         raise InvalidInput("construction requires the shift to exceed the local radius of b")
     if not combinatorial_solvable_above(P, lam, b, tol):
         raise InvalidInput("no nonnegative solution exists at this shift")
-    analysis = condense(P)
-    bmask = analysis.classes_meeting(support(b))
+    tax = taxonomy(P, tol)
     relevant = [
-        c
-        for c in _distinguished_at(P, lam, tol)
-        if any(
-            analysis.reach[d] >> c & 1
-            for d in range(analysis.class_count)
-            if bmask >> d & 1
-        )
+        c for c in tax.distinguished_at(lam, tol) if support(b) & tax.accessor_vertices((c,))
     ]
     vecs = [fv_eigenvector(P, c, tol) for c in relevant]
     x0 = minimal_solution(P, lam, b, tol)
@@ -228,17 +204,16 @@ def necessary_face(P: NonnegMatrix, lam: Scalar, tol: Tolerance = DEFAULT_TOL) -
     supported here.  Requires lambda to be a distinguished eigenvalue; at
     lambda = rho the semi-distinguished lambda-classes are the basic classes.
     """
-    dvals = distinguished_eigenvalues(P, tol)
-    if not any(scalars_equal(lam, v, tol) for v in dvals):
-        raise InvalidInput("the necessary face is defined at distinguished eigenvalues")
-    analysis = condense(P)
     tax = taxonomy(P, tol)
-    semi = tax.semi_distinguished_at(lam, tol)
-    verts = []
-    for c in range(analysis.class_count):
-        if any(analysis.has_access(c, s) for s in semi if s != c):
-            verts.extend(analysis.classes[c])
-    return frozenset(verts)
+    if not any(scalars_equal(lam, v, tol) for v in tax.distinguished_eigenvalues):
+        raise InvalidInput("the necessary face is defined at distinguished eigenvalues")
+    # a class strictly above s: an accessor of s other than s itself
+    return frozenset().union(
+        *(
+            tax.accessor_vertices((s,)) - set(tax.analysis.classes[s])
+            for s in tax.semi_distinguished_at(lam, tol)
+        )
+    )
 
 
 def solvable_face_probe(P: NonnegMatrix, lam: Scalar, tol: Tolerance = DEFAULT_TOL) -> frozenset:
@@ -281,86 +256,23 @@ def tracedown_witness(P: NonnegMatrix, class_index: int, tol: Tolerance = DEFAUL
     the way up get half their inflow as image, basic ones contribute their
     Perron vectors.
     """
-    analysis = condense(P)
     tax = taxonomy(P, tol)
-    k = analysis.class_count
+    k = tax.analysis.class_count
     if not 0 <= class_index < k:
         raise InvalidInput(f"class index {class_index} outside 0..{k - 1}")
     if not (tax.basic[class_index] and tax.distinguished_transpose[class_index]):
         raise InvalidInput(
             "witness construction requires a basic class that is final among basic classes"
         )
-    rho = tax.rho
-
-    def block_of(c):
-        cls = analysis.classes[c]
-        return [[P.rows[i - 1][j - 1] for j in cls] for i in cls]
-
-    from .spectral import _block_exact_row_sum
-
     # only the Perron-vector blocks (radius rho) constrain exactness; the
     # subcritical blocks are solved by exact elimination in either case
-    exact = P.mode == RATIONAL and isinstance(rho, Fraction) and all(
-        _block_exact_row_sum(block_of(c)) is not None or len(analysis.classes[c]) == 1
+    perron = [
+        c
         for c in range(k)
-        if analysis.has_access(c, class_index) and scalars_equal(tax.radii[c], rho, tol)
-    )
-    mode = RATIONAL if exact else FLOAT
-    work = P if mode == P.mode else P.to_float()
-    rho_s = rho if mode == RATIONAL else float(rho)
-    from .core import solve_linear
-    from .spectral import perron_vector_block
-
-    x_by_class = {}
-    b_by_class = {}
-    half = Fraction(1, 2) if mode == RATIONAL else 0.5
-    for c in reversed(range(k)):
-        if not analysis.has_access(c, class_index):
-            continue
-        cls = analysis.classes[c]
-        if c == class_index:
-            _, vec = perron_vector_block(
-                [[work.rows[i - 1][j - 1] for j in cls] for i in cls], tol
-            )
-            x_by_class[c] = list(vec)
-            b_by_class[c] = [zero(mode)] * len(cls)
-            continue
-        inflow = [zero(mode) for _ in cls]
-        for d, xd in x_by_class.items():
-            dcls = analysis.classes[d]
-            for bi, i in enumerate(cls):
-                inflow[bi] += sum(
-                    work.rows[i - 1][j - 1] * xd[dj]
-                    for dj, j in enumerate(dcls)
-                    if work.rows[i - 1][j - 1] != 0
-                )
-        if scalars_equal(tax.radii[c], rho, tol):
-            _, vec = perron_vector_block(
-                [[work.rows[i - 1][j - 1] for j in cls] for i in cls], tol
-            )
-            x_by_class[c] = list(vec)
-            b_by_class[c] = inflow
-        else:
-            bb = [half * e for e in inflow]
-            mrows = [
-                [
-                    (rho_s if bi == bj else zero(mode)) - work.rows[i - 1][j - 1]
-                    for bj, j in enumerate(cls)
-                ]
-                for bi, i in enumerate(cls)
-            ]
-            sol = solve_linear(mrows, bb, mode)
-            if sol is None:
-                raise NumericFailure("singular block in witness construction")
-            x_by_class[c] = sol
-            b_by_class[c] = bb
-    x_entries = [zero(mode)] * P.n
-    b_entries = [zero(mode)] * P.n
-    for c, xs in x_by_class.items():
-        for bi, v in enumerate(analysis.classes[c]):
-            x_entries[v - 1] = xs[bi]
-            b_entries[v - 1] = b_by_class[c][bi]
-    return ConeVector(tuple(x_entries), mode), ConeVector(tuple(b_entries), mode)
+        if tax.analysis.has_access(c, class_index) and scalars_equal(tax.radii[c], tax.rho, tol)
+    ]
+    exact = _exact_blocks(P, tax, perron, tax.rho)
+    return _back_substitute(P, tax, class_index, tax.rho, exact, tol, share=Fraction(1, 2))
 
 
 @dataclass(frozen=True)
@@ -490,18 +402,12 @@ def image_membership(
     _check_inputs(P, lam, b)
     if P.mode != RATIONAL:
         raise InvalidInput("image membership runs in rational mode only")
-    dvals = distinguished_eigenvalues(P, tol)
-    if not any(scalars_equal(lam, v, tol) for v in dvals):
+    tax = taxonomy(P, tol)
+    if not any(scalars_equal(lam, v, tol) for v in tax.distinguished_eigenvalues):
         raise InvalidInput("membership is defined at distinguished eigenvalues")
     if b.is_zero():
         return MembershipReport(True, True, True)
-    analysis = condense(P)
-    tax = taxonomy(P, tol)
-    semi = tax.semi_distinguished_at(lam, tol)
-    semi_mask = 0
-    for s in semi:
-        semi_mask |= 1 << s
-    j_verts = analysis.vertices_of_mask(analysis.accessors_mask(semi_mask))
+    j_verts = tax.accessor_vertices(tax.semi_distinguished_at(lam, tol))
     rows = oracle.shifted_image_rows(P, exact_fraction(lam))
     rhs = [exact_fraction(e) for e in b.entries]
     rho_b = local_spectral_radius(P, b, tol)

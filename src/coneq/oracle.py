@@ -237,15 +237,22 @@ def feasible_nonneg_solution(
     return lp_feasible(LPProblem.build(n, eq_rows=rows))
 
 
+_ZERO = Fraction(0)
+
+
 def shifted_image_rows(P: NonnegMatrix, lam: Scalar, sign: int = 1):
-    """Rows of sign*(P - lam*I) as exact Fractions."""
+    """Rows of sign*(P - lam*I), sign = +-1, as exact Fractions.  The shift
+    touches the diagonal only, and zero entries are shared, not computed."""
     lam = exact_fraction(lam)
-    rows = _rational_rows(P)
-    n = P.n
-    return [
-        [sign * (rows[i][j] - (lam if i == j else 0)) for j in range(n)]
-        for i in range(n)
-    ]
+    rows = []
+    for i, row in enumerate(P.rows):
+        if sign > 0:
+            out = [exact_fraction(e) if e else _ZERO for e in row]
+        else:
+            out = [-exact_fraction(e) if e else _ZERO for e in row]
+        out[i] = sign * (exact_fraction(row[i]) - lam)
+        rows.append(out)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +504,25 @@ class GeneralizedDecomposition:
         return [c for c in self.components if c.norm > rel_tol * max(1.0, scale)]
 
 
-def _cluster_eigenvalues(vals, tol: Tolerance, matrix=None):
-    """Greedy chaining of eigenvalues closer than eig_tol*scale, then (when
-    the matrix is given) a rank-confirmed merge pass.
+def _shift_null(a, mu: complex, m: int, basis: bool = True) -> tuple:
+    """SVD nullspace of S^m for the scaled shift S = (a - mu*I)/s, s =
+    max(1, ||a - mu*I||_inf), on a complex matrix a.  Singular values up to
+    max(RANK_REL * largest, 1e-13) count as zero.  Returns (nullity, the m
+    right singular vectors of the m smallest singular values as columns, or
+    None when basis is off, S)."""
+    n = len(a)
+    shifted = a - mu * np.eye(n)
+    scaled = shifted / max(1.0, float(np.linalg.norm(shifted, np.inf)))
+    svd = np.linalg.svd(np.linalg.matrix_power(scaled, m), compute_uv=basis)
+    sig = svd[1] if basis else svd
+    smax = sig[0] if len(sig) else 0.0
+    nullity = int(np.sum(sig <= max(RANK_REL * smax, 1e-13))) if smax > 0 else n
+    return nullity, svd[2].conj().T[:, n - m:] if basis else None, scaled
+
+
+def _cluster_eigenvalues(vals, tol: Tolerance, matrix):
+    """Greedy chaining of eigenvalues closer than eig_tol*scale, then a
+    rank-confirmed merge pass.
 
     A defective eigenvalue of multiplicity m comes out of the dense solver
     spread over a disk of radius ~ (eps*scale)^(1/m), far wider than eig_tol,
@@ -520,7 +543,7 @@ def _cluster_eigenvalues(vals, tol: Tolerance, matrix=None):
                 break
         if not placed:
             clusters.append([i])
-    if matrix is None or len(clusters) < 2:
+    if len(clusters) < 2:
         return clusters
     n = len(vals)
     eps = float(np.finfo(float).eps)
@@ -535,17 +558,8 @@ def _cluster_eigenvalues(vals, tol: Tolerance, matrix=None):
                 if abs(means[p] - means[q]) > gate:
                     continue
                 joint = clusters[p] + clusters[q]
-                m = len(joint)
                 mu = complex(np.mean([vals[i] for i in joint]))
-                shifted = a - mu * np.eye(n)
-                s = max(1.0, float(np.linalg.norm(shifted, np.inf)))
-                sig = np.linalg.svd(
-                    np.linalg.matrix_power(shifted / s, m), compute_uv=False
-                )
-                smax = sig[0] if len(sig) else 0.0
-                cutoff = max(RANK_REL * smax, 1e-13)
-                null_dim = int(np.sum(sig <= cutoff)) if smax > 0 else n
-                if null_dim >= m:
+                if _shift_null(a, mu, len(joint), basis=False)[0] >= len(joint):
                     clusters[p] = joint
                     del clusters[q]
                     changed = True
@@ -555,27 +569,18 @@ def _cluster_eigenvalues(vals, tol: Tolerance, matrix=None):
     return clusters
 
 
-def decompose_generalized(
-    P: NonnegMatrix, x, tol: Tolerance = DEFAULT_TOL
-) -> GeneralizedDecomposition:
-    """Split x along the generalized eigenspaces of P (float lane).
+def _eigen_clusters(a, tol: Tolerance = DEFAULT_TOL) -> tuple:
+    """Eigenvalues of a real square matrix a, clustered (float lane).
 
-    Eigenvalues are clustered within eig_tol; each cluster's space is the SVD
-    nullspace of the scaled, powered shift.  The stacked bases must span C^n;
-    a failed rank count flags the result as ambiguous.
+    Returns (eigenvalues, per cluster (mean, size), merged).  A mean within
+    eig_tol of the real axis is snapped onto it; merged is set when distinct
+    eigenvalues fell into one cluster.  A cluster's generalized eigenspace is
+    the nullspace _shift_null finds at its mean, raised to its size.
     """
-    n = P.n
-    a = P.to_numpy()
-    xv = np.array([float(e) for e in x.entries], dtype=float)
-    if n == 0:
-        return GeneralizedDecomposition((), False, False)
     vals = np.linalg.eigvals(a)
-    clusters = _cluster_eigenvalues(list(vals), tol, a)
+    clusters = []
     merged = False
-    ambiguous = False
-    bases = []
-    infos = []
-    for cl in clusters:
+    for cl in _cluster_eigenvalues(list(vals), tol, a):
         mu = complex(np.mean([vals[i] for i in cl]))
         mult = len(cl)
         spread = max(abs(vals[i] - mu) for i in cl)
@@ -583,28 +588,40 @@ def decompose_generalized(
             merged = True
         if abs(mu.imag) <= tol.eig_tol * max(1.0, abs(mu)):
             mu = complex(mu.real, 0.0)
-        shifted = a.astype(complex) - mu * np.eye(n)
-        s = max(1.0, float(np.linalg.norm(shifted, np.inf)))
-        powered = np.linalg.matrix_power(shifted / s, mult)
-        u, sig, vh = np.linalg.svd(powered)
-        smax = sig[0] if len(sig) else 0.0
-        cutoff = max(RANK_REL * smax, 1e-13)
-        null_dim = int(np.sum(sig <= cutoff)) if smax > 0 else n
-        if null_dim != mult:
-            ambiguous = True
-            null_dim = mult  # trust algebraic multiplicity for the basis size
-        basis = vh.conj().T[:, n - null_dim:]
-        bases.append(basis)
-        infos.append((mu, mult, shifted / s))
-    v = np.hstack(bases)
+        clusters.append((mu, mult))
+    return vals, clusters, merged
+
+
+def decompose_generalized(
+    P: NonnegMatrix, x, tol: Tolerance = DEFAULT_TOL
+) -> GeneralizedDecomposition:
+    """Split x along the generalized eigenspaces of P (float lane).
+
+    Eigenvalues are clustered by _eigen_clusters; each cluster's space is the
+    SVD nullspace of the scaled, powered shift, its size taken from the
+    cluster.  The stacked bases must span C^n; a nullity that misses the
+    cluster size flags the result as ambiguous.
+    """
+    n = P.n
+    a = P.to_numpy()
+    xv = np.array([float(e) for e in x.entries], dtype=float)
+    if n == 0:
+        return GeneralizedDecomposition((), False, False)
+    _, clusters, merged = _eigen_clusters(a, tol)
+    ambiguous = False
+    spaces = []
+    for mu, mult in clusters:
+        nullity, basis, scaled = _shift_null(a.astype(complex), mu, mult)
+        ambiguous = ambiguous or nullity != mult
+        spaces.append((mu, mult, basis, scaled))
     try:
-        coef = np.linalg.solve(v, xv.astype(complex))
+        coef = np.linalg.solve(np.hstack([sp[2] for sp in spaces]), xv.astype(complex))
     except np.linalg.LinAlgError:
         raise NumericFailure("generalized eigenbasis is numerically singular")
     comps = []
     col = 0
     xnorm = max(1.0, float(np.linalg.norm(xv, np.inf)))
-    for (mu, mult, shifted_scaled), basis in zip(infos, bases):
+    for mu, mult, basis, shifted_scaled in spaces:
         kdim = basis.shape[1]
         comp = basis @ coef[col:col + kdim]
         col += kdim

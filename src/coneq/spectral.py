@@ -11,9 +11,11 @@ access to supp(x); the order of x is the longest access chain of classes at
 that radius inside the smallest initial superset of supp(x).  Both facts are
 cross-checked against dense eigendecompositions in the test suite.
 
-Structure lookups are memoised per (matrix, tolerance): ``class_radii`` and
-``taxonomy`` (classes, radii and flags together) are computed once, and the
-other functions here read them from those caches.
+``taxonomy`` is the one structure record per (matrix, tolerance): classes,
+access, radii, flags and distinguished eigenvalues, memoised together with
+``class_radii``.  Everything else here reads it.  ``fv_eigenvector`` and
+``eq_type2.tracedown_witness`` share one back-substitution over the classes
+with access to a given class.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import exp, log
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .classes import ClassAnalysis, ClassTaxonomy, classify, condense, smallest_initial_superset
+from .classes import ClassAnalysis, ClassTaxonomy, classify, condense
 from .core import (
     DEFAULT_TOL,
     FLOAT,
@@ -40,7 +42,6 @@ from .core import (
     Tolerance,
     require_same_mode,
     require_same_size,
-    scalar_le,
     scalars_equal,
     solve_linear,
     support,
@@ -71,6 +72,11 @@ def _power_iteration_radius(block_rows, tol: Tolerance):
     raise NumericFailure("power iteration did not converge within the iteration cap")
 
 
+def _block(P: NonnegMatrix, cls) -> list:
+    """Diagonal block of P on one class (1-based vertices)."""
+    return [[P.rows[i - 1][j - 1] for j in cls] for i in cls]
+
+
 def _block_exact_row_sum(block_rows):
     """The common row sum if the block has constant row sums, else None."""
     sums = [sum(row, zero_like(row)) for row in block_rows]
@@ -99,10 +105,9 @@ def class_radii(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> tuple:
     Exact scalars where possible (1x1 blocks, constant row sums); float from
     power iteration otherwise, even in rational mode.
     """
-    analysis = condense(P)
     out = []
-    for cls in analysis.classes:
-        block = [[P.rows[i - 1][j - 1] for j in cls] for i in cls]
+    for cls in condense(P).classes:
+        block = _block(P, cls)
         if len(block) == 1:
             out.append(block[0][0])
             continue
@@ -125,23 +130,15 @@ def taxonomy(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> ClassTaxonomy:
     return classify(condense(P), class_radii(P, tol), tol)
 
 
-def local_spectral_radius(
-    P: NonnegMatrix,
-    x: ConeVector,
-    tol: Tolerance = DEFAULT_TOL,
-    analysis: Optional[ClassAnalysis] = None,
-    radii: Optional[tuple] = None,
-) -> Scalar:
+def local_spectral_radius(P: NonnegMatrix, x: ConeVector, tol: Tolerance = DEFAULT_TOL) -> Scalar:
     """max class radius over classes with access to supp(x); zero for x = 0."""
     require_same_mode(P, x)
     require_same_size(P, x)
     if x.is_zero():
         return zero(P.mode)
-    analysis = analysis or condense(P)
-    radii = radii or class_radii(P, tol)
-    target = analysis.classes_meeting(support(x))
-    mask = analysis.accessors_mask(target)
-    return max(radii[c] for c in range(analysis.class_count) if mask >> c & 1)
+    tax = taxonomy(P, tol)
+    mask = tax.analysis.accessors_mask(tax.analysis.classes_meeting(support(x)))
+    return max(r for c, r in enumerate(tax.radii) if mask >> c & 1)
 
 
 def local_radius_estimate(
@@ -179,13 +176,69 @@ def distinguished_eigenvalues(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> 
 
     These are exactly the eigenvalues admitting a nonnegative eigenvector.
     """
-    tax = taxonomy(P, tol)
-    vals = sorted(r for r, d in zip(tax.radii, tax.distinguished) if d)
-    out = []
-    for v in vals:
-        if not out or not scalars_equal(out[-1], v, tol):
-            out.append(v)
-    return tuple(out)
+    return taxonomy(P, tol).distinguished_eigenvalues
+
+
+def _exact_blocks(P: NonnegMatrix, tax: ClassTaxonomy, classes, lam) -> bool:
+    """Can a back-substitution at lam stay exact on these classes?  Rational
+    mode, a rational lam, and each block a singleton or of constant row sums
+    (its Perron vector is then the all-ones vector)."""
+    an = tax.analysis
+    return P.mode == RATIONAL and isinstance(lam, Fraction) and all(
+        len(an.classes[c]) == 1 or _block_exact_row_sum(_block(P, an.classes[c])) is not None
+        for c in classes
+    )
+
+
+def _back_substitute(P, tax, target, lam, exact, tol, share=0) -> tuple:
+    """(x, b) >= 0 with (P - lam*I)x = b, supported on the classes with
+    access to class `target`, in exact arithmetic or floats.
+
+    Classes are solved downstream first.  Let inflow_c be the sum over the
+    classes d already solved of P_cd x_d.  A class at radius lam (the target
+    first, whose inflow is zero) takes its block's Perron vector, and
+    b_c = inflow_c.  Any other class puts the share `share` of its inflow
+    into b_c and solves (lam*I - B_c)x_c for the rest.
+    """
+    an = tax.analysis
+    mode = RATIONAL if exact else FLOAT
+    work = P if mode == P.mode else P.to_float()
+    lam_s, share = (lam, Fraction(share)) if exact else (float(lam), float(share))
+    keep = 1 - share
+    x_by_class, b_by_class = {}, {}
+    for c in reversed(range(an.class_count)):
+        if not an.has_access(c, target):
+            continue
+        cls = an.classes[c]
+        block = _block(work, cls)
+        inflow = [zero(mode) for _ in cls]
+        for d, xd in x_by_class.items():
+            dcls = an.classes[d]
+            for bi, i in enumerate(cls):
+                inflow[bi] += sum(
+                    work.rows[i - 1][j - 1] * xd[dj]
+                    for dj, j in enumerate(dcls)
+                    if work.rows[i - 1][j - 1] != 0
+                )
+        if scalars_equal(tax.radii[c], lam, tol):
+            x_by_class[c] = list(perron_vector_block(block, tol)[1])
+            b_by_class[c] = inflow
+            continue
+        mrows = [
+            [(lam_s if bi == bj else zero(mode)) - e for bj, e in enumerate(row)]
+            for bi, row in enumerate(block)
+        ]
+        x_by_class[c] = solve_linear(mrows, [keep * e for e in inflow], mode)
+        if x_by_class[c] is None:
+            raise NumericFailure("singular block during back-substitution")
+        b_by_class[c] = [share * e for e in inflow]
+    x_entries = [zero(mode)] * P.n
+    b_entries = [zero(mode)] * P.n
+    for c, xs in x_by_class.items():
+        for bi, v in enumerate(an.classes[c]):
+            x_entries[v - 1] = xs[bi]
+            b_entries[v - 1] = b_by_class[c][bi]
+    return ConeVector(tuple(x_entries), mode), ConeVector(tuple(b_entries), mode)
 
 
 def fv_eigenvector(
@@ -199,64 +252,15 @@ def fv_eigenvector(
     mode whenever every involved block has constant row sums; otherwise the
     whole vector degrades to floats.
     """
-    analysis = condense(P)
     tax = taxonomy(P, tol)
-    k = analysis.class_count
+    k = tax.analysis.class_count
     if not 0 <= class_index < k:
         raise InvalidInput(f"class index {class_index} outside 0..{k - 1}")
     if not tax.distinguished[class_index]:
         raise InvalidInput("eigenvector construction requires a distinguished class")
     lam = tax.radii[class_index]
-    involved = [c for c in range(k) if analysis.has_access(c, class_index)]
-
-    def block_of(c):
-        cls = analysis.classes[c]
-        return [[P.rows[i - 1][j - 1] for j in cls] for i in cls]
-
-    exact = P.mode == RATIONAL and isinstance(lam, Fraction) and all(
-        _block_exact_row_sum(block_of(c)) is not None or len(analysis.classes[c]) == 1
-        for c in involved
-    )
-    mode = RATIONAL if exact else FLOAT
-    work = P if mode == P.mode else P.to_float()
-    lam_s = lam if mode == RATIONAL else float(lam)
-    x_by_class = {}
-    for c in reversed(range(k)):
-        if not analysis.has_access(c, class_index):
-            continue
-        cls = analysis.classes[c]
-        if c == class_index:
-            _, vec = perron_vector_block(
-                [[work.rows[i - 1][j - 1] for j in cls] for i in cls], tol
-            )
-            x_by_class[c] = list(vec)
-            continue
-        # rhs_beta = sum over known downstream classes of P_{beta,gamma} x_gamma
-        rhs = [zero(mode) for _ in cls]
-        for d, xd in x_by_class.items():
-            dcls = analysis.classes[d]
-            for bi, i in enumerate(cls):
-                rhs[bi] += sum(
-                    work.rows[i - 1][j - 1] * xd[dj]
-                    for dj, j in enumerate(dcls)
-                    if work.rows[i - 1][j - 1] != 0
-                )
-        mrows = [
-            [
-                (lam_s if bi == bj else zero(mode)) - work.rows[i - 1][j - 1]
-                for bj, j in enumerate(cls)
-            ]
-            for bi, i in enumerate(cls)
-        ]
-        sol = solve_linear(mrows, rhs, mode)
-        if sol is None:
-            raise NumericFailure("singular block during eigenvector back-substitution")
-        x_by_class[c] = sol
-    entries = [zero(mode)] * P.n
-    for c, xs in x_by_class.items():
-        for bi, v in enumerate(analysis.classes[c]):
-            entries[v - 1] = xs[bi]
-    return ConeVector(tuple(entries), mode)
+    involved = [c for c in range(k) if tax.analysis.has_access(c, class_index)]
+    return _back_substitute(P, tax, class_index, lam, _exact_blocks(P, tax, involved, lam), tol)[0]
 
 
 def _longest_chain(analysis: ClassAnalysis, members: Sequence[int]) -> int:
@@ -285,13 +289,12 @@ def spectral_pair(
     require_same_size(P, x)
     if x.is_zero():
         return SpectralPair(zero(P.mode), 0)
-    analysis = condense(P)
-    radii = class_radii(P, tol)
-    mask = analysis.accessors_mask(analysis.classes_meeting(support(x)))
-    members = [c for c in range(analysis.class_count) if mask >> c & 1]
-    rho_x = max(radii[c] for c in members)
-    at_radius = [c for c in members if scalars_equal(radii[c], rho_x, tol)]
-    return SpectralPair(rho_x, _longest_chain(analysis, at_radius))
+    tax = taxonomy(P, tol)
+    mask = tax.analysis.accessors_mask(tax.analysis.classes_meeting(support(x)))
+    members = [c for c in range(tax.analysis.class_count) if mask >> c & 1]
+    rho_x = max(tax.radii[c] for c in members)
+    at_radius = [c for c in members if scalars_equal(tax.radii[c], rho_x, tol)]
+    return SpectralPair(rho_x, _longest_chain(tax.analysis, at_radius))
 
 
 def eigenvalue_index(P: NonnegMatrix, lam: Scalar, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -302,12 +305,9 @@ def eigenvalue_index(P: NonnegMatrix, lam: Scalar, tol: Tolerance = DEFAULT_TOL)
     only the class-level structure visible to the nonnegative orthant, not
     Jordan data hidden inside individual blocks.
     """
-    analysis = condense(P)
-    radii = class_radii(P, tol)
-    members = [
-        c for c in range(analysis.class_count) if scalars_equal(radii[c], lam, tol)
-    ]
-    return _longest_chain(analysis, members)
+    tax = taxonomy(P, tol)
+    members = [c for c, r in enumerate(tax.radii) if scalars_equal(r, lam, tol)]
+    return _longest_chain(tax.analysis, members)
 
 
 def max_distinguished_order(
@@ -319,23 +319,12 @@ def max_distinguished_order(
     most lam: the longest access chain of radius-lam classes inside it.
     Requires lam to be a distinguished eigenvalue.
     """
-    analysis = condense(P)
-    radii = class_radii(P, tol)
-    dvals = distinguished_eigenvalues(P, tol)
-    if not any(scalars_equal(lam, v, tol) for v in dvals):
+    tax = taxonomy(P, tol)
+    if not any(scalars_equal(lam, v, tol) for v in tax.distinguished_eigenvalues):
         raise InvalidInput("order bound requires a distinguished eigenvalue")
-    k = analysis.class_count
-    inside = [
-        c
-        for c in range(k)
-        if all(
-            scalar_le(radii[d], lam, tol)
-            for d in range(k)
-            if analysis.has_access(d, c)
-        )
-    ]
-    members = [c for c in inside if scalars_equal(radii[c], lam, tol)]
-    return _longest_chain(analysis, members)
+    inside = tax.initial_below(lam, tol, strict=False)
+    members = [c for c in inside if scalars_equal(tax.radii[c], lam, tol)]
+    return _longest_chain(tax.analysis, members)
 
 
 @dataclass(frozen=True)
@@ -361,12 +350,12 @@ class SpectralReport:
 
 
 def spectral_report(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> SpectralReport:
-    radii = class_radii(P, tol)
-    rho = max(radii) if radii else zero(P.mode)
-    dvals = distinguished_eigenvalues(P, tol)
+    tax = taxonomy(P, tol)
+    rho = tax.rho if tax.radii else zero(P.mode)
+    dvals = tax.distinguished_eigenvalues
     probe_vals = list(dvals)
     if not any(scalars_equal(rho, v, tol) for v in probe_vals):
         probe_vals.append(rho)
     index_at = tuple((v, eigenvalue_index(P, v, tol)) for v in probe_vals)
     max_order_at = tuple((v, max_distinguished_order(P, v, tol)) for v in dvals)
-    return SpectralReport(rho, radii, dvals, index_at, max_order_at)
+    return SpectralReport(rho, tax.radii, dvals, index_at, max_order_at)

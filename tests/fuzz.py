@@ -2,7 +2,8 @@
 
 Matrices come out block upper-triangular in a topological order, with
 irreducible constant-row-sum diagonal blocks, so every class radius is an
-exact rational (the row sum) and LP cross-checks stay exact.
+exact rational (the row sum) and LP cross-checks stay exact.  irregular()
+rescales entries so that most blocks lose their constant row sums.
 """
 
 import random
@@ -84,6 +85,12 @@ def fuzz_matrix(rnd: random.Random, n_max: int = 6, n_min: int = 2) -> NonnegMat
                     if rnd.random() < 0.35:
                         rows[offsets[bi] + i][offsets[bj] + j] = rnd.choice(COUPLINGS)
     return NonnegMatrix.make(rows, RATIONAL)
+
+
+def irregular(rnd: random.Random, P: NonnegMatrix) -> NonnegMatrix:
+    """P with every entry scaled by 1 or 2: most blocks lose their constant
+    row sums, so their radii come out as floats (irrational in general)."""
+    return NonnegMatrix.make([[e * rnd.choice((1, 2)) for e in row] for row in P.rows], RATIONAL)
 
 
 def fuzz_irreducible(rnd: random.Random, n_max: int = 5) -> NonnegMatrix:

@@ -1,8 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from coneq.core import RATIONAL, InvalidInput, NonnegMatrix
+from coneq.core import RATIONAL, InvalidInput, NonnegMatrix, scalar_le, scalar_lt, scalars_equal
 from coneq.classes import (
     classify,
     condense,
@@ -12,7 +13,7 @@ from coneq.classes import (
 )
 from coneq.spectral import taxonomy
 
-from fuzz import fuzz_matrix, rng
+from fuzz import fuzz_matrix, irregular, rng
 
 
 def mat(rows):
@@ -163,6 +164,50 @@ class TestTaxonomy:
             t = taxonomy(P)
             at_rho = set(t.semi_distinguished_at(t.rho))
             assert at_rho == {c for c, b in enumerate(t.basic) if b}
+
+    def test_derived_sets_match_brute_force_loops(self):
+        rnd = rng(36)
+        reached = Counter()
+        for _ in range(60):
+            P = fuzz_matrix(rnd)
+            for M in (P, irregular(rnd, P), P.to_float()):
+                t = taxonomy(M)
+                an = t.analysis
+                assert an == condense(M)
+                k = an.class_count
+                dedup = []
+                for r in sorted(r for r, d in zip(t.radii, t.distinguished) if d):
+                    if not dedup or not scalars_equal(dedup[-1], r):
+                        dedup.append(r)
+                assert t.distinguished_eigenvalues == tuple(dedup)
+                shifts = [r + d for r in t.radii for d in (0, Fraction(-1, 3), Fraction(1, 3))]
+                shifts += [float(r) + d for r in t.radii for d in (-1e-12, 1e-12, 1e-6)]
+                for lam in shifts:
+                    at = tuple(
+                        c for c in range(k) if t.distinguished[c] and scalars_equal(t.radii[c], lam)
+                    )
+                    assert t.distinguished_at(lam) == at
+                    reached["distinguished at"] += bool(at)
+                    for strict, below in ((True, scalar_lt), (False, scalar_le)):
+                        inside = tuple(
+                            c
+                            for c in range(k)
+                            if all(below(t.radii[d], lam) for d in range(k) if an.has_access(d, c))
+                        )
+                        assert t.initial_below(lam, strict=strict) == inside
+                        reached["proper initial"] += 0 < len(inside) < k
+                for classes in [(), *((c,) for c in range(k)), tuple(rnd.sample(range(k), rnd.randint(0, k)))]:
+                    want = frozenset(
+                        v
+                        for c in range(k)
+                        if any(an.has_access(c, d) for d in classes)
+                        for v in an.classes[c]
+                    )
+                    assert t.accessor_vertices(classes) == want
+                    assert t.accessor_vertices(iter(classes)) == want
+                    seed = [v for d in classes for v in an.classes[d]]
+                    assert want == smallest_initial_superset(an, seed)
+        assert reached["distinguished at"] >= 500 and reached["proper initial"] >= 500, reached
 
     def test_classify_rejects_radius_count_mismatch(self):
         an = condense(mat([[1, 0], [0, 1]]))

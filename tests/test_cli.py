@@ -281,6 +281,29 @@ class TestOutputDiscipline:
         doc = json.loads(first)
         assert first == json.dumps(doc, sort_keys=True) + "\n"
 
+    def test_reused_parser_prints_what_fresh_processes_print(self, capsys, docs):
+        # main parses with one parser built at import: a rejected command
+        # line, then valid calls to different verbs in a row, must each
+        # print what a fresh process prints
+        calls = [
+            ["solve1", "--lambda", "1", docs["D3.json"]],
+            ["analyze", docs["T.json"]],
+            ["solve1", "--lambda", "1", "--b", docs["e3.json"], docs["D3.json"]],
+            ["check", "--property", "nope", docs["U.json"]],
+            ["--mode", "float", "check", "--property", "cor6.4", docs["U.json"]],
+            ["cw", docs["T.json"]],
+        ]
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            cap = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "coneq.cli", *argv], capture_output=True, text=True
+            )
+            assert (code, cap.out, cap.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
     def test_module_entry_point(self, docs):
         proc = subprocess.run(
             [

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,10 +13,11 @@ from coneq.core import (
     InvalidInput,
     NonnegMatrix,
     Tolerance,
+    scalars_equal,
     support,
 )
 from coneq.classes import condense, smallest_initial_superset
-from coneq.spectral import class_radii, local_spectral_radius
+from coneq.spectral import class_radii, distinguished_eigenvalues, local_spectral_radius, taxonomy
 from coneq.eq_type1 import (
     minimal_solution,
     neumann_partial,
@@ -26,7 +28,7 @@ from coneq.eq_type1 import (
 )
 from coneq import eq_type1, oracle
 
-from fuzz import fuzz_matrix, fuzz_vector, lambda_sweep, rng
+from fuzz import fuzz_matrix, fuzz_vector, irregular, lambda_sweep, rng
 
 
 def mat(rows, mode=RATIONAL):
@@ -341,6 +343,98 @@ class TestConditionBattery:
                     assert got is None or got == want
                 cases += 1
         assert cases >= 60
+
+    def test_float_battery_agrees_with_the_exact_lp(self, monkeypatch):
+        # float-mode twins get no exact transpose basis, so conditions f and
+        # j take the float lane; every decided verdict must still equal the
+        # exact LP on the rational input
+        calls = {"f": 0, "overlap": 0}
+        for name, key in (("_peripheral_distinguished_float", "f"), ("_support_overlap_float", "overlap")):
+            orig = getattr(eq_type1, name)
+
+            def counted(*args, _orig=orig, _key=key, **kwargs):
+                calls[_key] += 1
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(eq_type1, name, counted)
+        rnd = rng(71)
+        cases = verdicts = 0
+        for _ in range(300):
+            P = fuzz_matrix(rnd)
+            twin = P.to_float()
+            for lam in lambda_sweep(P):
+                b = fuzz_vector(rnd, P.n)
+                rep = solvability_conditions(
+                    twin, float(lam), ConeVector.make([float(e) for e in b.entries], FLOAT)
+                )
+                rows = oracle.shifted_image_rows(P, lam, sign=-1)
+                want = oracle.feasible_nonneg_solution(rows, list(b.entries)).feasible
+                assert rep.consistent, (P.rows, lam, b.entries)
+                for got in (rep.b, rep.e, rep.f, rep.g, rep.h, rep.i, rep.j, rep.c, rep.d):
+                    assert got is None or got == want, (P.rows, lam, b.entries)
+                    verdicts += got is not None
+                cases += 1
+        assert cases >= 1000 and verdicts >= 8 * cases
+        assert calls["f"] == cases and calls["overlap"] == 2 * cases
+
+
+def _ref_support_overlap_float(P, b, lam, tol, distinguished_only, dvals=()):
+    """eq_type1._support_overlap_float as it was, with its own clusters and
+    SVD nullspace loop: raw cluster means, and as many basis vectors as the
+    nullity found."""
+    a_t = P.to_numpy().T
+    n = P.n
+    vals = np.linalg.eigvals(a_t)
+    scale = max(1.0, float(np.max(np.abs(vals))) if n else 1.0)
+    lam_f = float(lam)
+    bv = b.to_numpy()
+    for cl in oracle._cluster_eigenvalues(list(vals), tol, a_t):
+        mu = complex(np.mean([vals[i] for i in cl]))
+        if distinguished_only:
+            if abs(mu.imag) > tol.eig_tol * scale:
+                continue
+            if not any(scalars_equal(float(mu.real), float(v), tol) for v in dvals):
+                continue
+            if mu.real < lam_f - tol.eig_tol * max(1.0, lam_f):
+                continue
+        elif abs(mu) < lam_f - tol.eig_tol * max(1.0, lam_f):
+            continue
+        shifted = a_t.astype(complex) - mu * np.eye(n)
+        s = max(1.0, float(np.linalg.norm(shifted, np.inf)))
+        powered = np.linalg.matrix_power(shifted / s, len(cl))
+        _, sig, vh = np.linalg.svd(powered)
+        smax = sig[0] if len(sig) else 0.0
+        cutoff = max(oracle.RANK_REL * smax, 1e-13)
+        null_dim = int(np.sum(sig <= cutoff)) if smax > 0 else n
+        basis = vh.conj().T[:, n - null_dim:]
+        for col in range(basis.shape[1]):
+            if float(np.abs(basis[:, col]) @ bv) > 1e-7 * max(1.0, float(b.inf_norm())):
+                return False
+    return True
+
+
+def test_support_overlap_matches_its_reference():
+    # conditions i and j now take their clusters and bases from the routine
+    # decompose_generalized uses (cluster means snapped to the real axis,
+    # one basis vector per clustered eigenvalue); verdicts must not move
+    rnd = rng(72)
+    verdicts = Counter()
+    for _ in range(60):
+        P = fuzz_matrix(rnd)
+        for M in (P, irregular(rnd, P), P.to_float()):
+            dvals = distinguished_eigenvalues(M)
+            for lam in lambda_sweep(P) + list(taxonomy(M).radii):
+                if lam <= 0:
+                    continue
+                b = fuzz_vector(rnd, M.n)
+                if M.mode == FLOAT:
+                    b = ConeVector.make([float(e) for e in b.entries], FLOAT)
+                for only in (False, True):
+                    got = eq_type1._support_overlap_float(M, b, lam, DEFAULT_TOL, only, dvals)
+                    want = _ref_support_overlap_float(M, b, lam, DEFAULT_TOL, only, dvals)
+                    assert got == want, (M.rows, lam, b.entries, only)
+                    verdicts[only, got] += 1
+    assert min(verdicts.values()) >= 100, verdicts
 
 
 def test_never_solvable_on_both_sides_of_the_shift():

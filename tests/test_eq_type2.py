@@ -466,3 +466,133 @@ class TestImageMembership:
                     if rep.in_s2:
                         assert rep.in_s3
         assert cases >= 60
+
+
+def _ref_tracedown_witness(P, class_index, tol):
+    """eq_type2.tracedown_witness as it was before the back-substitution was
+    shared with spectral.fv_eigenvector."""
+    from coneq.core import NumericFailure, scalars_equal, solve_linear, zero
+    from coneq.spectral import _block_exact_row_sum, perron_vector_block
+
+    analysis = condense(P)
+    tax = taxonomy(P, tol)
+    k = analysis.class_count
+    if not 0 <= class_index < k:
+        raise InvalidInput(f"class index {class_index} outside 0..{k - 1}")
+    if not (tax.basic[class_index] and tax.distinguished_transpose[class_index]):
+        raise InvalidInput(
+            "witness construction requires a basic class that is final among basic classes"
+        )
+    rho = tax.rho
+
+    def block_of(c):
+        cls = analysis.classes[c]
+        return [[P.rows[i - 1][j - 1] for j in cls] for i in cls]
+
+    exact = P.mode == RATIONAL and isinstance(rho, Fraction) and all(
+        _block_exact_row_sum(block_of(c)) is not None or len(analysis.classes[c]) == 1
+        for c in range(k)
+        if analysis.has_access(c, class_index) and scalars_equal(tax.radii[c], rho, tol)
+    )
+    mode = RATIONAL if exact else FLOAT
+    work = P if mode == P.mode else P.to_float()
+    rho_s = rho if mode == RATIONAL else float(rho)
+    x_by_class = {}
+    b_by_class = {}
+    half = Fraction(1, 2) if mode == RATIONAL else 0.5
+    for c in reversed(range(k)):
+        if not analysis.has_access(c, class_index):
+            continue
+        cls = analysis.classes[c]
+        if c == class_index:
+            _, vec = perron_vector_block(
+                [[work.rows[i - 1][j - 1] for j in cls] for i in cls], tol
+            )
+            x_by_class[c] = list(vec)
+            b_by_class[c] = [zero(mode)] * len(cls)
+            continue
+        inflow = [zero(mode) for _ in cls]
+        for d, xd in x_by_class.items():
+            dcls = analysis.classes[d]
+            for bi, i in enumerate(cls):
+                inflow[bi] += sum(
+                    work.rows[i - 1][j - 1] * xd[dj]
+                    for dj, j in enumerate(dcls)
+                    if work.rows[i - 1][j - 1] != 0
+                )
+        if scalars_equal(tax.radii[c], rho, tol):
+            _, vec = perron_vector_block(
+                [[work.rows[i - 1][j - 1] for j in cls] for i in cls], tol
+            )
+            x_by_class[c] = list(vec)
+            b_by_class[c] = inflow
+        else:
+            bb = [half * e for e in inflow]
+            mrows = [
+                [
+                    (rho_s if bi == bj else zero(mode)) - work.rows[i - 1][j - 1]
+                    for bj, j in enumerate(cls)
+                ]
+                for bi, i in enumerate(cls)
+            ]
+            sol = solve_linear(mrows, bb, mode)
+            if sol is None:
+                raise NumericFailure("singular block in witness construction")
+            x_by_class[c] = sol
+            b_by_class[c] = bb
+    x_entries = [zero(mode)] * P.n
+    b_entries = [zero(mode)] * P.n
+    for c, xs in x_by_class.items():
+        for bi, v in enumerate(analysis.classes[c]):
+            x_entries[v - 1] = xs[bi]
+            b_entries[v - 1] = b_by_class[c][bi]
+    return ConeVector(tuple(x_entries), mode), ConeVector(tuple(b_entries), mode)
+
+
+def _peaked(rnd):
+    """A fuzzed matrix whose last class is rescaled to the radius of an
+    earlier one, so several classes often share the spectral radius."""
+    P = fuzz_matrix(rnd, n_max=7)
+    an = condense(P)
+    radii = taxonomy(P).radii
+    top = max(radii)
+    rows = [list(r) for r in P.rows]
+    last = an.classes[-1]
+    if radii[-1] and top:
+        for i in last:
+            rows[i - 1] = [e * top / radii[-1] for e in rows[i - 1]]
+    return mat(rows)
+
+
+def test_tracedown_matches_the_reference_back_substitution():
+    # rational, irregular (float radii) and float-mode matrices; floats must
+    # agree to the bit
+    from fuzz import irregular
+    from coneq.core import DEFAULT_TOL
+
+    rnd = rng(1001)
+    seen = Counter()
+    for _ in range(120):
+        P = _peaked(rnd)
+        Q = irregular(rnd, fuzz_matrix(rnd, n_max=7))
+        for M in (P, Q, P.to_float(), Q.to_float()):
+            tax = taxonomy(M)
+            for c in range(tax.analysis.class_count + 1):
+                outcome = []
+                for fn in (tracedown_witness, _ref_tracedown_witness):
+                    try:
+                        outcome.append(repr(fn(M, c, DEFAULT_TOL)))
+                    except InvalidInput as exc:
+                        outcome.append(str(exc))
+                    except Exception as exc:
+                        outcome.append(type(exc).__name__)
+                assert outcome[0] == outcome[1], (M.rows, c)
+                if outcome[0].startswith("(ConeVector"):
+                    seen[M.mode, "mode='float'" in outcome[0]] += 1
+                    # another basic class upstream takes a Perron vector too
+                    seen["basic upstream"] += any(
+                        tax.basic[d] and d != c and tax.analysis.has_access(d, c)
+                        for d in range(tax.analysis.class_count)
+                    )
+    assert seen[RATIONAL, False] >= 100 and seen[RATIONAL, True] >= 20
+    assert seen[FLOAT, True] >= 100 and seen["basic upstream"] >= 50

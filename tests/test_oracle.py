@@ -25,7 +25,7 @@ from coneq.oracle import (
 )
 from coneq.spectral import class_radii
 
-from fuzz import fuzz_matrix, fuzz_vector, rng
+from fuzz import fuzz_matrix, fuzz_vector, irregular, rng
 
 
 def mat(rows, mode=RATIONAL):
@@ -204,6 +204,60 @@ def _ref_cluster_eigenvalues(vals, tol, matrix):
 # The Fraction Gauss-Jordan that the integer kernel replaced, kept as the
 # reference for nullspace_exact and solve_signed.  It also counts negative
 # pivots, where the kernel flips the signs of its rows.
+
+
+def _ref_decompose_generalized(P, x, tol=DEFAULT_TOL):
+    """oracle.decompose_generalized as it was, with its own SVD nullspace
+    loop and the reference clusters."""
+    n = P.n
+    a = P.to_numpy()
+    xv = np.array([float(e) for e in x.entries], dtype=float)
+    vals = np.linalg.eigvals(a)
+    clusters, _ = _ref_cluster_eigenvalues(list(vals), tol, a)
+    merged = False
+    ambiguous = False
+    bases = []
+    infos = []
+    for cl in clusters:
+        mu = complex(np.mean([vals[i] for i in cl]))
+        mult = len(cl)
+        spread = max(abs(vals[i] - mu) for i in cl)
+        if mult > 1 and spread > 10 * tol.eig_tol * max(1.0, abs(mu)):
+            merged = True
+        if abs(mu.imag) <= tol.eig_tol * max(1.0, abs(mu)):
+            mu = complex(mu.real, 0.0)
+        shifted = a.astype(complex) - mu * np.eye(n)
+        s = max(1.0, float(np.linalg.norm(shifted, np.inf)))
+        powered = np.linalg.matrix_power(shifted / s, mult)
+        u, sig, vh = np.linalg.svd(powered)
+        smax = sig[0] if len(sig) else 0.0
+        cutoff = max(oracle.RANK_REL * smax, 1e-13)
+        null_dim = int(np.sum(sig <= cutoff)) if smax > 0 else n
+        if null_dim != mult:
+            ambiguous = True
+            null_dim = mult
+        bases.append(vh.conj().T[:, n - null_dim:])
+        infos.append((mu, mult, shifted / s))
+    coef = np.linalg.solve(np.hstack(bases), xv.astype(complex))
+    comps = []
+    col = 0
+    xnorm = max(1.0, float(np.linalg.norm(xv, np.inf)))
+    for (mu, mult, shifted_scaled), basis in zip(infos, bases):
+        kdim = basis.shape[1]
+        comp = basis @ coef[col:col + kdim]
+        col += kdim
+        cnorm = float(np.linalg.norm(comp, np.inf))
+        order = 0
+        if cnorm > 1e-9 * xnorm:
+            w = comp
+            order = mult
+            for t in range(1, mult + 1):
+                w = shifted_scaled @ w
+                if np.linalg.norm(w, np.inf) <= 1e-8 * cnorm:
+                    order = t
+                    break
+        comps.append(oracle.EigComponent(mu, mult, tuple(comp), order, cnorm))
+    return oracle.GeneralizedDecomposition(tuple(comps), merged, ambiguous)
 
 
 def _ref_gauss_jordan(a, n, seen):
@@ -464,6 +518,30 @@ class TestLP:
         assert solve_lp(infeasible).pivots > 0
 
 
+def test_shifted_image_rows_equal_the_entrywise_expression():
+    # the shift goes on the diagonal only; every entry must still equal
+    # sign*(P - lam*I) taken entry by entry, as a Fraction, for rational
+    # and float-mode (binary-exact) matrices and shifts
+    rnd = rng(55)
+    zeros = 0
+    for _ in range(100):
+        P = fuzz_matrix(rnd, n_max=8)
+        for M in (P, P.to_float()):
+            rows = [[Fraction(e) for e in row] for row in M.rows]
+            for lam in (Fraction(rnd.randint(0, 9), rnd.randint(1, 4)), 0.375, rnd.random()):
+                for sign in (1, -1):
+                    got = shifted_image_rows(M, lam, sign)
+                    want = [
+                        [sign * (rows[i][j] - (Fraction(lam) if i == j else 0)) for j in range(M.n)]
+                        for i in range(M.n)
+                    ]
+                    assert got == want
+                    assert all(type(e) is Fraction for row in got for e in row)
+                    zeros += sum(e == 0 for row in got for e in row)
+                assert shifted_image_rows(M, lam) == shifted_image_rows(M, lam, 1)
+    assert zeros >= 1000
+
+
 class TestExactLinearAlgebra:
     def test_solve_signed(self):
         sol = solve_signed([[1, 1], [2, 2]], [1, 2])
@@ -621,6 +699,26 @@ class TestDenseEigen:
             assert oracle._cluster_eigenvalues(vals, DEFAULT_TOL, a) == want
             merges += merged
         assert merges >= 10
+
+    def test_decompose_matches_the_reference_svd_loop(self):
+        # bit for bit, on fuzzed matrices (their float twins, irregular
+        # blocks included) and nonnegative Jordan chains
+        rnd = rng(54)
+        mats = [mat([[2, 1, 0], [0, 2, 1], [0, 0, 2]]), mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]])]
+        for _ in range(60):
+            P = fuzz_matrix(rnd, n_max=8)
+            mats += [P, irregular(rnd, P), P.to_float()]
+        for n in range(2, 7):  # upper-triangular chains with one repeated diagonal
+            mats.append(mat([[2 if i == j else int(j > i) * rnd.randint(0, 2) for j in range(n)] for i in range(n)]))
+        seen = Counter()
+        for P in mats:
+            for _ in range(2):
+                x = ConeVector.make([float(rnd.randint(0, 3)) for _ in range(P.n)], FLOAT)
+                got = decompose_generalized(P, x)
+                assert repr(got) == repr(_ref_decompose_generalized(P, x)), P.rows
+                seen["defective"] += any(c.multiplicity > 1 for c in got.components)
+                seen["order 2"] += any(c.order > 1 for c in got.components)
+        assert seen["defective"] >= 100 and seen["order 2"] >= 50, seen
 
     def test_decompose_jordan_block(self):
         d = decompose_generalized(U.to_float(), ConeVector.unit(2, 2, FLOAT))

@@ -34,7 +34,7 @@ from coneq.spectral import (
 )
 from coneq import oracle, spectral
 
-from fuzz import fuzz_matrix, fuzz_vector, rng
+from fuzz import fuzz_matrix, fuzz_vector, irregular, rng
 
 
 def mat(rows, mode=RATIONAL):
@@ -243,18 +243,12 @@ def test_local_radius_matches_krylov_restriction():
         assert abs(got - want) <= 1e-6 * max(1.0, want)
 
 
-def _irregular(rnd, P: NonnegMatrix) -> NonnegMatrix:
-    """P with every entry scaled by 1 or 2: most blocks lose their constant
-    row sums, so their radii come out as floats (irrational in general)."""
-    return NonnegMatrix.make([[e * rnd.choice((1, 2)) for e in row] for row in P.rows], RATIONAL)
-
-
 def _memo_cases():
     rnd = rng(4201)
     out = []
     for _ in range(25):
         P = fuzz_matrix(rnd)
-        Q = _irregular(rnd, fuzz_matrix(rnd))
+        Q = irregular(rnd, fuzz_matrix(rnd))
         out += [P, Q, P.to_float(), Q.to_float()]
     return out
 
@@ -308,3 +302,98 @@ def _taxonomy_callers(P):
         except InvalidInput as exc:
             vectors.append(str(exc))
     return distinguished_eigenvalues(P), vectors
+
+
+def _ref_fv_eigenvector(P, class_index, tol=DEFAULT_TOL):
+    """spectral.fv_eigenvector as it was before the back-substitution was
+    shared with eq_type2.tracedown_witness."""
+    from coneq.core import NumericFailure, solve_linear, zero
+    from coneq.spectral import _block_exact_row_sum
+
+    analysis = condense(P)
+    tax = taxonomy(P, tol)
+    k = analysis.class_count
+    if not 0 <= class_index < k:
+        raise InvalidInput(f"class index {class_index} outside 0..{k - 1}")
+    if not tax.distinguished[class_index]:
+        raise InvalidInput("eigenvector construction requires a distinguished class")
+    lam = tax.radii[class_index]
+    involved = [c for c in range(k) if analysis.has_access(c, class_index)]
+
+    def block_of(c):
+        cls = analysis.classes[c]
+        return [[P.rows[i - 1][j - 1] for j in cls] for i in cls]
+
+    exact = P.mode == RATIONAL and isinstance(lam, Fraction) and all(
+        _block_exact_row_sum(block_of(c)) is not None or len(analysis.classes[c]) == 1
+        for c in involved
+    )
+    mode = RATIONAL if exact else FLOAT
+    work = P if mode == P.mode else P.to_float()
+    lam_s = lam if mode == RATIONAL else float(lam)
+    x_by_class = {}
+    for c in reversed(range(k)):
+        if not analysis.has_access(c, class_index):
+            continue
+        cls = analysis.classes[c]
+        if c == class_index:
+            _, vec = perron_vector_block(
+                [[work.rows[i - 1][j - 1] for j in cls] for i in cls], tol
+            )
+            x_by_class[c] = list(vec)
+            continue
+        rhs = [zero(mode) for _ in cls]
+        for d, xd in x_by_class.items():
+            dcls = analysis.classes[d]
+            for bi, i in enumerate(cls):
+                rhs[bi] += sum(
+                    work.rows[i - 1][j - 1] * xd[dj]
+                    for dj, j in enumerate(dcls)
+                    if work.rows[i - 1][j - 1] != 0
+                )
+        mrows = [
+            [
+                (lam_s if bi == bj else zero(mode)) - work.rows[i - 1][j - 1]
+                for bj, j in enumerate(cls)
+            ]
+            for bi, i in enumerate(cls)
+        ]
+        sol = solve_linear(mrows, rhs, mode)
+        if sol is None:
+            raise NumericFailure("singular block during eigenvector back-substitution")
+        x_by_class[c] = sol
+    entries = [zero(mode)] * P.n
+    for c, xs in x_by_class.items():
+        for bi, v in enumerate(analysis.classes[c]):
+            entries[v - 1] = xs[bi]
+    return ConeVector(tuple(entries), mode)
+
+
+def _outcome(fn, *args):
+    """A call's value, or the type of the exception it raised (and the
+    message of an input error, which callers show)."""
+    try:
+        return fn(*args)
+    except InvalidInput as exc:
+        return ("InvalidInput", str(exc))
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def test_eigenvector_matches_the_reference_back_substitution():
+    # rational, irregular (float radii) and float-mode matrices; floats must
+    # agree to the bit, since the arithmetic is the same
+    rnd = rng(4203)
+    seen = {RATIONAL: 0, FLOAT: 0}
+    mixed = 0
+    for _ in range(80):
+        P = fuzz_matrix(rnd, n_max=7)
+        Q = irregular(rnd, fuzz_matrix(rnd, n_max=7))
+        for M in (P, Q, P.to_float(), Q.to_float()):
+            for c in range(condense(M).class_count + 1):
+                got = _outcome(fv_eigenvector, M, c)
+                assert repr(got) == repr(_outcome(_ref_fv_eigenvector, M, c)), (M.rows, c)
+                if isinstance(got, ConeVector):
+                    seen[got.mode] += 1
+                    mixed += M.mode == RATIONAL and got.mode == FLOAT
+    assert seen[RATIONAL] >= 200 and seen[FLOAT] >= 200 and mixed >= 30
