@@ -14,7 +14,9 @@ when every basic class is final).
 The decomposition helpers split a vector with one-sided image comparison
 into an eigenvector part plus a strictly subcritical remainder, and the
 zero-intersection battery checks the three equivalent no-nontrivial-image
-conditions (equivalent over the orthant because it is polyhedral).
+conditions (equivalent over the orthant because it is polyhedral); each of
+its two face questions, the image face and the nonnegative generalized null
+vectors, is one LP.
 """
 
 from __future__ import annotations
@@ -246,21 +248,21 @@ def zero_intersection_conditions(
 
 
 def _generalized_null_is_eigen(P: NonnegMatrix, rho: Fraction) -> bool:
-    """No x >= 0 with (rho*I - P)^n x = 0 but (rho*I - P)x != 0, via one
-    sign-probing LP per coordinate and sign."""
+    """No x >= 0 with (rho*I - P)^n x = 0 but (rho*I - P)x != 0.
+
+    One maximal-support LP gives the support F of that cone C; a point of C
+    positive on F makes span(C) = N((rho*I - P)^n) restricted to F, so the
+    answer is whether rho*I - P vanishes on an exact basis of that space."""
     n = P.n
     shift = oracle.shifted_image_rows(P, rho, sign=-1)  # rho*I - P
     powered = oracle.matrix_power_exact(shift, n)
-    eq_rows = [(row, Fraction(0)) for row in powered]
-    for i in range(n):
-        for sgn in (1, -1):
-            probe = [sgn * e for e in shift[i]]
-            prob = oracle.LPProblem.build(
-                n, eq_rows=eq_rows, ge_rows=[(probe, Fraction(1))]
-            )
-            if oracle.lp_feasible(prob).feasible:
-                return False
-    return True
+    face = sorted(oracle.max_support([[int(i == j) for j in range(n)] for i in range(n)], powered))
+    if not face:
+        return True
+    basis = oracle.nullspace_exact([[row[j - 1] for j in face] for row in powered])
+    return all(
+        sum(row[j - 1] * v for j, v in zip(face, vec)) == 0 for vec in basis for row in shift
+    )
 
 
 def _basic_closure_no_lower_dval(P: NonnegMatrix, rho: Fraction, tol: Tolerance) -> bool:

@@ -233,9 +233,6 @@ class ConeVector:
             return zero(self.mode)
         return max(self.entries)
 
-    def as_real(self) -> RealVector:
-        return RealVector(self.entries, self.mode)
-
     def to_numpy(self) -> np.ndarray:
         return np.array([float(e) for e in self.entries], dtype=float)
 
@@ -316,13 +313,6 @@ class NonnegMatrix:
         z = zero(mode)
         return NonnegMatrix(tuple(tuple(z for _ in range(n)) for _ in range(n)), mode)
 
-    @staticmethod
-    def identity(n: int, mode: str = RATIONAL) -> "NonnegMatrix":
-        z, o = zero(mode), one(mode)
-        return NonnegMatrix(
-            tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)), mode
-        )
-
     @property
     def n(self) -> int:
         return len(self.rows)
@@ -356,14 +346,6 @@ class NonnegMatrix:
             return self
         return NonnegMatrix(
             tuple(tuple(float(e) for e in row) for row in self.rows), FLOAT
-        )
-
-    def to_rational_exact(self) -> "NonnegMatrix":
-        """Binary-exact rationalization of a float matrix."""
-        if self.mode == RATIONAL:
-            return self
-        return NonnegMatrix(
-            tuple(tuple(Fraction(e) for e in row) for row in self.rows), RATIONAL
         )
 
 

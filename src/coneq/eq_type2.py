@@ -14,9 +14,10 @@ Three regimes, split by the local spectral radius of b:
 
 The module also exposes the face probes and witnesses describing the cone
 (P - lambda*I)K intersected with K: which coordinates of a nonnegative image
-can be strictly positive, an explicit certificate pair at lambda = rho, the
-sign structure of the resolvent for irreducible matrices near rho, and the
-largest real eigenvalue below rho bounding that window.
+can be strictly positive (one LP per probe), an explicit certificate pair
+at lambda = rho, the sign structure of the resolvent for irreducible
+matrices near rho, and the largest real eigenvalue below rho bounding that
+window.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ from .core import (
     Tolerance,
     as_scalar,
     exact_fraction,
-    require_same_mode,
-    require_same_size,
     scalar_le,
     scalar_lt,
     scalars_equal,
@@ -52,10 +51,9 @@ from .core import (
     support,
     zero,
 )
-from .eq_type1 import minimal_solution
+from .eq_type1 import _check_inputs, minimal_solution
 from .spectral import (
     _back_substitute,
-    _exact_blocks,
     class_radii,  # noqa: F401  (bench/test_smoke.py expects this binding)
     distinguished_eigenvalues,
     fv_eigenvector,
@@ -65,13 +63,6 @@ from .spectral import (
     spectral_radius,
     taxonomy,
 )
-
-
-def _check_inputs(P, lam, b):
-    require_same_mode(P, b)
-    require_same_size(P, b)
-    if lam <= 0:
-        raise InvalidInput("the shift must be strictly positive")
 
 
 def combinatorial_solvable_above(P, lam, b, tol=DEFAULT_TOL) -> bool:
@@ -220,31 +211,12 @@ def solvable_face_probe(P: NonnegMatrix, lam: Scalar, tol: Tolerance = DEFAULT_T
     """Coordinates that can be strictly positive in a nonnegative image:
     {i : exists x >= 0 with (P - lambda*I)x >= 0 and [(P - lambda*I)x]_i > 0}.
 
-    One exact LP per coordinate (rational mode only): maximize the probed
-    image coordinate over the normalized slice sum(x) = 1.
+    The face of K generated by (P - lambda*I)K intersected with K, found by
+    one maximal-support LP (oracle.max_support; rational mode only).
     """
     if P.mode != RATIONAL:
         raise InvalidInput("face probes run in rational mode only")
-    lam = exact_fraction(lam)
-    n = P.n
-    img = oracle.shifted_image_rows(P, lam)
-    out = []
-    ge_rows = [(row, Fraction(0)) for row in img]
-    norm_row = ([Fraction(1)] * n, Fraction(1))
-    for i in range(n):
-        prob = oracle.LPProblem.build(
-            n,
-            eq_rows=[norm_row],
-            ge_rows=ge_rows,
-            objective=img[i],
-            maximize=True,
-        )
-        res = oracle.solve_lp(prob)
-        if res.status == "optimal" and res.objective > 0:
-            out.append(i + 1)
-        elif res.status == "unbounded":  # cannot happen on the simplex slice
-            raise NumericFailure("probe LP unbounded on a compact slice")
-    return frozenset(out)
+    return oracle.max_support(oracle.shifted_image_rows(P, lam))
 
 
 def tracedown_witness(P: NonnegMatrix, class_index: int, tol: Tolerance = DEFAULT_TOL):
@@ -264,15 +236,7 @@ def tracedown_witness(P: NonnegMatrix, class_index: int, tol: Tolerance = DEFAUL
         raise InvalidInput(
             "witness construction requires a basic class that is final among basic classes"
         )
-    # only the Perron-vector blocks (radius rho) constrain exactness; the
-    # subcritical blocks are solved by exact elimination in either case
-    perron = [
-        c
-        for c in range(k)
-        if tax.analysis.has_access(c, class_index) and scalars_equal(tax.radii[c], tax.rho, tol)
-    ]
-    exact = _exact_blocks(P, tax, perron, tax.rho)
-    return _back_substitute(P, tax, class_index, tax.rho, exact, tol, share=Fraction(1, 2))
+    return _back_substitute(P, tax, class_index, tax.rho, tol, share=Fraction(1, 2))
 
 
 @dataclass(frozen=True)

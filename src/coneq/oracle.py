@@ -5,7 +5,9 @@ local spectral radius, and exact characteristic-polynomial root counting.
 The LP solver is a two-phase tableau simplex with Bland's rule on integers
 over one common denominator, pivoted fraction-free (Bareiss), so verdicts
 are exact and termination is guaranteed.  All variables are nonnegative;
->= rows get slack variables internally.  The signed solve, the exact
+>= rows get slack variables internally.  Each face question (which
+coordinates a cone of nonnegative solutions can make positive) is one
+maximal-support LP, max_support.  The signed solve, the exact
 nullspaces and the determinants share the LP's fraction-free integer pivot
 in one Gauss-Jordan kernel.  The float-lane helpers (eig_all,
 decompose_generalized, krylov_local_rho) are deliberately independent of the
@@ -235,6 +237,28 @@ def feasible_nonneg_solution(
         return LPResult("optimal", tuple(x), None, res.pivots)
     rows = [(row, r) for row, r in zip(mat_rows, rhs)]
     return lp_feasible(LPProblem.build(n, eq_rows=rows))
+
+
+def max_support(forms, eq_rows=()) -> frozenset:
+    """{i : L_i x > 0 for some x >= 0 with Lx >= 0 and Ex = 0}, 1-based, for
+    the rows L_i of forms and E of eq_rows.
+
+    One LP (Freund, Roundy & Todd 1985): maximise sum(t) over x >= 0 and
+    0 <= t <= 1 with Lx >= t.  The feasible x form a cone, so every optimum
+    has t_i = 1 exactly on the set and 0 off it."""
+    m = len(forms)
+    if not m:
+        return frozenset()
+    n = len(forms[0])
+    pad = [0] * m
+    ge_rows = [([*row, *pad[:i], -1, *pad[i + 1:]], 0) for i, row in enumerate(forms)]
+    ge_rows += [([0] * n + [-int(j == i) for j in range(m)], -1) for i in range(m)]
+    res = solve_lp(LPProblem.build(
+        n + m, [([*row, *pad], 0) for row in eq_rows], ge_rows, [0] * n + [1] * m, True
+    ))
+    if res.status != "optimal":  # x = 0 is feasible and sum(t) <= m
+        raise NumericFailure(f"maximal-support LP ended {res.status}")
+    return frozenset(i + 1 for i, t in enumerate(res.witness[n:]) if t)
 
 
 _ZERO = Fraction(0)

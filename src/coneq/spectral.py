@@ -179,36 +179,32 @@ def distinguished_eigenvalues(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> 
     return taxonomy(P, tol).distinguished_eigenvalues
 
 
-def _exact_blocks(P: NonnegMatrix, tax: ClassTaxonomy, classes, lam) -> bool:
-    """Can a back-substitution at lam stay exact on these classes?  Rational
-    mode, a rational lam, and each block a singleton or of constant row sums
-    (its Perron vector is then the all-ones vector)."""
-    an = tax.analysis
-    return P.mode == RATIONAL and isinstance(lam, Fraction) and all(
-        len(an.classes[c]) == 1 or _block_exact_row_sum(_block(P, an.classes[c])) is not None
-        for c in classes
-    )
-
-
-def _back_substitute(P, tax, target, lam, exact, tol, share=0) -> tuple:
+def _back_substitute(P, tax, target, lam, tol, share=0) -> tuple:
     """(x, b) >= 0 with (P - lam*I)x = b, supported on the classes with
-    access to class `target`, in exact arithmetic or floats.
+    access to class `target`.
 
     Classes are solved downstream first.  Let inflow_c be the sum over the
     classes d already solved of P_cd x_d.  A class at radius lam (the target
     first, whose inflow is zero) takes its block's Perron vector, and
     b_c = inflow_c.  Any other class puts the share `share` of its inflow
-    into b_c and solves (lam*I - B_c)x_c for the rest.
+    into b_c and solves (lam*I - B_c)x_c for the rest, by exact elimination
+    in rational mode.  So the result is exact when P is rational, lam is a
+    Fraction and each Perron block is a singleton or has constant row sums
+    (its Perron vector is then the all-ones vector); floats otherwise.
     """
     an = tax.analysis
+    involved = [c for c in reversed(range(an.class_count)) if an.has_access(c, target)]
+    perron = {c for c in involved if scalars_equal(tax.radii[c], lam, tol)}
+    exact = P.mode == RATIONAL and isinstance(lam, Fraction) and all(
+        len(an.classes[c]) == 1 or _block_exact_row_sum(_block(P, an.classes[c])) is not None
+        for c in perron
+    )
     mode = RATIONAL if exact else FLOAT
     work = P if mode == P.mode else P.to_float()
     lam_s, share = (lam, Fraction(share)) if exact else (float(lam), float(share))
     keep = 1 - share
     x_by_class, b_by_class = {}, {}
-    for c in reversed(range(an.class_count)):
-        if not an.has_access(c, target):
-            continue
+    for c in involved:
         cls = an.classes[c]
         block = _block(work, cls)
         inflow = [zero(mode) for _ in cls]
@@ -220,7 +216,7 @@ def _back_substitute(P, tax, target, lam, exact, tol, share=0) -> tuple:
                     for dj, j in enumerate(dcls)
                     if work.rows[i - 1][j - 1] != 0
                 )
-        if scalars_equal(tax.radii[c], lam, tol):
+        if c in perron:
             x_by_class[c] = list(perron_vector_block(block, tol)[1])
             b_by_class[c] = inflow
             continue
@@ -249,8 +245,8 @@ def fv_eigenvector(
     The class's own block contributes its Perron vector; each class strictly
     above it gets the unique back-substituted block solution.  The support is
     exactly the set of vertices with access to the class.  Exact in rational
-    mode whenever every involved block has constant row sums; otherwise the
-    whole vector degrades to floats.
+    mode whenever the class's own block is a singleton or has constant row
+    sums; otherwise the whole vector degrades to floats.
     """
     tax = taxonomy(P, tol)
     k = tax.analysis.class_count
@@ -258,9 +254,7 @@ def fv_eigenvector(
         raise InvalidInput(f"class index {class_index} outside 0..{k - 1}")
     if not tax.distinguished[class_index]:
         raise InvalidInput("eigenvector construction requires a distinguished class")
-    lam = tax.radii[class_index]
-    involved = [c for c in range(k) if tax.analysis.has_access(c, class_index)]
-    return _back_substitute(P, tax, class_index, lam, _exact_blocks(P, tax, involved, lam), tol)[0]
+    return _back_substitute(P, tax, class_index, tax.radii[class_index], tol)[0]
 
 
 def _longest_chain(analysis: ClassAnalysis, members: Sequence[int]) -> int:

@@ -180,6 +180,16 @@ class TestConstructionAbove:
         x = solve2_above(T, F(2), ConeVector.zero_vector(2, RATIONAL))
         assert x.entries == (F(0), F(0))
 
+    def test_exact_beside_an_irregular_accessor(self):
+        # the accessor block {1, 2} has non-constant row sums and a float
+        # radius below 2; only the Perron block {3} must be exact, so the
+        # eigenvector and the solution stay exact and the residual is e1
+        P = mat([[F(1, 2), F(1, 2), 1], [F(1, 2), 1, 0], [0, 0, 2]])
+        rep = solvable2(P, F(2), vec(1, 0, 0))
+        assert rep.solvable and rep.x == vec(0, 0, 1)
+        residual = [e - 2 * x for e, x in zip(P.apply(rep.x.entries), rep.x.entries)]
+        assert residual == [1, 0, 0] and all(type(e) is F for e in residual)
+
     def test_requires_the_above_regime(self):
         with assert_raises(InvalidInput):
             solve2_above(U, F(1), ConeVector.unit(2, 1))

@@ -6,7 +6,9 @@ from numpy.testing import assert_allclose
 from pytest import raises as assert_raises
 
 from coneq.core import DEFAULT_TOL, FLOAT, RATIONAL, ConeVector, InvalidInput, NonnegMatrix
-from coneq import oracle
+from coneq import cli, oracle
+from coneq.collatz_wielandt import _generalized_null_is_eigen
+from coneq.eq_type2 import solvable_face_probe
 from coneq.oracle import (
     LPProblem,
     charpoly_exact,
@@ -23,9 +25,9 @@ from coneq.oracle import (
     solve_lp,
     solve_signed,
 )
-from coneq.spectral import class_radii
+from coneq.spectral import class_radii, spectral_radius
 
-from fuzz import fuzz_matrix, fuzz_vector, irregular, rng
+from fuzz import fuzz_irreducible, fuzz_matrix, fuzz_nilpotent, fuzz_vector, irregular, rng
 
 
 def mat(rows, mode=RATIONAL):
@@ -394,6 +396,72 @@ def _face_probe_lps(P, lam):
     ]
 
 
+def _ref_face_probe(P, lam):
+    """eq_type2.solvable_face_probe as it was: one LP per coordinate,
+    maximising that image coordinate over the slice sum(x) = 1."""
+    return frozenset(
+        i + 1
+        for i, prob in enumerate(_face_probe_lps(P, lam))
+        if (res := solve_lp(prob)).status == "optimal" and res.objective > 0
+    )
+
+
+def _null_rows(P, rho):
+    """The rows of rho*I - P and of (rho*I - P)^n."""
+    shift = shifted_image_rows(P, rho, sign=-1)
+    return shift, matrix_power_exact(shift, P.n)
+
+
+def _ref_null_is_eigen(P, rho):
+    """collatz_wielandt._generalized_null_is_eigen as it was: one LP per
+    coordinate and sign, x >= 0 with (rho*I - P)^n x = 0 and
+    +-[(rho*I - P)x]_i >= 1."""
+    shift, powered = _null_rows(P, rho)
+    eq_rows = [(row, 0) for row in powered]
+    return not any(
+        lp_feasible(LPProblem.build(P.n, eq_rows, [([sgn * e for e in shift[i]], 1)])).feasible
+        for i in range(P.n)
+        for sgn in (1, -1)
+    )
+
+
+def _null_support(P, rho):
+    """The support of {x >= 0 : (rho*I - P)^n x = 0}, one LP per coordinate."""
+    eq_rows = [(row, 0) for row in _null_rows(P, rho)[1]]
+    return {
+        i + 1
+        for i in range(P.n)
+        if lp_feasible(LPProblem.build(P.n, eq_rows, [([int(j == i) for j in range(P.n)], 1)])).feasible
+    }
+
+
+def _face_shifts(P):
+    """Each class radius, 1/3 and 1/7 on either side of it, and the
+    Sturm-certified shifts below rho that `check --property cor4.20` probes."""
+    shifts = set()
+    for r in map(Fraction, set(class_radii(P))):
+        shifts |= {r, r - Fraction(1, 3), r + Fraction(1, 3), r - Fraction(1, 7), r + Fraction(1, 7)}
+    rho = spectral_radius(P)
+    if P.n and isinstance(rho, Fraction):
+        rho_f = float(rho)
+        below = [v.real for v in eig_all(P) if v.imag == 0 and v.real < rho_f - 1e-9 * max(1.0, rho_f)]
+        coeffs = charpoly_exact(P)
+        for k in (1, 2, 3):
+            lam = cli._certified_window_shift(coeffs, max(below, default=rho_f - 1.0), rho, k)
+            if lam is not None:
+                shifts.add(lam)
+    return sorted(shifts)
+
+
+def _face_question_matrices(rnd, rounds):
+    """The empty matrix, then fuzzed block-triangular matrices, their
+    irregular twins (float radii), irreducible and nilpotent matrices."""
+    yield NonnegMatrix.make([], RATIONAL)
+    for _ in range(rounds):
+        P = fuzz_matrix(rnd, n_max=5, n_min=1)
+        yield from (P, irregular(rnd, P), fuzz_irreducible(rnd), fuzz_nilpotent(rnd))
+
+
 def _jordan_behind_similarity(rnd, n):
     """S J S^-1 for Jordan chains J with rational eigenvalues and a random
     unimodular integer S (so the entries stay integers); returns the rows
@@ -480,17 +548,26 @@ class TestLP:
         second = feasible_nonneg_solution(rows, [Fraction(0), Fraction(0), Fraction(0)])
         assert first.witness == second.witness
 
-    def test_matches_the_fraction_simplex(self):
+    def test_matches_the_fraction_simplex(self, monkeypatch):
         # status, witness, objective and pivot count all equal the Fraction
-        # simplex's, on fuzzed LPs and on the face-probe LPs of fuzzed
-        # matrices; the fuzz must reach every path the two could part on
+        # simplex's, on fuzzed LPs, on the old per-coordinate face-probe LPs
+        # and on the maximal-support LPs of the face probe and (at the radii)
+        # the null-space check, of fuzzed matrices; the fuzz must reach every
+        # path the two could part on
         rnd = rng(91)
         problems = [_fuzz_lp(rnd) for _ in range(900)]
+        recorded = []
+        monkeypatch.setattr(oracle, "solve_lp", lambda prob: recorded.append(prob) or solve_lp(prob))
         for _ in range(12):
             P = fuzz_matrix(rnd, n_max=7)
             for r in set(class_radii(P)):
                 for lam in {r, r + Fraction(1, 3), r - Fraction(1, 3)} - {Fraction(0)}:
                     problems += _face_probe_lps(P, lam)
+                    solvable_face_probe(P, lam)
+                    if lam == r:
+                        _generalized_null_is_eigen(P, lam)
+        monkeypatch.undo()
+        problems += recorded
         seen = Counter()
         statuses = Counter()
         for prob in problems:
@@ -516,6 +593,74 @@ class TestLP:
         assert pinned.pivots > 0
         infeasible = LPProblem.build(1, eq_rows=[((1,), 1), ((1,), 2)])
         assert solve_lp(infeasible).pivots > 0
+
+
+class TestFaceQuestions:
+    def test_face_questions_match_the_per_coordinate_lps(self):
+        # the face probe and the null-space check give the sets and verdicts
+        # of the LP loops they replaced, on every fuzzed matrix and shift; the
+        # check runs at the shifts that are eigenvalues, since elsewhere
+        # (lam*I - P)^n is nonsingular and both answer True on the cone {0}
+        rnd = rng(707)
+        faces, verdicts = Counter(), Counter()
+        for P in _face_question_matrices(rnd, 70):
+            coeffs = charpoly_exact(P)
+            for lam in _face_shifts(P):
+                face = solvable_face_probe(P, lam)
+                assert face == _ref_face_probe(P, lam), (P.rows, lam)
+                faces["empty" if not face else "full" if len(face) == P.n else "partial"] += 1
+                if oracle._poly_eval(coeffs, lam) != 0:
+                    continue
+                verdict = _generalized_null_is_eigen(P, lam)
+                assert verdict == _ref_null_is_eigen(P, lam), (P.rows, lam)
+                verdicts[verdict] += 1
+        assert min(faces[k] for k in ("empty", "full", "partial")) >= 50, faces
+        assert min(verdicts[True], verdicts[False]) >= 50, verdicts
+
+    def test_each_face_question_is_one_lp(self, monkeypatch):
+        calls = Counter()
+        for name in ("solve_lp", "nullspace_exact"):
+
+            def counted(*args, _real=getattr(oracle, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(oracle, name, counted)
+        rnd = rng(708)
+        supports = Counter()
+        for P in _face_question_matrices(rnd, 10):
+            one = min(P.n, 1)  # the empty matrix asks no LP
+            coeffs = charpoly_exact(P)
+            for lam in _face_shifts(P):
+                calls.clear()
+                solvable_face_probe(P, lam)
+                assert calls == Counter(solve_lp=one), (P.rows, lam)
+                # off the eigenvalues (lam*I - P)^n is nonsingular: F is empty
+                support = _null_support(P, lam) if oracle._poly_eval(coeffs, lam) == 0 else set()
+                calls.clear()
+                _generalized_null_is_eigen(P, lam)
+                # one nullspace on the support F, none when F is empty
+                assert calls == Counter(solve_lp=one, nullspace_exact=int(bool(support)))
+                supports[bool(support)] += 1
+        assert min(supports[True], supports[False]) >= 20, supports
+
+    def test_max_support_examples(self):
+        ms = oracle.max_support
+        assert ms([]) == frozenset() and ms([], eq_rows=[[1, -1]]) == frozenset()
+        # -x1 - x2 >= 0 forces x = 0, so no form can be positive
+        assert ms([[-1, -1], [1, 2], [0, 1]]) == frozenset()
+        # x1 >= x2 and x2 >= x1 hold both first forms at zero
+        assert ms([[1, -1], [-1, 1], [0, 1]]) == {3}
+        assert ms([[1, -1], [0, 1]]) == {1, 2}
+        # equality rows cut the support
+        identity = [[int(i == j) for j in range(3)] for i in range(3)]
+        assert ms(identity) == {1, 2, 3}
+        assert ms(identity, eq_rows=[[1, -1, 0]]) == {1, 2, 3}
+        assert ms(identity, eq_rows=[[1, 1, 0]]) == {3}
+        assert ms(identity, eq_rows=[[1, 1, 1]]) == frozenset()
+        assert ms([[1, -1], [0, 1]], eq_rows=[[0, 1]]) == {1}
+        # the probe's forms: U - I images into coordinate 1 only
+        assert ms(shifted_image_rows(U, Fraction(1))) == {1}
 
 
 def test_shifted_image_rows_equal_the_entrywise_expression():
