@@ -19,7 +19,6 @@ from typing import Optional
 from . import oracle
 from .core import (
     DEFAULT_TOL,
-    FLOAT,
     RATIONAL,
     ConeVector,
     InvalidInput,
@@ -30,12 +29,8 @@ from .core import (
     require_same_mode,
     require_same_size,
     scalar_lt,
-    scalars_equal,
-    support,
-    zero,
 )
 from .spectral import (
-    local_spectral_radius,
     max_distinguished_order,
     spectral_pair,
     spectral_radius,
@@ -108,6 +103,21 @@ def _eigenvector_witness(P: NonnegMatrix, x: ConeVector) -> Optional[Fraction]:
     return None
 
 
+def _alternating_run(P: NonnegMatrix, s, entries, max_steps: int, tol: Tolerance) -> tuple:
+    """(length, iterates checked) of the alternating sequence of entries
+    under s*I - P, cut at max_steps: a length below max_steps is exact."""
+    checked = 0
+    for r in range(max_steps):
+        if all(e == 0 for e in entries):
+            # w_r = 0: length r is maximal (longer runs need w_r nonzero)
+            return r, checked
+        checked += 1
+        ok, entries = _split_nonneg(_signed_iterate(P, s, entries), P.mode, tol)
+        if not ok:
+            return r, checked
+    return max_steps, checked
+
+
 def alt_length(
     Z: ZMatrix, x: ConeVector, max_steps: Optional[int] = None, tol: Tolerance = DEFAULT_TOL
 ) -> AltResult:
@@ -130,19 +140,8 @@ def alt_length(
     mu = _eigenvector_witness(P, x)
     if mu is not None and mu > s:
         return AltResult(INFINITE_CERTIFIED, None, 0)
-    entries = x.entries
-    checked = 0
-    for r in range(max_steps):
-        if all(e == 0 for e in entries):
-            # w_r = 0: length r is maximal (longer runs need w_r nonzero)
-            return AltResult(FINITE, r, checked)
-        nxt = _signed_iterate(P, s, entries)
-        checked += 1
-        ok, snapped = _split_nonneg(nxt, P.mode, tol)
-        if not ok:
-            return AltResult(FINITE, r, checked)
-        entries = snapped
-    return AltResult(AT_LEAST, max_steps, checked)
+    length, checked = _alternating_run(P, s, x.entries, max_steps, tol)
+    return AltResult(AT_LEAST if length == max_steps else FINITE, length, checked)
 
 
 def exists_infinite(Z: ZMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -190,18 +189,7 @@ def alternating_bound_report(
         raise InvalidInput("bound report needs a nonzero vector")
     pair = spectral_pair(P, x, tol)
     rho_x = pair.rho
-    cap = P.n + 2
-    entries = x.entries
-    m_observed = 0
-    for r in range(cap):
-        if all(e == 0 for e in entries):
-            break
-        nxt = _signed_iterate(P, rho_x, entries)
-        ok, snapped = _split_nonneg(nxt, P.mode, tol)
-        if not ok:
-            break
-        m_observed = r + 1
-        entries = snapped
+    m_observed = _alternating_run(P, rho_x, x.entries, P.n + 2, tol)[0]
     nu = max_distinguished_order(P, rho_x, tol)
     gamma = _gamma_deduction(P, x, rho_x, pair.order, m_observed, tol)
     return AlternatingBoundReport(m_observed, pair.order, nu, gamma)

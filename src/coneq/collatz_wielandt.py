@@ -51,7 +51,6 @@ from .core import (
 from .eq_type1 import minimal_solution
 from .eq_type2 import solvable_face_probe
 from .spectral import (
-    class_radii,
     distinguished_eigenvalues,
     local_spectral_radius,
     spectral_pair,

@@ -192,9 +192,9 @@ class ConditionReport:
     b, g, h are exact combinatorial facts; c, d are iterative float checks
     and may be None (indeterminate): they follow the powers of P/lambda by
     repeated squaring up to a horizon of tol.power_iters terms, and abstain
-    when neither bound is reached by then; e, i use float generalized
-    eigenbases; f, j are exact whenever every needed eigenvalue is an exact
-    rational.
+    when neither bound is reached by then; e, i use the float generalized
+    eigenvectors of P^T; f, j are exact whenever every needed eigenvalue is
+    an exact rational, and use the same float eigenvectors otherwise.
     All decided verdicts must agree -- `consistent` records that.
     """
 
@@ -316,43 +316,37 @@ def _condition_d(P, lam, b, tol):
     return None
 
 
-def _peripheral_components(dec, b, lam, tol) -> bool:
-    """Float check that b, decomposed along the generalized eigenspaces of P,
-    has no component at eigenvalues with |mu| >= lam."""
-    lam_f = float(lam)
-    for comp in dec.components:
-        mag = abs(comp.eigenvalue)
-        if mag > lam_f - tol.eig_tol * max(1.0, lam_f):
-            if comp.norm > 1e-7 * max(1.0, float(b.inf_norm())):
-                return False
-    return True
+def _peripheral_float(P, b, lam, tol, dvals) -> tuple:
+    """Float conditions (e, f, i, j) from one eigen pass on P^T.
 
-
-def _support_overlap_float(P, b, lam, tol, distinguished_only: bool, dvals=()):
-    """Float check of the |z|-form conditions: generalized eigenvectors z of
-    the transpose at the relevant eigenvalues must have supports disjoint
-    from supp(b).  The eigenspaces of P^T are the ones decompose_generalized
-    would use; only those of the relevant clusters are computed."""
+    The rows of the spectral projector at mu span the generalized
+    eigenvectors z of P^T at mu, so b has a component there iff some
+    z^T b != 0 (e), and i asks |z|.b = 0, over every mu with |mu| >= lambda;
+    f and j ask the same at the real distinguished mu >= lambda only.
+    """
     a_t = P.to_numpy().T
     vals, clusters, _ = oracle._eigen_clusters(a_t, tol)
     scale = max(1.0, float(np.max(np.abs(vals))))
     lam_f = float(lam)
+    floor = lam_f - tol.eig_tol * max(1.0, lam_f)
+    bound = 1e-7 * max(1.0, float(b.inf_norm()))
     bv = b.to_numpy()
+    e = f = i = j = True
     for mu, mult in clusters:
-        if distinguished_only:
-            if abs(mu.imag) > tol.eig_tol * scale:
-                continue
-            if not any(scalars_equal(float(mu.real), float(v), tol) for v in dvals):
-                continue
-            if mu.real < lam_f - tol.eig_tol * max(1.0, lam_f):
-                continue
-        else:
-            if abs(mu) < lam_f - tol.eig_tol * max(1.0, lam_f):
-                continue
+        if abs(mu) < floor:
+            continue
+        distinguished = (
+            abs(mu.imag) <= tol.eig_tol * scale
+            and mu.real >= floor
+            and any(scalars_equal(float(mu.real), float(v), tol) for v in dvals)
+        )
         for z in oracle._shift_null(a_t.astype(complex), mu, mult)[1].T:
-            if float(np.abs(z) @ bv) > 1e-7 * max(1.0, float(b.inf_norm())):
-                return False
-    return True
+            component = abs(z @ bv) > bound
+            overlap = float(np.abs(z) @ bv) > bound
+            e, i = e and not component, i and not overlap
+            if distinguished:
+                f, j = f and not component, j and not overlap
+    return e, f, i, j
 
 
 @lru_cache(maxsize=512)
@@ -394,16 +388,11 @@ def solvability_conditions(
     cond_b = support(b) <= solvable_set(P, lam, tol)
     cond_c = _condition_c(P, lam, b, tol)
     cond_d = _condition_d(P, lam, b, tol)
-    dec = oracle.decompose_generalized(P, b, tol)
-    cond_e = _peripheral_components(dec, b, lam, tol)
     dvals = distinguished_eigenvalues(P, tol)
+    cond_e, cond_f, cond_i, cond_j = _peripheral_float(P, b, lam, tol, dvals)
     exact_fj = _orthogonal_exact(P, b, lam, tol, dvals)
     if exact_fj is not None:
         cond_f, cond_j = exact_fj
-    else:
-        cond_f = _peripheral_distinguished_float(dec, b, lam, tol, dvals)
-        cond_j = _support_overlap_float(P, b, lam, tol, True, dvals)
-    cond_i = _support_overlap_float(P, b, lam, tol, False)
     decided = [cond_b, cond_e, cond_f, cond_g, cond_h, cond_i, cond_j]
     decided += [c for c in (cond_c, cond_d) if c is not None]
     consistent = len(set(decided)) == 1
@@ -411,19 +400,3 @@ def solvability_conditions(
         cond_b, cond_c, cond_d, cond_e, cond_f, cond_g, cond_h, cond_i, cond_j,
         consistent,
     )
-
-
-def _peripheral_distinguished_float(dec, b, lam, tol, dvals) -> bool:
-    """Float fallback for the distinguished-orthogonality condition: the
-    components of b at distinguished eigenvalues >= lambda must vanish."""
-    lam_f = float(lam)
-    for comp in dec.components:
-        mu = comp.eigenvalue
-        if abs(mu.imag) > tol.eig_tol * max(1.0, abs(mu)):
-            continue
-        if not any(scalars_equal(mu.real, float(v), tol) for v in dvals):
-            continue
-        if mu.real > lam_f - tol.eig_tol * max(1.0, lam_f):
-            if comp.norm > 1e-7 * max(1.0, float(b.inf_norm())):
-                return False
-    return True

@@ -27,8 +27,6 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    FLOAT,
-    RATIONAL,
     InvalidInput,
     NonnegMatrix,
     NumericFailure,

@@ -105,19 +105,7 @@ def class_radii(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> tuple:
     Exact scalars where possible (1x1 blocks, constant row sums); float from
     power iteration otherwise, even in rational mode.
     """
-    out = []
-    for cls in condense(P).classes:
-        block = _block(P, cls)
-        if len(block) == 1:
-            out.append(block[0][0])
-            continue
-        s = _block_exact_row_sum(block)
-        if s is not None:
-            out.append(s)
-        else:
-            radius, _ = _power_iteration_radius(block, tol)
-            out.append(radius)
-    return tuple(out)
+    return tuple(perron_vector_block(_block(P, cls), tol)[0] for cls in condense(P).classes)
 
 
 def spectral_radius(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> Scalar:

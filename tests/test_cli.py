@@ -32,6 +32,17 @@ def docs(tmp_path_factory):
         "e1_3.json": {"entries": [1, 0, 0]},
         "e3.json": {"entries": [0, 0, 1]},
         "x12.json": {"entries": [1, 2]},
+        # two radius-2 classes, {2, 3} with access to {4, 5}: rho = 2 is
+        # defective, and float eigenvalues split it by about 1e-8
+        "peak.json": {
+            "entries": [
+                [1, 0, 0, 0, 0],
+                [0, "6/5", "4/5", 2, 0],
+                [0, 2, 0, 0, 0],
+                [0, 0, 0, 0, 2],
+                [0, 0, 0, "4/3", "2/3"],
+            ]
+        },
     }
     paths = {name: _write(root, name, payload) for name, payload in good.items()}
     paths["badkey.json"] = _write(root, "badkey.json", {"entries": [[1]], "name": "x"})
@@ -247,6 +258,11 @@ class TestCheck:
             "cor4.8-gap",
             "U.json",
             {"cases": 3, "counterexample": None, "gap_examples": 0, "pass": True},
+        ),
+        (
+            "cor4.20",
+            "peak.json",
+            {"counterexample": None, "pass": True, "samples": ["5/4", "3/2", "7/4"]},
         ),
     ]
 

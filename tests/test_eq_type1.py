@@ -326,7 +326,9 @@ class TestConditionBattery:
         rep = solvability_conditions(P, lam, b)
         assert not rep.b and rep.g and not rep.consistent
 
-    def test_battery_agrees_with_feasibility(self):
+    def test_battery_agrees_with_feasibility(self, monkeypatch):
+        # exact f and j do not spare the float pass that gives e and i
+        calls = _count_calls(monkeypatch)
         rnd = rng(67)
         cases = 0
         for _ in range(25):
@@ -343,20 +345,13 @@ class TestConditionBattery:
                     assert got is None or got == want
                 cases += 1
         assert cases >= 60
+        assert calls == {"_peripheral_float": cases, "_eigen_clusters": cases}, calls
 
     def test_float_battery_agrees_with_the_exact_lp(self, monkeypatch):
         # float-mode twins get no exact transpose basis, so conditions f and
         # j take the float lane; every decided verdict must still equal the
         # exact LP on the rational input
-        calls = {"f": 0, "overlap": 0}
-        for name, key in (("_peripheral_distinguished_float", "f"), ("_support_overlap_float", "overlap")):
-            orig = getattr(eq_type1, name)
-
-            def counted(*args, _orig=orig, _key=key, **kwargs):
-                calls[_key] += 1
-                return _orig(*args, **kwargs)
-
-            monkeypatch.setattr(eq_type1, name, counted)
+        calls = _count_calls(monkeypatch)
         rnd = rng(71)
         cases = verdicts = 0
         for _ in range(300):
@@ -375,11 +370,59 @@ class TestConditionBattery:
                     verdicts += got is not None
                 cases += 1
         assert cases >= 1000 and verdicts >= 8 * cases
-        assert calls["f"] == cases and calls["overlap"] == 2 * cases
+        assert calls == {"_peripheral_float": cases, "_eigen_clusters": cases}, calls
+
+
+def _count_calls(monkeypatch) -> Counter:
+    """Count the calls of the battery's float helper, of the float eigen
+    pass and of decompose_generalized (which must stay at none)."""
+    calls = Counter()
+    for module, name in (
+        (eq_type1, "_peripheral_float"),
+        (oracle, "_eigen_clusters"),
+        (oracle, "decompose_generalized"),
+    ):
+        orig = getattr(module, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _ref_peripheral_components(P, b, lam, tol) -> bool:
+    """Condition e as it was: b, decomposed along the generalized eigenspaces
+    of P, has no component at eigenvalues with |mu| >= lam."""
+    dec = oracle.decompose_generalized(P, b, tol)
+    lam_f = float(lam)
+    for comp in dec.components:
+        if abs(comp.eigenvalue) > lam_f - tol.eig_tol * max(1.0, lam_f):
+            if comp.norm > 1e-7 * max(1.0, float(b.inf_norm())):
+                return False
+    return True
+
+
+def _ref_peripheral_distinguished_float(P, b, lam, tol, dvals) -> bool:
+    """Float condition f as it was: the components of b at distinguished
+    eigenvalues >= lambda must vanish."""
+    dec = oracle.decompose_generalized(P, b, tol)
+    lam_f = float(lam)
+    for comp in dec.components:
+        mu = comp.eigenvalue
+        if abs(mu.imag) > tol.eig_tol * max(1.0, abs(mu)):
+            continue
+        if not any(scalars_equal(mu.real, float(v), tol) for v in dvals):
+            continue
+        if mu.real > lam_f - tol.eig_tol * max(1.0, lam_f):
+            if comp.norm > 1e-7 * max(1.0, float(b.inf_norm())):
+                return False
+    return True
 
 
 def _ref_support_overlap_float(P, b, lam, tol, distinguished_only, dvals=()):
-    """eq_type1._support_overlap_float as it was, with its own clusters and
+    """Float conditions i and j as they were, with their own clusters and
     SVD nullspace loop: raw cluster means, and as many basis vectors as the
     nullity found."""
     a_t = P.to_numpy().T
@@ -413,13 +456,11 @@ def _ref_support_overlap_float(P, b, lam, tol, distinguished_only, dvals=()):
     return True
 
 
-def test_support_overlap_matches_its_reference():
-    # conditions i and j now take their clusters and bases from the routine
-    # decompose_generalized uses (cluster means snapped to the real axis,
-    # one basis vector per clustered eigenvalue); verdicts must not move
-    rnd = rng(72)
-    verdicts = Counter()
-    for _ in range(60):
+def _peripheral_cases(seed, rounds):
+    """(M, b, lam, dvals) on fuzzed matrices, their irregular twins (float
+    radii) and float twins, at every lambda_sweep shift and class radius."""
+    rnd = rng(seed)
+    for _ in range(rounds):
         P = fuzz_matrix(rnd)
         for M in (P, irregular(rnd, P), P.to_float()):
             dvals = distinguished_eigenvalues(M)
@@ -429,11 +470,35 @@ def test_support_overlap_matches_its_reference():
                 b = fuzz_vector(rnd, M.n)
                 if M.mode == FLOAT:
                     b = ConeVector.make([float(e) for e in b.entries], FLOAT)
-                for only in (False, True):
-                    got = eq_type1._support_overlap_float(M, b, lam, DEFAULT_TOL, only, dvals)
-                    want = _ref_support_overlap_float(M, b, lam, DEFAULT_TOL, only, dvals)
-                    assert got == want, (M.rows, lam, b.entries, only)
-                    verdicts[only, got] += 1
+                yield M, b, lam, dvals
+
+
+def test_support_overlap_matches_its_reference():
+    # conditions i and j come from the one float pass on P^T that also gives
+    # e and f (cluster means snapped to the real axis, one basis vector per
+    # clustered eigenvalue); verdicts must not move
+    verdicts = Counter()
+    for M, b, lam, dvals in _peripheral_cases(72, 60):
+        _, _, got_i, got_j = eq_type1._peripheral_float(M, b, lam, DEFAULT_TOL, dvals)
+        for only, got in ((False, got_i), (True, got_j)):
+            want = _ref_support_overlap_float(M, b, lam, DEFAULT_TOL, only, dvals)
+            assert got == want, (M.rows, lam, b.entries, only)
+            verdicts[only, got] += 1
+    assert min(verdicts.values()) >= 100, verdicts
+
+
+def test_peripheral_components_match_the_decomposition_reference():
+    # e and f ask z^T b = 0 over the generalized eigenvectors z of P^T, not
+    # for the components of b along the eigenspaces of P; verdicts must not
+    # move
+    verdicts = Counter()
+    for M, b, lam, dvals in _peripheral_cases(74, 60):
+        got_e, got_f, _, _ = eq_type1._peripheral_float(M, b, lam, DEFAULT_TOL, dvals)
+        assert got_e == _ref_peripheral_components(M, b, lam, DEFAULT_TOL), (M.rows, lam, b.entries)
+        want_f = _ref_peripheral_distinguished_float(M, b, lam, DEFAULT_TOL, dvals)
+        assert got_f == want_f, (M.rows, lam, b.entries)
+        verdicts["e", got_e] += 1
+        verdicts["f", got_f] += 1
     assert min(verdicts.values()) >= 100, verdicts
 
 

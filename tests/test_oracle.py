@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from pytest import raises as assert_raises
 
 from coneq.core import DEFAULT_TOL, FLOAT, RATIONAL, ConeVector, InvalidInput, NonnegMatrix
-from coneq import cli, oracle
+from coneq import oracle
 from coneq.collatz_wielandt import _generalized_null_is_eigen
 from coneq.eq_type2 import solvable_face_probe
 from coneq.oracle import (
@@ -443,13 +443,11 @@ def _face_shifts(P):
         shifts |= {r, r - Fraction(1, 3), r + Fraction(1, 3), r - Fraction(1, 7), r + Fraction(1, 7)}
     rho = spectral_radius(P)
     if P.n and isinstance(rho, Fraction):
-        rho_f = float(rho)
-        below = [v.real for v in eig_all(P) if v.imag == 0 and v.real < rho_f - 1e-9 * max(1.0, rho_f)]
         coeffs = charpoly_exact(P)
-        for k in (1, 2, 3):
-            lam = cli._certified_window_shift(coeffs, max(below, default=rho_f - 1.0), rho, k)
-            if lam is not None:
-                shifts.add(lam)
+        t = rho - 1
+        while count_real_roots_in(coeffs, t, rho) > 1:
+            t = (t + rho) / 2
+        shifts |= {t + (rho - t) * k / 4 for k in (1, 2, 3)}
     return sorted(shifts)
 
 
