@@ -269,13 +269,15 @@ def _check_window_below_rho(P: NonnegMatrix, tol) -> dict:
     rho = spectral.spectral_radius(P, tol)
     if not isinstance(rho, Fraction):
         raise InvalidInput("this check needs an exact rational spectral radius")
+    if rho == 0:  # no positive shift lies below rho
+        return {"pass": True, "samples": [], "counterexample": None}
     tax = spectral.taxonomy(P, tol)
     expected = tax.accessor_vertices(c for c, flag in enumerate(tax.basic) if flag)
     coeffs = oracle.charpoly_exact(P)
-    t = rho - 1
+    t = max(rho - 1, Fraction(0))
     while oracle.count_real_roots_in(coeffs, t, rho) > 1:
         t = (t + rho) / 2
-    # (t, rho] holds no eigenvalue but rho, so every shift below is certified
+    # (t, rho] holds no eigenvalue but rho, so every shift in it is certified
     samples = []
     bad = None
     for k in (1, 2, 3):

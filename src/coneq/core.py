@@ -25,7 +25,6 @@ Scalar = Union[Fraction, float]
 
 RATIONAL = "rational"
 FLOAT = "float"
-MODES = (RATIONAL, FLOAT)
 
 
 class InvalidInput(ValueError):

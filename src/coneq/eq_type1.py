@@ -217,10 +217,6 @@ class ConditionReport:
         }
 
 
-def _condition_g(P, lam, b, tol) -> bool:
-    return scalar_lt(local_spectral_radius(P, b, tol), lam, tol)
-
-
 # cap on the entries of the squared powers; the square of a capped n x n
 # matrix stays finite for n below 1e8
 _POWER_CEILING = 1e150
@@ -383,7 +379,7 @@ def solvability_conditions(
     _check_inputs(P, lam, b)
     if b.is_zero():
         raise InvalidInput("the condition battery requires b != 0")
-    cond_g = _condition_g(P, lam, b, tol)
+    cond_g = solvable1(P, lam, b, tol)
     cond_h = _unsolvable_witness(P, lam, b, tol) is None
     cond_b = support(b) <= solvable_set(P, lam, tol)
     cond_c = _condition_c(P, lam, b, tol)

@@ -260,21 +260,11 @@ def resolvent_sign(P: NonnegMatrix, lam: Scalar, tol: Tolerance = DEFAULT_TOL) -
         raise InvalidInput("resolvent sign analysis requires an irreducible matrix")
     n = P.n
     if P.mode == RATIONAL:
-        lam_r = exact_fraction(lam)
-        shifted = [
-            [P.rows[i][j] - (lam_r if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        det, inv = _det_and_inverse_exact(shifted)
-        if det == 0:
-            inverse_positive = None
-        else:
-            inverse_positive = all(e > 0 for row in inv for e in row)
-        adj = _adjugate_exact(
-            [[-e for e in row] for row in shifted]  # lambda*I - P
-        )
-        adjugate_positive = all(e > 0 for row in adj for e in row)
-        return ResolventSign(inverse_positive, adjugate_positive)
+        # one pass on lambda*I - P; (P - lambda*I)^(-1) = -adj(lambda*I - P) / det
+        coeffs, adj = oracle._faddeev_leverrier(oracle.shifted_image_rows(P, lam, sign=-1))
+        det = (-1) ** n * coeffs[-1]
+        inverse_positive = None if det == 0 else all(-e / det > 0 for row in adj for e in row)
+        return ResolventSign(inverse_positive, all(e > 0 for row in adj for e in row))
     a = P.to_numpy() - float(lam) * np.eye(n)
     margin = 1e-7
     try:
@@ -285,40 +275,6 @@ def resolvent_sign(P: NonnegMatrix, lam: Scalar, tol: Tolerance = DEFAULT_TOL) -
     madj = _adjugate_float(-a)
     adjugate_positive = bool(np.all(madj > margin))
     return ResolventSign(inverse_positive, adjugate_positive)
-
-
-def _det_and_inverse_exact(rows):
-    """(det, inverse) of a square rational matrix, (0, None) when singular:
-    the exact elimination kernel run on [A | I]."""
-    n = len(rows)
-    a = [[*r, *(int(i == j) for j in range(n))] for i, r in enumerate(rows)]
-    T, pivots, d, det = oracle._gauss_jordan(a, n)
-    if len(pivots) < n:
-        return det, None
-    return det, [[Fraction(e, d) for e in row[n:]] for row in T]
-
-
-def _adjugate_exact(rows):
-    n = len(rows)
-    det, inv = _det_and_inverse_exact(rows)
-    if det != 0:
-        return [[det * inv[i][j] for j in range(n)] for i in range(n)]
-    # singular: adj[j][i] = (-1)^(i+j) * minor_ij
-    adj = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [rows[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            d = _det_exact(minor)
-            adj[j][i] = d if (i + j) % 2 == 0 else -d
-    return adj
-
-
-def _det_exact(rows):
-    return oracle._gauss_jordan(rows, len(rows))[3]
 
 
 def _adjugate_float(a):

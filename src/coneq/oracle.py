@@ -7,9 +7,12 @@ over one common denominator, pivoted fraction-free (Bareiss), so verdicts
 are exact and termination is guaranteed.  All variables are nonnegative;
 >= rows get slack variables internally.  Each face question (which
 coordinates a cone of nonnegative solutions can make positive) is one
-maximal-support LP, max_support.  The signed solve, the exact
-nullspaces and the determinants share the LP's fraction-free integer pivot
-in one Gauss-Jordan kernel.  The float-lane helpers (eig_all,
+maximal-support LP, max_support.  The signed solve and the exact
+nullspaces share the LP's fraction-free integer pivot in one Gauss-Jordan
+kernel.  Exact matrix algebra runs on integer rows over one common
+denominator (_integer_rows) with one product (_matmul): the matrix powers,
+and one Faddeev-LeVerrier pass for each characteristic polynomial,
+determinant and adjugate.  The float-lane helpers (eig_all,
 decompose_generalized, krylov_local_rho) are deliberately independent of the
 combinatorial modules so the two routes can disagree loudly in tests if one
 of them is wrong.
@@ -211,10 +214,6 @@ def lp_feasible(problem: LPProblem) -> LPResult:
 # convenience builders used across the package ------------------------------
 
 
-def _rational_rows(P: NonnegMatrix):
-    return [[exact_fraction(e) for e in row] for row in P.rows]
-
-
 def feasible_nonneg_solution(
     mat_rows: Sequence[Sequence[Fraction]],
     rhs: Sequence[Fraction],
@@ -281,25 +280,29 @@ def shifted_image_rows(P: NonnegMatrix, lam: Scalar, sign: int = 1):
 # exact dense helpers
 
 
+def _integer_rows(rows) -> tuple:
+    """(T, L): the rational rows scaled by their one common denominator L to
+    integer rows T = L*rows.  Floats keep their binary-exact value."""
+    rows = [[exact_fraction(e) for e in row] for row in rows]
+    scale = math.lcm(*(e.denominator for row in rows for e in row))
+    return [_scaled(row, scale) for row in rows], scale
+
+
+def _matmul(a, b) -> list:
+    """The product of two integer matrices: the one exact matrix product."""
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+
+
 def _gauss_jordan(rows, n: int) -> tuple:
     """Fraction-free Gauss-Jordan over the first n columns of the rational
     rows, with the LP's _pivot.  Each row is scaled to integers once (all-int
     rows are only copied); that changes no row space, so every pivot entry of
     the integer rows T ends equal to d and T / d is the reduced row echelon
-    form.  Returns (T, pivot columns, d, det): det is None unless there are n
-    rows, then their determinant over those columns, read from the row swaps,
-    the sign of each pivot and d over the row scale factors."""
-    T, scale = [], 1
-    for row in rows:
-        if all(type(e) is int for e in row):
-            T.append(list(row))
-        else:
-            row = [exact_fraction(e) for e in row]
-            s = math.lcm(*(e.denominator for e in row))
-            T.append(_scaled(row, s))
-            scale *= s
+    form.  Returns (T, pivot columns, d)."""
+    T = [list(row) if all(type(e) is int for e in row) else _integer_rows([row])[0][0] for row in rows]
     m = len(T)
-    pivots, d, sign = [], 1, 1
+    pivots, d = [], 1
     for col in range(n):
         r = len(pivots)
         if r == m:
@@ -309,15 +312,9 @@ def _gauss_jordan(rows, n: int) -> tuple:
             continue
         if piv != r:
             T[r], T[piv] = T[piv], T[r]
-            sign = -sign
-        if T[r][col] < 0:
-            sign = -sign
         d = _pivot(T, d, r, col)
         pivots.append(col)
-    det = None
-    if m == n:
-        det = Fraction(sign * d, scale) if len(pivots) == n else Fraction(0)
-    return T, pivots, d, det
+    return T, pivots, d
 
 
 def solve_signed(mat_rows, rhs) -> Optional[list]:
@@ -325,7 +322,7 @@ def solve_signed(mat_rows, rhs) -> Optional[list]:
     if the system is inconsistent.  Gauss-Jordan with free variables at 0."""
     m = len(mat_rows)
     n = len(mat_rows[0]) if m else 0
-    T, pivots, d, _ = _gauss_jordan([[*row, rhs[i]] for i, row in enumerate(mat_rows)], n)
+    T, pivots, d = _gauss_jordan([[*row, rhs[i]] for i, row in enumerate(mat_rows)], n)
     if any(T[k][n] for k in range(len(pivots), m)):
         return None
     x = [Fraction(0)] * n
@@ -337,7 +334,7 @@ def solve_signed(mat_rows, rhs) -> Optional[list]:
 def nullspace_exact(mat_rows) -> list:
     """Rational basis of the nullspace of M (list of column vectors)."""
     n = len(mat_rows[0]) if mat_rows else 0
-    T, pivots, d, _ = _gauss_jordan(mat_rows, n)
+    T, pivots, d = _gauss_jordan(mat_rows, n)
     basis = []
     for fc in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
@@ -349,23 +346,20 @@ def nullspace_exact(mat_rows) -> list:
 
 
 def matrix_power_exact(rows, k: int):
-    """Integer power of a square rational matrix."""
-    n = len(rows)
-    result = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    base = [[exact_fraction(e) for e in row] for row in rows]
-    while k:
-        if k & 1:
-            result = [
-                [sum(result[i][t] * base[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-        k >>= 1
-        if k:
-            base = [
-                [sum(base[i][t] * base[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-    return result
+    """Integer power of a square rational matrix A, by repeated squaring of
+    the integer rows T = L*A; the power T**k is divided by L**k once."""
+    power, scale = _integer_rows(rows)
+    result, e = None, k
+    while e:
+        if e & 1:
+            result = power if result is None else _matmul(result, power)
+        e >>= 1
+        if e:
+            power = _matmul(power, power)
+    if result is None:
+        result = [[int(i == j) for j in range(len(power))] for i in range(len(power))]
+    den = scale**k
+    return [[Fraction(x, den) for x in row] for row in result]
 
 
 def generalized_nullspace_exact(mat_rows, mu: Fraction) -> list:
@@ -373,26 +367,23 @@ def generalized_nullspace_exact(mat_rows, mu: Fraction) -> list:
 
     The kernels N((M - mu*I)^k) grow strictly with k until the first k at
     which they stop growing, and stay put from then on; so the power is
-    raised one step at a time and the search stops there.  Denominators are
-    cleared once, so the powers are taken and eliminated in Python ints.
-    Scaling changes no kernel, and equal kernels have the same reduced row
-    echelon form, so the basis is the one nullspace_exact gives for
-    (M - mu*I)^n itself.
+    raised one step at a time and the search stops there.  M - mu*I is
+    scaled to integer rows once, so the powers are taken and eliminated in
+    Python ints.  Scaling changes no kernel, and equal kernels have the same
+    reduced row echelon form, so the basis is the one nullspace_exact gives
+    for (M - mu*I)^n itself.
     """
     n = len(mat_rows)
     mu = exact_fraction(mu)
-    rows = [[exact_fraction(e) for e in row] for row in mat_rows]
-    denom = math.lcm(mu.denominator, *(e.denominator for row in rows for e in row))
-    base = [_scaled(row, denom) for row in rows]
-    for i in range(n):
-        base[i][i] -= mu.numerator * (denom // mu.denominator)
-    cols = list(zip(*base))
+    base, _ = _integer_rows(
+        [[exact_fraction(e) - mu if i == j else e for j, e in enumerate(row)] for i, row in enumerate(mat_rows)]
+    )
     power = base
     basis = nullspace_exact(power)
     for _ in range(1, n):
         if not 0 < len(basis) < n:
             break
-        power = [[sum(map(operator.mul, row, col)) for col in cols] for row in power]
+        power = _matmul(power, base)
         grown = nullspace_exact(power)
         if len(grown) == len(basis):
             break
@@ -403,27 +394,36 @@ def generalized_nullspace_exact(mat_rows, mu: Fraction) -> list:
 # characteristic polynomial + Sturm root counting ---------------------------
 
 
+def _faddeev_leverrier(rows) -> tuple:
+    """(coefficients of det(t*I - A), adj(A)) for a square rational matrix A,
+    exactly, by Faddeev-LeVerrier on the integer rows B = L*A.
+
+    M_1 = I, c_k = -tr(B*M_k)/k and M_(k+1) = B*M_k + c_k*I: one product per
+    step.  Every c_k is a coefficient of the integer matrix B, so each
+    division is exact; A's coefficients are c_k / L**k.  By Cayley-Hamilton
+    B*M_n = -c_n*I, so adj(A) = (-1)**(n+1) * M_n / L**(n-1), singular A
+    included."""
+    B, scale = _integer_rows(rows)
+    n = len(B)
+    coeffs = [1]
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    BM = B
+    for k in range(1, n + 1):
+        coeffs.append(-sum(BM[i][i] for i in range(n)) // k)
+        if k < n:
+            M = [[e + coeffs[k] * (i == j) for j, e in enumerate(row)] for i, row in enumerate(BM)]
+            BM = _matmul(B, M)
+    den = (-1) ** (n + 1) * scale ** max(n - 1, 0)
+    return (
+        [Fraction(c, scale**k) for k, c in enumerate(coeffs)],
+        [[Fraction(e, den) for e in row] for row in M],
+    )
+
+
 def charpoly_exact(P: NonnegMatrix) -> list:
     """Coefficients of det(t*I - P), highest power first, exact rationals
     (Faddeev-LeVerrier)."""
-    n = P.n
-    a = _rational_rows(P)
-    coeffs = [Fraction(1)]
-    m = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    am = a
-    c = Fraction(1)
-    for k in range(1, n + 1):
-        if k > 1:
-            m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-            am = [
-                [sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-        else:
-            am = a
-        c = -sum(am[i][i] for i in range(n)) / k
-        coeffs.append(c)
-    return coeffs
+    return _faddeev_leverrier(P.rows)[0]
 
 
 def _poly_divmod(num, den):

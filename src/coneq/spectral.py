@@ -178,14 +178,14 @@ def _back_substitute(P, tax, target, lam, tol, share=0) -> tuple:
     into b_c and solves (lam*I - B_c)x_c for the rest, by exact elimination
     in rational mode.  So the result is exact when P is rational, lam is a
     Fraction and each Perron block is a singleton or has constant row sums
-    (its Perron vector is then the all-ones vector); floats otherwise.
+    (its radius is then a Fraction and its Perron vector the all-ones
+    vector); floats otherwise.
     """
     an = tax.analysis
     involved = [c for c in reversed(range(an.class_count)) if an.has_access(c, target)]
     perron = {c for c in involved if scalars_equal(tax.radii[c], lam, tol)}
     exact = P.mode == RATIONAL and isinstance(lam, Fraction) and all(
-        len(an.classes[c]) == 1 or _block_exact_row_sum(_block(P, an.classes[c])) is not None
-        for c in perron
+        isinstance(tax.radii[c], Fraction) for c in perron
     )
     mode = RATIONAL if exact else FLOAT
     work = P if mode == P.mode else P.to_float()

@@ -32,6 +32,8 @@ def docs(tmp_path_factory):
         "e1_3.json": {"entries": [1, 0, 0]},
         "e3.json": {"entries": [0, 0, 1]},
         "x12.json": {"entries": [1, 2]},
+        "half.json": {"entries": [["1/2"]]},
+        "nilpotent.json": {"entries": [[0, 1], [0, 0]]},
         # two radius-2 classes, {2, 3} with access to {4, 5}: rho = 2 is
         # defective, and float eigenvalues split it by about 1e-8
         "peak.json": {
@@ -264,6 +266,13 @@ class TestCheck:
             "peak.json",
             {"counterexample": None, "pass": True, "samples": ["5/4", "3/2", "7/4"]},
         ),
+        # rho < 1: the shifts stay positive; rho = 0: no positive shift to probe
+        (
+            "cor4.20",
+            "half.json",
+            {"counterexample": None, "pass": True, "samples": ["1/8", "1/4", "3/8"]},
+        ),
+        ("cor4.20", "nilpotent.json", {"counterexample": None, "pass": True, "samples": []}),
     ]
 
     @pytest.mark.parametrize("prop,matrix,expected", CASES)

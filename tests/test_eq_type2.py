@@ -101,6 +101,28 @@ def _ref_det(rows):
     return det
 
 
+def _ref_adjugate(rows):
+    """The cofactor adjugate: adj[j][i] = (-1)^(i+j) * minor_ij."""
+    n = len(rows)
+    adj = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+            adj[j][i] = (-1) ** (i + j) * _ref_det(minor)
+    return adj
+
+
+def _ref_resolvent_sign(P, lam):
+    """The exact branch of resolvent_sign as it was: the Fraction inverse of
+    P - lam*I and the cofactor adjugate of lam*I - P."""
+    n = P.n
+    shifted = [[P.rows[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)]
+    det, inv = _ref_det_and_inverse(shifted, Counter())
+    inverse_positive = None if det == 0 else all(e > 0 for row in inv for e in row)
+    adj = _ref_adjugate([[-e for e in row] for row in shifted])
+    return eq_type2.ResolventSign(inverse_positive, all(e > 0 for row in adj for e in row))
+
+
 def _fuzz_square(rnd, seen):
     """A square rational matrix over unequal denominators, with negative and
     zero entries; at times singular through a repeated or combined row."""
@@ -361,40 +383,40 @@ class TestResolventSign:
         assert (rs.inverse_positive, rs.adjugate_positive) == (None, True)
 
     def test_determinant_and_inverse_match_the_fraction_elimination(self):
-        # the integer kernel's determinant and inverse equal the Fraction
-        # loops', on fuzzed singular and nonsingular matrices with row swaps,
-        # negative pivots and unequal denominators
+        # one Faddeev-LeVerrier pass gives the determinant of the Fraction
+        # elimination and the full cofactor adjugate (det times the inverse
+        # when nonsingular), on fuzzed singular and nonsingular matrices with
+        # row swaps, negative pivots and unequal denominators
         rnd = rng(1003)
         seen = Counter()
         for _ in range(600):
             rows = _fuzz_square(rnd, seen)
-            det, inv = eq_type2._det_and_inverse_exact(rows)
-            assert (det, inv) == _ref_det_and_inverse(rows, seen), rows
-            assert type(det) is Fraction
-            assert eq_type2._det_exact(rows) == _ref_det(rows) == det
-            assert type(eq_type2._det_exact(rows)) is Fraction
-            minor = [row[1:] for row in rows[1:]]
-            assert eq_type2._det_exact(minor) == _ref_det(minor)
-        assert eq_type2._det_exact([]) == 1
+            coeffs, adj = oracle._faddeev_leverrier(rows)
+            det, inv = _ref_det_and_inverse(rows, seen)
+            assert (-1) ** len(rows) * coeffs[-1] == det == _ref_det(rows), rows
+            assert adj == _ref_adjugate(rows), rows
+            if inv is not None:
+                assert adj == [[det * e for e in row] for row in inv]
+            assert all(type(e) is Fraction for e in coeffs + [e for row in adj for e in row])
+        assert oracle._faddeev_leverrier([]) == ([1], [])
         kinds = ("singular", "nonsingular", "row swap", "negative pivot", "unequal denominators")
         assert all(seen[k] >= 50 for k in kinds), seen
 
-    def test_verdicts_match_the_fraction_elimination(self, monkeypatch):
-        # resolvent_sign gives the verdicts of the Fraction loops at, below
-        # and above the radius of fuzzed irreducible matrices
+    def test_verdicts_match_the_fraction_elimination(self):
+        # resolvent_sign gives the verdicts of the Fraction elimination and
+        # the cofactor adjugate at, below and above the radius of fuzzed
+        # irreducible matrices, and reaches each verdict pair often
         rnd = rng(1004)
-        cases = []
-        for _ in range(30):
+        seen = Counter()
+        for _ in range(60):
             P = fuzz_irreducible(rnd)
             rho = spectral_radius(P)
-            cases += [(P, lam) for lam in (rho, rho - F(1, 3), rho + F(1, 3), rho / 2, F(0))]
-        got = [resolvent_sign(P, lam) for P, lam in cases]
-        monkeypatch.setattr(eq_type2, "_det_and_inverse_exact", lambda rows: _ref_det_and_inverse(rows, Counter()))
-        monkeypatch.setattr(eq_type2, "_det_exact", _ref_det)
-        assert got == [resolvent_sign(P, lam) for P, lam in cases]
-        assert {(rs.inverse_positive, rs.adjugate_positive) for rs in got} >= {
-            (True, True), (False, True), (None, True), (False, False)
-        }
+            for lam in (rho, rho - F(1, 3), rho + F(1, 3), rho / 2, F(0)):
+                rs = resolvent_sign(P, lam)
+                assert rs == _ref_resolvent_sign(P, lam), (P.rows, lam)
+                seen[rs.inverse_positive, rs.adjugate_positive] += 1
+        pairs = ((True, True), (False, True), (None, True), (False, False))
+        assert all(seen[k] >= 20 for k in pairs), seen
 
     def test_requires_an_irreducible_matrix(self):
         with assert_raises(InvalidInput):

@@ -1,6 +1,8 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and no private module-level name goes unused by the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import coneq
@@ -29,3 +31,47 @@ def test_no_unused_imports():
     assert len(modules) >= 9
     unused = {p.name: _unused_imports(p) for p in modules}
     assert not any(unused.values()), {k: v for k, v in unused.items() if v}
+
+
+def _private_definitions(tree):
+    """(name, node) for each module-level def, class or assignment of a
+    private name (one leading underscore)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(node) -> Counter:
+    """Names read under a node: loaded names, attributes and imported names."""
+    refs = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            refs.update(alias.name for alias in sub.names)
+    return refs
+
+
+def test_no_dead_private_helpers():
+    # a private helper that no package module reads outside its own
+    # definition is dead code; references from the tests do not count
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert len(trees) >= 10
+    refs = sum((_references(tree) for tree in trees.values()), Counter())
+    dead = sorted(
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree)
+        if refs[name] <= _references(node)[name]
+    )
+    assert not dead, dead

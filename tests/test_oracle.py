@@ -313,6 +313,35 @@ def _ref_nullspace(mat_rows, seen):
     return basis
 
 
+def _ref_matrix_power(rows, k):
+    """matrix_power_exact as it was: repeated squaring on Fractions."""
+    n = len(rows)
+    result = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    base = [[Fraction(e) for e in row] for row in rows]
+    while k:
+        if k & 1:
+            result = [[sum(result[i][t] * base[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        k >>= 1
+        if k:
+            base = [[sum(base[i][t] * base[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    return result
+
+
+def _ref_charpoly(rows):
+    """charpoly_exact as it was: Faddeev-LeVerrier on Fractions."""
+    n = len(rows)
+    a = [[Fraction(e) for e in row] for row in rows]
+    coeffs = [Fraction(1)]
+    am, c = a, Fraction(1)
+    for k in range(1, n + 1):
+        if k > 1:
+            m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+            am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        c = -sum(am[i][i] for i in range(n)) / k
+        coeffs.append(c)
+    return coeffs
+
+
 def _fuzz_system(rnd, seen):
     """Rows and a right-hand side of M x = rhs, m != n or square: zero,
     repeated and combined rows, pure-int rows, float entries and rows of
@@ -723,21 +752,62 @@ class TestExactLinearAlgebra:
 
     def test_kernel_reduces_to_integer_echelon_form(self):
         # T / d is the reduced row echelon form: every pivot entry is d and
-        # every other entry of a pivot column is 0; the determinant of a
-        # square matrix comes out too, 0 when it is singular
-        T_, pivots, d, det = oracle._gauss_jordan([[0, 2, 4], [Fraction(1, 2), 1, 0], [1, 2, 0]], 3)
-        assert pivots == [0, 1] and d > 0 and det == 0
+        # every other entry of a pivot column is 0
+        singular = [[0, 2, 4], [Fraction(1, 2), 1, 0], [1, 2, 0]]
+        T_, pivots, d = oracle._gauss_jordan(singular, 3)
+        assert pivots == [0, 1] and d > 0
         for i, col in enumerate(pivots):
             assert [row[col] for row in T_] == [d if k == i else 0 for k in range(3)]
         assert [Fraction(e, d) for e in T_[0]] == [1, 0, -4]
-        assert oracle._gauss_jordan([[0, 1], [-2, 0]], 2)[3] == 2
-        assert oracle._gauss_jordan([[Fraction(1, 3), 1], [0.5, 0]], 2)[3] == Fraction(-1, 2)
-        assert oracle._gauss_jordan([[1, 2, 3]], 3)[3] is None
+
+    def test_determinants_from_the_characteristic_polynomial(self):
+        # det(A) = (-1)^n * c_n, 0 when A is singular; row swaps, negative
+        # pivots and float entries are no special case
+        def det(rows):
+            return (-1) ** len(rows) * oracle._faddeev_leverrier(rows)[0][-1]
+
+        assert det([[0, 2, 4], [Fraction(1, 2), 1, 0], [1, 2, 0]]) == 0
+        assert det([[0, 1], [-2, 0]]) == 2
+        assert det([[Fraction(1, 3), 1], [0.5, 0]]) == Fraction(-1, 2)
+        assert det([]) == 1
 
     def test_matrix_power(self):
         sq = matrix_power_exact([[1, 1], [0, 1]], 5)
         assert sq == [[Fraction(1), Fraction(5)], [Fraction(0), Fraction(1)]]
         assert matrix_power_exact([[3]], 0) == [[Fraction(1)]]
+        assert matrix_power_exact([], 3) == []
+
+    def test_power_and_charpoly_match_the_fraction_loops(self):
+        # the integer products give the Fraction loops' powers (k = 0
+        # included) and characteristic polynomials, value for value and all
+        # Fractions, on fuzzed square rows with negative, float and
+        # pure-int entries over unequal denominators, and on the fuzzed
+        # nonnegative matrices in both modes
+        rnd = rng(211)
+        seen = Counter()
+        cases = []
+        for _ in range(300):
+            rows = _fuzz_system(rnd, seen)[0]
+            n = min(len(rows), len(rows[0]))
+            cases.append([row[:n] for row in rows[:n]])
+        for _ in range(60):
+            P = fuzz_matrix(rnd, n_max=6)
+            cases += [[list(r) for r in P.rows], [list(r) for r in P.to_float().rows]]
+        for rows in cases:
+            for k in (0, 1, 2, 3, len(rows), 7):
+                power = matrix_power_exact(rows, k)
+                assert power == _ref_matrix_power(rows, k), (rows, k)
+                assert all(type(e) is Fraction for row in power for e in row)
+            coeffs = oracle._faddeev_leverrier(rows)[0]
+            assert coeffs == _ref_charpoly(rows), rows
+            assert all(type(c) is Fraction for c in coeffs)
+        for _ in range(40):
+            P = fuzz_matrix(rnd, n_max=6)
+            for Q in (P, P.to_float()):
+                assert charpoly_exact(Q) == _ref_charpoly(Q.rows)
+        kinds = ("pure-int row", "float entry", "Fraction row", "unequal denominators")
+        assert all(seen[k] >= 50 for k in kinds), seen
+        assert sum(any(e < 0 for row in rows for e in row) for rows in cases) >= 100
 
     def test_generalized_nullspace(self):
         basis = generalized_nullspace_exact([[1, 1], [0, 1]], Fraction(1))
