@@ -353,7 +353,7 @@ def _transpose_generalized_basis(P: NonnegMatrix, mu: Fraction) -> tuple:
     return tuple(tuple(z) for z in oracle.generalized_nullspace_exact(t_rows, mu))
 
 
-def _orthogonal_exact(P, b, lam, tol, dvals) -> Optional[bool]:
+def _orthogonal_exact(P, b, lam, tol, dvals) -> Optional[tuple]:
     """Exact form of the distinguished-orthogonality condition, when every
     distinguished eigenvalue >= lambda is an exact rational; None otherwise.
     Returns (f_verdict, j_verdict)."""

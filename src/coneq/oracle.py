@@ -5,17 +5,21 @@ local spectral radius, and exact characteristic-polynomial root counting.
 The LP solver is a two-phase tableau simplex with Bland's rule on integers
 over one common denominator, pivoted fraction-free (Bareiss), so verdicts
 are exact and termination is guaranteed.  All variables are nonnegative;
->= rows get slack variables internally.  Each face question (which
-coordinates a cone of nonnegative solutions can make positive) is one
-maximal-support LP, max_support.  The signed solve and the exact
-nullspaces share the LP's fraction-free integer pivot in one Gauss-Jordan
-kernel.  Exact matrix algebra runs on integer rows over one common
-denominator (_integer_rows) with one product (_matmul): the matrix powers,
-and one Faddeev-LeVerrier pass for each characteristic polynomial,
-determinant and adjugate.  The float-lane helpers (eig_all,
-decompose_generalized, krylov_local_rho) are deliberately independent of the
-combinatorial modules so the two routes can disagree loudly in tests if one
-of them is wrong.
+>= rows get slack variables internally.  A >= row that x = 0 satisfies
+(right-hand side <= 0) starts with its slack basic, so only the other rows
+get artificial columns, and phase 1 is skipped when no row needs one.  The
+slack columns are the exact ones times a positive factor, which keeps every
+Bland choice of the rational tableau from that start.  Each face question
+(which coordinates a cone of nonnegative solutions can make positive) is
+one maximal-support LP, max_support, whose rows all hold at x = 0.  The
+signed solve and the exact nullspaces share the LP's fraction-free integer
+pivot in one Gauss-Jordan kernel.  Exact matrix algebra runs on integer
+rows over one common denominator (_integer_rows) with one product
+(_matmul): the matrix powers, and one Faddeev-LeVerrier pass for each
+characteristic polynomial, determinant and adjugate.  The float-lane
+helpers (eig_all, decompose_generalized, krylov_local_rho) are deliberately
+independent of the combinatorial modules so the two routes can disagree
+loudly in tests if one of them is wrong.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .core import (
 )
 
 RANK_REL = 1e-8  # relative singular-value threshold for rank decisions
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -153,25 +158,39 @@ def solve_lp(problem: LPProblem) -> LPResult:
 
     All rows of [A | b] are scaled to integers by one common factor: that
     scales the artificial variables and the phase-1 cost uniformly, so the
-    pivots are the ones a rational tableau takes."""
+    pivots are the ones a rational tableau takes.  A >= row whose
+    right-hand side is <= 0 holds at x = 0, so it starts with its own slack
+    basic; only the other rows get an artificial, and phase 1 runs only if
+    some row has one.  Each slack is written as -1, not -scale: a positive
+    column scale, which changes no reduced-cost sign and no ratio order, so
+    Bland's rule takes the pivots of the rational tableau from that start."""
     n, n_eq = problem.n, len(problem.eq_rows)
     rows = problem.eq_rows + problem.ge_rows
     m = len(rows)
     total = n + m - n_eq  # >= rows get slack variables
     scale = math.lcm(*(e.denominator for coeffs, rhs in rows for e in (*coeffs, rhs)))
-    tableau = []
+    slack_start = [r >= n_eq and rhs <= 0 for r, (coeffs, rhs) in enumerate(rows)]
+    n_art = m - sum(slack_start)
+    tableau, basis, art = [], [], total
     for r, (coeffs, rhs) in enumerate(rows):
-        row = _scaled(coeffs, scale) + [0] * (total - n + m) + _scaled([rhs], scale)
+        row = _scaled(coeffs, scale) + [0] * (total - n + n_art) + _scaled([rhs], scale)
         if r >= n_eq:
-            row[n + r - n_eq] = -scale
-        if rhs < 0:  # nonnegative right-hand sides
+            row[n + r - n_eq] = -1
+        if rhs < 0 or slack_start[r]:  # nonnegative right-hand sides, basic slacks +1
             row = [-e for e in row]
-        row[total + r] = 1  # artificial
+        if slack_start[r]:
+            basis.append(n + r - n_eq)
+        else:
+            row[art] = 1  # artificial
+            basis.append(art)
+            art += 1
         tableau.append(row)
-    basis = [total + r for r in range(m)]
-    status, value, d, pivots = _simplex_min(tableau, basis, 1, [0] * total + [1] * m)
-    if status != "optimal" or value != 0:
-        return LPResult("infeasible", None, None, pivots)
+    d, pivots = 1, 0
+    if n_art:
+        cost = [0] * total + [1] * n_art
+        status, value, d, pivots = _simplex_min(tableau, basis, d, cost)
+        if status != "optimal" or value != 0:
+            return LPResult("infeasible", None, None, pivots)
     # drive artificials out of the basis, dropping redundant rows
     keep = []
     for r in range(m):
@@ -247,18 +266,16 @@ def max_support(forms, eq_rows=()) -> frozenset:
     if not m:
         return frozenset()
     n = len(forms[0])
-    pad = [0] * m
-    ge_rows = [([*row, *pad[:i], -1, *pad[i + 1:]], 0) for i, row in enumerate(forms)]
-    ge_rows += [([0] * n + [-int(j == i) for j in range(m)], -1) for i in range(m)]
+    pad, x_pad = [_ZERO] * m, [_ZERO] * n  # shared constants: build makes no Fraction
+    minus_t = [[*pad[:i], _MINUS_ONE, *pad[i + 1:]] for i in range(m)]
+    ge_rows = [([*row, *minus_t[i]], _ZERO) for i, row in enumerate(forms)]
+    ge_rows += [([*x_pad, *t], _MINUS_ONE) for t in minus_t]
     res = solve_lp(LPProblem.build(
-        n + m, [([*row, *pad], 0) for row in eq_rows], ge_rows, [0] * n + [1] * m, True
+        n + m, [([*row, *pad], _ZERO) for row in eq_rows], ge_rows, [*x_pad, *([_ONE] * m)], True
     ))
     if res.status != "optimal":  # x = 0 is feasible and sum(t) <= m
         raise NumericFailure(f"maximal-support LP ended {res.status}")
     return frozenset(i + 1 for i, t in enumerate(res.witness[n:]) if t)
-
-
-_ZERO = Fraction(0)
 
 
 def shifted_image_rows(P: NonnegMatrix, lam: Scalar, sign: int = 1):

@@ -41,9 +41,11 @@ A = mat([[2, 1, 0], [0, 1, 0], [0, 0, 1]])
 
 
 # The two-phase Fraction simplex that solve_lp replaced, kept as the
-# reference for the integer tableau.  It also counts what the fuzz reaches:
-# pivots, ratio ties, negative pivots (driving artificials out) and dropped
-# redundant rows.
+# reference for the integer tableau, from solve_lp's start (slack_start) and
+# from the all-artificial start it had before.  It also counts what the fuzz
+# reaches: pivots, ratio ties, negative pivots (driving artificials out),
+# dropped redundant rows, and LPs that start with every row's slack basic
+# (no phase 1) or with slack-basic and artificial rows mixed.
 
 
 def _ref_pivot(tableau, basis, row, col, seen):
@@ -93,9 +95,12 @@ def _ref_simplex_min(tableau, basis, cost, seen):
             z = [e - f * p for e, p in zip(z, tableau[best_row])]
 
 
-def _ref_solve_lp(problem, seen):
-    """(status, witness, objective, pivots) of the Fraction simplex."""
-    n = problem.n
+def _ref_solve_lp(problem, seen, slack_start=True):
+    """(status, witness, objective, pivots) of the Fraction simplex.  With
+    slack_start, a >= row whose right-hand side is <= 0 starts with its
+    slack basic and only the other rows get an artificial, as in solve_lp;
+    without it every row gets one, as solve_lp did before."""
+    n, n_eq = problem.n, len(problem.eq_rows)
     rows = []
     n_slack = len(problem.ge_rows)
     total = n + n_slack
@@ -106,21 +111,28 @@ def _ref_solve_lp(problem, seen):
         slack[k] = Fraction(-1)
         rows.append(([*coeffs] + slack, rhs))
     m = len(rows)
-    tableau = []
-    for coeffs, rhs in rows:
-        if rhs < 0:
+    starts = [slack_start and r >= n_eq and rhs <= 0 for r, (_, rhs) in enumerate(rows)]
+    n_art = starts.count(False)
+    seen["slack start"] += m > 0 and n_art == 0
+    seen["mixed start"] += 0 < n_art < m
+    tableau, basis = [], []
+    for r, (coeffs, rhs) in enumerate(rows):
+        if rhs < 0 or starts[r]:
             coeffs = [-c for c in coeffs]
             rhs = -rhs
-        tableau.append(list(coeffs) + [Fraction(0)] * m + [rhs])
-    for r in range(m):
-        tableau[r][total + r] = Fraction(1)
-    basis = [total + r for r in range(m)]
+        tableau.append(list(coeffs) + [Fraction(0)] * n_art + [rhs])
+        if starts[r]:
+            basis.append(n + r - n_eq)
+        else:
+            basis.append(total + r - sum(starts[:r]))
+            tableau[r][basis[r]] = Fraction(1)
     before = seen["pivots"]
-    status, value = _ref_simplex_min(
-        tableau, basis, [Fraction(0)] * total + [Fraction(1)] * m, seen
-    )
-    if status != "optimal" or value != 0:
-        return "infeasible", None, None, seen["pivots"] - before
+    if n_art:
+        status, value = _ref_simplex_min(
+            tableau, basis, [Fraction(0)] * total + [Fraction(1)] * n_art, seen
+        )
+        if status != "optimal" or value != 0:
+            return "infeasible", None, None, seen["pivots"] - before
     keep = []
     for r in range(m):
         if basis[r] >= total:
@@ -595,20 +607,38 @@ class TestLP:
                         _generalized_null_is_eigen(P, lam)
         monkeypatch.undo()
         problems += recorded
-        seen = Counter()
+        fuzzed, seen = Counter(), Counter()
         statuses = Counter()
-        for prob in problems:
-            want = _ref_solve_lp(prob, seen)
+        for k, prob in enumerate(problems):
+            want = _ref_solve_lp(prob, fuzzed if k < 900 else seen)
             res = solve_lp(prob)
             assert (res.status, res.witness, res.objective, res.pivots) == want, prob
             kind = "none" if prob.objective is None else "max" if prob.maximize else "min"
             statuses[res.status, "-" if res.status == "infeasible" else kind] += 1
+        # the fuzzed LPs start from slack-basic, artificial and mixed bases
+        assert fuzzed["mixed start"] >= 200 and fuzzed["slack start"] >= 30, fuzzed
+        seen += fuzzed
         # optimal under each kind of objective, unbounded min and max, infeasible
         assert len(statuses) == 6 and min(statuses.values()) >= 20, statuses
         assert seen["ties"] >= 50 and seen["negative pivots"] >= 10, seen
         assert seen["dropped rows"] >= 10, seen
 
-    def test_pivot_count(self):
+    def test_slack_start_keeps_every_status_and_optimum(self):
+        # the slack-basic start changes the pivots, never the status or the
+        # optimum: solve_lp against the all-artificial Fraction simplex on
+        # the fuzz of test_matches_the_fraction_simplex, in fewer pivots
+        rnd = rng(91)
+        pivots = Counter()
+        for _ in range(900):
+            prob = _fuzz_lp(rnd)
+            status, _, objective, old_pivots = _ref_solve_lp(prob, Counter(), slack_start=False)
+            res = solve_lp(prob)
+            assert (res.status, res.objective) == (status, objective), prob
+            pivots["old"] += old_pivots
+            pivots["new"] += res.pivots
+        assert pivots["new"] < pivots["old"], pivots
+
+    def test_pivot_count(self, monkeypatch):
         # no pivot when the artificial basis is already optimal and every
         # row is redundant; at least one as soon as a row must be pivoted in
         assert solve_lp(LPProblem.build(2, objective=(1, 2))).pivots == 0
@@ -620,6 +650,23 @@ class TestLP:
         assert pinned.pivots > 0
         infeasible = LPProblem.build(1, eq_rows=[((1,), 1), ((1,), 2)])
         assert solve_lp(infeasible).pivots > 0
+        # every >= row with a right-hand side <= 0 holds at x = 0: no pivot
+        slack_only = LPProblem.build(2, ge_rows=[((1, -1), 0), ((-1, Fraction(1, 2)), -3)])
+        res = lp_feasible(slack_only)
+        assert (res.status, res.witness, res.pivots) == ("optimal", (0, 0), 0)
+        # so the face LP without equality rows runs phase 2 only, and one
+        # with them runs phase 1 for the equality rows as well
+        runs = Counter()
+
+        def counted(*args, _real=oracle._simplex_min):
+            runs["simplex"] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(oracle, "_simplex_min", counted)
+        assert oracle.max_support([[1, -1], [0, 1]]) == {1, 2} and runs["simplex"] == 1
+        runs.clear()
+        assert oracle.max_support([[1, -1], [0, 1]], eq_rows=[[0, 1]]) == {1}
+        assert runs["simplex"] == 2
 
 
 class TestFaceQuestions:
@@ -643,6 +690,30 @@ class TestFaceQuestions:
                 verdicts[verdict] += 1
         assert min(faces[k] for k in ("empty", "full", "partial")) >= 50, faces
         assert min(verdicts[True], verdicts[False]) >= 50, verdicts
+
+    def test_slack_start_keeps_every_face_and_verdict(self, monkeypatch):
+        # the face probe's set and the null-space check's verdict, on fuzzed
+        # matrices at every probed shift, equal those that the all-artificial
+        # Fraction simplex gives in place of solve_lp
+        def all_artificial(prob):
+            return oracle.LPResult(*_ref_solve_lp(prob, Counter(), slack_start=False))
+
+        rnd = rng(709)
+        faces, verdicts = Counter(), Counter()
+        for P in _face_question_matrices(rnd, 15):
+            coeffs = charpoly_exact(P)
+            for lam in _face_shifts(P):
+                at_eigenvalue = oracle._poly_eval(coeffs, lam) == 0
+                new = solvable_face_probe(P, lam), at_eigenvalue and _generalized_null_is_eigen(P, lam)
+                with monkeypatch.context() as patched:
+                    patched.setattr(oracle, "solve_lp", all_artificial)
+                    old = solvable_face_probe(P, lam), at_eigenvalue and _generalized_null_is_eigen(P, lam)
+                assert new == old, (P.rows, lam)
+                faces["empty" if not new[0] else "full" if len(new[0]) == P.n else "partial"] += 1
+                if at_eigenvalue:
+                    verdicts[new[1]] += 1
+        assert min(faces[k] for k in ("empty", "full", "partial")) >= 50, faces
+        assert verdicts[True] >= 30 and verdicts[False] >= 10, verdicts
 
     def test_each_face_question_is_one_lp(self, monkeypatch):
         calls = Counter()
