@@ -60,13 +60,6 @@ class AltResult:
     value: Optional[int]  # the exact length, or the verified lower bound
     iterates_checked: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "value": self.value,
-            "iterates_checked": self.iterates_checked,
-        }
-
 
 def _signed_iterate(P: NonnegMatrix, s, entries) -> tuple:
     """(P - s*I) applied to raw entries."""
@@ -170,14 +163,6 @@ class AlternatingBoundReport:
     ord: int
     nu: int
     gamma_deduction: Optional[bool]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m_observed": self.m_observed,
-            "ord": self.ord,
-            "nu": self.nu,
-            "gamma_deduction": self.gamma_deduction,
-        }
 
 
 def alternating_bound_report(

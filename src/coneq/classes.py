@@ -34,6 +34,7 @@ from .core import (
     scalar_le,
     scalar_lt,
     scalars_equal,
+    to_json,
 )
 
 
@@ -261,18 +262,10 @@ class ClassTaxonomy:
         return tuple(c for c in range(len(self.radii)) if not blocked >> c & 1)
 
     def to_json_dict(self) -> dict:
-        from .core import format_scalar
-
-        return {
-            "radii": [format_scalar(r) for r in self.radii],
-            "rho": format_scalar(self.rho),
-            "basic": list(self.basic),
-            "final": list(self.final),
-            "initial": list(self.initial),
-            "distinguished": list(self.distinguished),
-            "distinguished_transpose": list(self.distinguished_transpose),
-            "semi_distinguished": list(self.semi_distinguished),
-        }
+        """Every field but the analysis and the deduplicated eigenvalues."""
+        names = ("radii", "rho", "basic", "final", "initial", "distinguished",
+                 "distinguished_transpose", "semi_distinguished")
+        return {name: to_json(getattr(self, name)) for name in names}
 
 
 def classify(

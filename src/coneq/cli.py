@@ -22,10 +22,10 @@ from .core import (
     NumericFailure,
     as_scalar,
     exact_fraction,
-    format_scalar,
     one,
     scalar_lt,
     scalars_equal,
+    to_json,
 )
 
 PROPERTY_IDS = (
@@ -113,7 +113,7 @@ def _cmd_analyze(P: NonnegMatrix, tol) -> dict:
     out["spectral"] = spectral.spectral_report(P, tol).to_json_dict()
     out["faces"] = [
         {
-            "eigenvalue": format_scalar(lam),
+            "eigenvalue": lam,
             "eigenvector_face": sorted(tax.accessor_vertices(tax.distinguished_at(lam, tol))),
             "necessary_face": sorted(eq_type2.necessary_face(P, lam, tol)),
         }
@@ -168,12 +168,7 @@ def _check_type1_battery(P: NonnegMatrix, tol) -> dict:
             cases += 1
             votes = (rep.b, rep.g, rep.h, rep.j)
             if not rep.consistent or any(v != lp for v in votes):
-                bad = bad or {
-                    "lambda": format_scalar(lam),
-                    "b": [format_scalar(e) for e in b.entries],
-                    "battery": rep.to_json_dict(),
-                    "lp": lp,
-                }
+                bad = bad or {"lambda": lam, "b": b, "battery": rep, "lp": lp}
     return {"pass": bad is None, "cases": cases, "counterexample": bad}
 
 
@@ -204,11 +199,7 @@ def _check_above_regime(P: NonnegMatrix, tol) -> dict:
                 elif not (scalars_equal(pair.rho, lam, tol) and pair.order == 1):
                     issue = "constructed solution has the wrong spectral pair"
             if issue is not None:
-                bad = bad or {
-                    "lambda": format_scalar(lam),
-                    "b": [format_scalar(e) for e in b.entries],
-                    "issue": issue,
-                }
+                bad = bad or {"lambda": lam, "b": b, "issue": issue}
     return {"pass": bad is None, "cases": cases, "counterexample": bad}
 
 
@@ -283,13 +274,9 @@ def _check_window_below_rho(P: NonnegMatrix, tol) -> dict:
     for k in (1, 2, 3):
         lam = t + (rho - t) * k / 4
         probe = eq_type2.solvable_face_probe(P, lam, tol)
-        samples.append(format_scalar(lam))
+        samples.append(lam)
         if probe != expected:
-            bad = bad or {
-                "lambda": format_scalar(lam),
-                "probe": sorted(probe),
-                "expected": sorted(expected),
-            }
+            bad = bad or {"lambda": lam, "probe": sorted(probe), "expected": sorted(expected)}
     return {"pass": bad is None, "samples": samples, "counterexample": bad}
 
 
@@ -312,10 +299,7 @@ def _check_rho_attained(P: NonnegMatrix, tol) -> dict:
 
 def _check_zero_intersection(P: NonnegMatrix, tol) -> dict:
     rep = collatz_wielandt.zero_intersection_conditions(P, tol)
-    ok = rep.a == rep.b == rep.c
-    out = rep.to_json_dict()
-    out["pass"] = ok
-    return out
+    return {**vars(rep), "pass": rep.a == rep.b == rep.c}
 
 
 def _check_alternating_bounds(P: NonnegMatrix, tol) -> dict:
@@ -329,10 +313,7 @@ def _check_alternating_bounds(P: NonnegMatrix, tol) -> dict:
             and rep.gamma_deduction is not False
         )
         if not ok:
-            bad = bad or {
-                "x": [format_scalar(e) for e in x.entries],
-                "report": rep.to_json_dict(),
-            }
+            bad = bad or {"x": x, "report": rep}
     return {"pass": bad is None, "cases": cases, "counterexample": bad}
 
 
@@ -349,10 +330,7 @@ def _check_membership_gap(P: NonnegMatrix, tol) -> dict:
             rep = eq_type2.image_membership(P, lam, b, tol)
             cases += 1
             if rep.in_s2 and not rep.in_s3:
-                bad = bad or {
-                    "lambda": format_scalar(lam),
-                    "b": [format_scalar(e) for e in b.entries],
-                }
+                bad = bad or {"lambda": lam, "b": b}
             if rep.in_s3 and not rep.in_s2:
                 gap += 1
     return {"pass": bad is None, "cases": cases, "gap_examples": gap, "counterexample": bad}
@@ -421,7 +399,8 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
-def _dispatch(args) -> dict:
+def _dispatch(args):
+    """The verb's report or result dict, encoded by to_json in main."""
     mode = args.mode
     tol = DEFAULT_TOL
     P = _matrix_from_path(args.matrix, mode)
@@ -430,21 +409,21 @@ def _dispatch(args) -> dict:
     if args.verb == "solve1":
         lam = _read_scalar(args.lam, mode)
         b = _vector_from_path(args.b, mode, P.n)
-        return eq_type1.solve1(P, lam, b, tol).to_json_dict()
+        return eq_type1.solve1(P, lam, b, tol)
     if args.verb == "solve2":
         lam = _read_scalar(args.lam, mode)
         b = _vector_from_path(args.b, mode, P.n)
-        return eq_type2.solvable2(P, lam, b, tol).to_json_dict()
+        return eq_type2.solvable2(P, lam, b, tol)
     if args.verb == "cw":
         if args.x is not None:
             x = _vector_from_path(args.x, mode, P.n)
-            return collatz_wielandt.cw_numbers(P, x, tol).to_json_dict()
-        return collatz_wielandt.cw_sets(P, tol).to_json_dict()
+            return collatz_wielandt.cw_numbers(P, x, tol)
+        return collatz_wielandt.cw_sets(P, tol)
     if args.verb == "alt":
         s = _read_scalar(args.shift, mode)
         x = _vector_from_path(args.x, mode, P.n)
         Z = alternating.ZMatrix.make(s, P)
-        return alternating.alt_length(Z, x, args.max_steps, tol).to_json_dict()
+        return alternating.alt_length(Z, x, args.max_steps, tol)
     if args.verb == "check":
         return PROPERTY_SUITES[args.prop](P, tol)
     raise InvalidInput(f"unknown verb {args.verb!r}")
@@ -460,7 +439,7 @@ def main(argv=None) -> int:
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(to_json(payload), sort_keys=True))
     return 0
 
 

@@ -65,15 +65,6 @@ class CWReport:
     R_upper: Scalar  # math.inf when the image leaves the face of x
     rho_x: Scalar
 
-    def to_json_dict(self) -> dict:
-        from .core import format_scalar
-
-        return {
-            "r_lower": format_scalar(self.r_lower),
-            "R_upper": format_scalar(self.R_upper),
-            "rho_x": format_scalar(self.rho_x),
-        }
-
 
 def cw_numbers(P: NonnegMatrix, x: ConeVector, tol: Tolerance = DEFAULT_TOL) -> CWReport:
     """Lower and upper Collatz-Wielandt numbers of x, with its local radius."""
@@ -98,17 +89,6 @@ class CWSets:
     sup_omega1: Scalar
     inf_sigma1: Scalar
     inf_sigma1_attained: bool
-
-    def to_json_dict(self) -> dict:
-        from .core import format_scalar
-
-        return {
-            "sup_omega": format_scalar(self.sup_omega),
-            "inf_sigma": format_scalar(self.inf_sigma),
-            "sup_omega1": format_scalar(self.sup_omega1),
-            "inf_sigma1": format_scalar(self.inf_sigma1),
-            "inf_sigma1_attained": self.inf_sigma1_attained,
-        }
 
 
 def cw_sets(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> CWSets:
@@ -225,9 +205,6 @@ class ZeroIntersectionReport:
     b: bool
     c: bool
 
-    def to_json_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "c": self.c}
-
 
 def zero_intersection_conditions(
     P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL
@@ -286,15 +263,6 @@ class BoundaryReport:
     on_boundary: bool
     strict_iff: bool
 
-    def to_json_dict(self) -> dict:
-        from .core import format_scalar
-
-        return {
-            "b": [format_scalar(e) for e in self.b.entries],
-            "on_boundary": self.on_boundary,
-            "strict_iff": self.strict_iff,
-        }
-
 
 def boundary_report(P: NonnegMatrix, x: ConeVector, tol: Tolerance = DEFAULT_TOL) -> BoundaryReport:
     require_same_mode(P, x)
@@ -319,9 +287,6 @@ def boundary_report(P: NonnegMatrix, x: ConeVector, tol: Tolerance = DEFAULT_TOL
 class PowerLimitReport:
     exists: bool  # ground truth from the eigencomponent decomposition
     orbit_evidence: Optional[bool]  # advisory: did the scaled orbit settle?
-
-    def to_json_dict(self) -> dict:
-        return {"exists": self.exists, "orbit_evidence": self.orbit_evidence}
 
 
 def power_limit_exists(

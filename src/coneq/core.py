@@ -15,7 +15,7 @@ initial subsets are sets of integers drawn from {1, .., n}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -118,6 +118,27 @@ def format_scalar(s: Scalar):
     if math.isinf(s):
         return "inf"
     return s
+
+
+def to_json(value):
+    """The one JSON encoding of every report: a scalar goes through
+    format_scalar, a tuple or list becomes a list, a dict a dict, a
+    ConeVector its formatted entries and a dataclass an object of its
+    fields; anything else (bools, ints, strings, None) is returned
+    unchanged."""
+    if value is None or isinstance(value, (int, str)):  # bools are ints
+        return value
+    if isinstance(value, (Fraction, float)):
+        return format_scalar(value)
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: to_json(v) for k, v in value.items()}
+    if isinstance(value, ConeVector):
+        return to_json(value.entries)
+    if is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
 def scalars_equal(a: Scalar, b: Scalar, tol: Tolerance = DEFAULT_TOL) -> bool:

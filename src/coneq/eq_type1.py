@@ -114,22 +114,6 @@ class SolveReport1:
     residual_norm: Optional[Scalar]
     witness_class: Optional[int] = None
 
-    def to_json_dict(self) -> dict:
-        from .core import format_scalar
-
-        return {
-            "solvable": self.solvable,
-            "rho_b": format_scalar(self.rho_b),
-            "x0": [format_scalar(e) for e in self.x0.entries] if self.x0 else None,
-            "unique": self.unique,
-            "eigen_freedom": list(self.eigen_freedom),
-            "fired_condition": self.fired_condition,
-            "residual_norm": format_scalar(self.residual_norm)
-            if self.residual_norm is not None
-            else None,
-            "witness_class": self.witness_class,
-        }
-
 
 def solve1(P: NonnegMatrix, lam: Scalar, b: ConeVector, tol: Tolerance = DEFAULT_TOL) -> SolveReport1:
     """Decide and, if possible, construct the minimal nonnegative solution."""
@@ -208,13 +192,6 @@ class ConditionReport:
     i: bool
     j: bool
     consistent: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "b": self.b, "c": self.c, "d": self.d, "e": self.e, "f": self.f,
-            "g": self.g, "h": self.h, "i": self.i, "j": self.j,
-            "consistent": self.consistent,
-        }
 
 
 # cap on the entries of the squared powers; the square of a capped n x n

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from . import oracle
 from .classes import condense
 from .core import (
@@ -44,6 +42,7 @@ from .core import (
     Tolerance,
     as_scalar,
     exact_fraction,
+    lex_leq,
     scalar_le,
     scalar_lt,
     scalars_equal,
@@ -60,7 +59,6 @@ from .spectral import (
     local_spectral_radius,
     max_distinguished_order,
     spectral_pair,
-    spectral_radius,
     taxonomy,
 )
 
@@ -121,21 +119,6 @@ class SolveReport2:
     x: Optional[ConeVector]
     certificate: str  # "cor4_2" | "lp" | "necessary_violated"
     spectral_pair_of_x: Optional[SpectralPair]
-
-    def to_json_dict(self) -> dict:
-        from .core import format_scalar
-
-        pair = self.spectral_pair_of_x
-        return {
-            "regime": self.regime,
-            "solvable": self.solvable,
-            "rho_b": format_scalar(self.rho_b),
-            "x": [format_scalar(e) for e in self.x.entries] if self.x else None,
-            "certificate": self.certificate,
-            "spectral_pair_of_x": None
-            if pair is None
-            else {"rho": format_scalar(pair.rho), "order": pair.order},
-        }
 
 
 def solvable2(
@@ -244,64 +227,47 @@ class ResolventSign:
     inverse_positive: Optional[bool]  # None when P - lambda*I is singular
     adjugate_positive: bool
 
-    def to_json_dict(self):
-        return {
-            "inverse_positive": self.inverse_positive,
-            "adjugate_positive": self.adjugate_positive,
-        }
-
 
 def resolvent_sign(P: NonnegMatrix, lam: Scalar, tol: Tolerance = DEFAULT_TOL) -> ResolventSign:
     """Entrywise strict positivity of (P - lambda*I)^(-1) and adj(lambda*I - P)
-    for an irreducible matrix.  Exact in rational mode; the float path uses a
-    1e-7 positivity margin."""
+    for an irreducible matrix.  Exact in both modes: float input is read as
+    its binary value, as every LP reads it."""
     analysis = condense(P)
     if analysis.class_count != 1 or P.n == 0:
         raise InvalidInput("resolvent sign analysis requires an irreducible matrix")
-    n = P.n
-    if P.mode == RATIONAL:
-        # one pass on lambda*I - P; (P - lambda*I)^(-1) = -adj(lambda*I - P) / det
-        coeffs, adj = oracle._faddeev_leverrier(oracle.shifted_image_rows(P, lam, sign=-1))
-        det = (-1) ** n * coeffs[-1]
-        inverse_positive = None if det == 0 else all(-e / det > 0 for row in adj for e in row)
-        return ResolventSign(inverse_positive, all(e > 0 for row in adj for e in row))
-    a = P.to_numpy() - float(lam) * np.eye(n)
-    margin = 1e-7
-    try:
-        inv = np.linalg.inv(a)
-        inverse_positive = bool(np.all(inv > margin))
-    except np.linalg.LinAlgError:
-        inverse_positive = None
-    madj = _adjugate_float(-a)
-    adjugate_positive = bool(np.all(madj > margin))
-    return ResolventSign(inverse_positive, adjugate_positive)
-
-
-def _adjugate_float(a):
-    n = a.shape[0]
-    adj = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
-            sign = 1.0 if (i + j) % 2 == 0 else -1.0
-            adj[j, i] = sign * (np.linalg.det(minor) if n > 1 else 1.0)
-    return adj
+    # one pass on lambda*I - P; (P - lambda*I)^(-1) = -adj(lambda*I - P) / det
+    coeffs, adj = oracle._faddeev_leverrier(oracle.shifted_image_rows(P, lam, sign=-1))
+    det = (-1) ** P.n * coeffs[-1]
+    inverse_positive = None if det == 0 else all(-e / det > 0 for row in adj for e in row)
+    return ResolventSign(inverse_positive, all(e > 0 for row in adj for e in row))
 
 
 def subcritical_window(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> float:
     """Largest real eigenvalue strictly below the spectral radius (float),
-    -inf when there is none.  Eigenvalues within 1e-5*max(1,rho) of rho are
-    treated as part of the rho cluster (defective splits)."""
-    rho = float(spectral_radius(P, tol))
-    vals = oracle.eig_all(P, tol)
-    cluster = 1e-5 * max(1.0, rho)
-    best = -math.inf
-    for v in vals:
-        if v.imag != 0:
-            continue
-        if v.real < rho - cluster and v.real > best:
-            best = v.real
-    return best
+    -inf when there is none.  Exact in both modes, float input read as its
+    binary value: rho is the largest real root of the characteristic
+    polynomial (Perron-Frobenius), and Sturm bisection isolates the next
+    distinct real root below it."""
+    coeffs = oracle.charpoly_exact(P)
+    chain = oracle._sturm_chain(coeffs)
+    # every root lies in (-bound, bound) (Cauchy's bound; the polynomial is
+    # monic), and a power of two keeps every midpoint dyadic, so a dyadic
+    # root is met exactly and any other root has a unique nearest float
+    bound = Fraction(2 ** math.ceil(1 + max(map(abs, coeffs))).bit_length())
+    top = oracle._variations(chain, bound)
+    if oracle._variations(chain, -bound) - top < 2:
+        return -math.inf
+    lo, hi = -bound, bound  # the root sought lies in (lo, hi]
+    while float(lo) != float(hi):
+        mid = (lo + hi) / 2
+        above = oracle._variations(chain, mid) - top
+        if above >= 2:
+            lo = mid
+        elif above == 1 and oracle._poly_eval(coeffs, mid) == 0:
+            return float(mid)
+        else:
+            hi = mid
+    return float(hi)
 
 
 @dataclass(frozen=True)
@@ -309,9 +275,6 @@ class MembershipReport:
     in_s1: bool  # b is a nonnegative image with rho_b <= lambda
     in_s2: bool  # ... with preimage supported on the generalized eigenface
     in_s3: bool  # support + spectral-pair upper bound
-
-    def to_json_dict(self):
-        return {"in_s1": self.in_s1, "in_s2": self.in_s2, "in_s3": self.in_s3}
 
 
 def image_membership(
@@ -335,8 +298,6 @@ def image_membership(
     in_s2 = oracle.feasible_nonneg_solution(rows, rhs, support_within=j_verts).feasible
     m_lam = max_distinguished_order(P, lam, tol)
     pair_b = spectral_pair(P, b, tol)
-    from .core import lex_leq
-
     in_s3 = support(b) <= j_verts and lex_leq(
         pair_b, SpectralPair(as_scalar(lam, P.mode), m_lam - 1), tol
     )

@@ -478,11 +478,8 @@ def _poly_derivative(coeffs):
     return [c * (n - i) for i, c in enumerate(coeffs[:-1])]
 
 
-def count_real_roots_in(coeffs, a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots of the polynomial in the half-open
-    interval (a, b], via an exact Sturm chain."""
-    if not coeffs or len(coeffs) == 1:
-        return 0
+def _sturm_chain(coeffs) -> list:
+    """Sturm chain of the square-free part of a nonzero polynomial."""
     g = _poly_gcd(coeffs, _poly_derivative(coeffs))
     sqfree, _ = _poly_divmod(coeffs, g)
     chain = [sqfree, _poly_derivative(sqfree)]
@@ -491,16 +488,27 @@ def count_real_roots_in(coeffs, a: Fraction, b: Fraction) -> int:
         if not rem:
             break
         chain.append([-c for c in rem])
+    return chain
 
-    def variations(t):
-        signs = []
-        for p in chain:
-            v = _poly_eval(p, t)
-            if v != 0:
-                signs.append(1 if v > 0 else -1)
-        return sum(1 for s, u in zip(signs, signs[1:]) if s != u)
 
-    return variations(a) - variations(b)
+def _variations(chain, t: Fraction) -> int:
+    """Sign changes along a Sturm chain at t; the drop from a to b counts the
+    distinct real roots in (a, b]."""
+    signs = []
+    for p in chain:
+        v = _poly_eval(p, t)
+        if v != 0:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for s, u in zip(signs, signs[1:]) if s != u)
+
+
+def count_real_roots_in(coeffs, a: Fraction, b: Fraction) -> int:
+    """Number of distinct real roots of the polynomial in the half-open
+    interval (a, b], via an exact Sturm chain."""
+    if not coeffs or len(coeffs) == 1:
+        return 0
+    chain = _sturm_chain(coeffs)
+    return _variations(chain, a) - _variations(chain, b)
 
 
 # ---------------------------------------------------------------------------

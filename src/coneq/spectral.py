@@ -40,6 +40,7 @@ from .core import (
     Scalar,
     SpectralPair,
     Tolerance,
+    format_scalar,
     require_same_mode,
     require_same_size,
     scalars_equal,
@@ -318,8 +319,6 @@ class SpectralReport:
     max_order_at: tuple  # (eigenvalue, distinguished order bound) pairs
 
     def to_json_dict(self) -> dict:
-        from .core import format_scalar
-
         return {
             "rho": format_scalar(self.rho),
             "class_radii": [format_scalar(r) for r in self.radii],

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from pytest import raises as assert_raises
 
-from coneq.core import FLOAT, RATIONAL, ConeVector, InvalidInput, NonnegMatrix
+from coneq.core import FLOAT, RATIONAL, ConeVector, InvalidInput, NonnegMatrix, to_json
 from coneq.alternating import (
     AT_LEAST,
     FINITE,
@@ -67,7 +67,7 @@ class TestLength:
             alt_length(ZMatrix.make(1, U), ConeVector.unit(2, 1), max_steps=-1)
 
     def test_serialization(self):
-        d = alt_length(ZMatrix.make(1, U), ConeVector.unit(2, 2)).to_json_dict()
+        d = to_json(alt_length(ZMatrix.make(1, U), ConeVector.unit(2, 2)))
         assert d == {"kind": "finite", "value": 2, "iterates_checked": 2}
 
 

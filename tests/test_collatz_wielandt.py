@@ -11,6 +11,7 @@ from coneq.core import (
     InvalidInput,
     NonnegMatrix,
     support,
+    to_json,
 )
 from coneq.classes import condense, smallest_initial_superset
 from coneq.collatz_wielandt import (
@@ -125,7 +126,7 @@ class TestSets:
         assert not rep.inf_sigma1_attained
 
     def test_serialization(self):
-        assert cw_sets(T).to_json_dict() == {
+        assert to_json(cw_sets(T)) == {
             "sup_omega": 2,
             "inf_sigma": 1,
             "sup_omega1": 2,

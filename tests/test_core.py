@@ -23,6 +23,7 @@ from coneq.core import (
     snap_cone,
     solve_linear,
     support,
+    to_json,
 )
 from coneq.classes import condense, smallest_initial_superset
 from coneq.spectral import class_radii
@@ -62,6 +63,22 @@ def test_format_scalar():
     assert format_scalar(Fraction(1, 3)) == "1/3"
     assert format_scalar(math.inf) == "inf"
     assert format_scalar(0.25) == 0.25
+
+
+def test_to_json_walks_containers():
+    value = {
+        "x": ConeVector.make([0, Fraction(1, 2)]),
+        "pair": SpectralPair(Fraction(3), 2),
+        "t": (Fraction(1, 3), 0.25, math.inf, [Fraction(4)]),
+        "plain": [None, True, 7, "s"],
+    }
+    assert to_json(value) == {
+        "x": [0, "1/2"],
+        "pair": {"rho": 3, "order": 2},
+        "t": ["1/3", 0.25, "inf", [4]],
+        "plain": [None, True, 7, "s"],
+    }
+    assert to_json(to_json(value)) == to_json(value)  # encoded JSON is a fixed point
 
 
 def test_lex_leq_examples():

@@ -15,6 +15,7 @@ from coneq.core import (
     Tolerance,
     scalars_equal,
     support,
+    to_json,
 )
 from coneq.classes import condense, smallest_initial_superset
 from coneq.spectral import class_radii, distinguished_eigenvalues, local_spectral_radius, taxonomy
@@ -246,14 +247,14 @@ class TestSolvableSet:
 class TestConditionBattery:
     def test_all_false(self):
         rep = solvability_conditions(D, F(1), ConeVector.unit(3, 3))
-        assert rep.to_json_dict() == {
+        assert to_json(rep) == {
             "b": False, "c": False, "d": False, "e": False, "f": False,
             "g": False, "h": False, "i": False, "j": False, "consistent": True,
         }
 
     def test_all_true(self):
         rep = solvability_conditions(NonnegMatrix.zero_matrix(2, RATIONAL), F(1), vec(1, 0))
-        d = rep.to_json_dict()
+        d = to_json(rep)
         assert d["consistent"] and all(d[k] for k in "bcdefghij")
         rep = solvability_conditions(T, F(3), vec(1, 1))
         assert rep.consistent and rep.b and rep.g and rep.j

@@ -12,6 +12,7 @@ from coneq.core import (
     InvalidInput,
     NonnegMatrix,
     support,
+    to_json,
 )
 from coneq.classes import condense
 from coneq.spectral import spectral_pair, spectral_radius, taxonomy
@@ -184,7 +185,7 @@ class TestDecision:
                 solvable2(T, lam, vec(1, 1))
 
     def test_report_serialization(self):
-        d = solvable2(U, F(1), ConeVector.unit(2, 1)).to_json_dict()
+        d = to_json(solvable2(U, F(1), ConeVector.unit(2, 1)))
         assert d == {
             "regime": "at",
             "solvable": True,
@@ -370,6 +371,20 @@ class TestTracedownWitness:
         assert checked >= 20
 
 
+def _dyadic_irreducible(rnd):
+    """A fuzzed irreducible matrix rounded to multiples of 1/64 (positive
+    entries stay positive), with its diagonal topped up so that every row
+    sums to the same dyadic radius: float mode reads it exactly."""
+    rows = [
+        [max(F(1, 64), F(round(e * 64), 64)) if e else F(0) for e in row]
+        for row in fuzz_irreducible(rnd).rows
+    ]
+    rho = max(sum(row) for row in rows)
+    for i, row in enumerate(rows):
+        row[i] += rho - sum(row)
+    return mat(rows)
+
+
 class TestResolventSign:
     def test_swap_matrix(self):
         assert resolvent_sign(S, F(9, 10)) == resolvent_sign(S, F(9, 10))
@@ -418,6 +433,21 @@ class TestResolventSign:
         pairs = ((True, True), (False, True), (None, True), (False, False))
         assert all(seen[k] >= 20 for k in pairs), seen
 
+    def test_float_input_gives_the_rational_verdicts(self):
+        # float input is read as its binary value, so a dyadic matrix and
+        # shift give the same verdicts in both modes, at the radius too
+        rnd = rng(1005)
+        seen = Counter()
+        for _ in range(60):
+            P = _dyadic_irreducible(rnd)
+            rho = P.rows[0][0] + sum(P.rows[0][1:])  # every row sums to rho
+            for lam in (rho, rho - F(1, 4), rho + F(1, 4), rho / 2, F(0)):
+                rs = resolvent_sign(P, lam)
+                assert resolvent_sign(P.to_float(), float(lam)) == rs, (P.rows, lam)
+                seen[rs.inverse_positive, rs.adjugate_positive] += 1
+        pairs = ((True, True), (False, True), (None, True), (False, False))
+        assert all(seen[k] >= 20 for k in pairs), seen
+
     def test_requires_an_irreducible_matrix(self):
         with assert_raises(InvalidInput):
             resolvent_sign(T, F(1))
@@ -453,6 +483,29 @@ class TestSubcriticalWindow:
         assert subcritical_window(U) == -np.inf
         assert subcritical_window(D) == 1.0
         assert subcritical_window(Z2) == -np.inf
+
+    def test_eigenvalue_close_below_rho(self):
+        # eigenvalues 1 +- 1e-7: the one below rho is found in both modes
+        tiny = F(1, 10**7)
+        assert subcritical_window(mat([[1, tiny], [tiny, 1]])) == 0.9999999
+        assert subcritical_window(mat([[1, 1e-7], [1e-7, 1]], FLOAT)) == 0.9999999
+
+    def test_matches_the_float_eigenvalues(self):
+        # on rational input the window is the largest real eigenvalue below
+        # rho, repeated radii counted once; numpy agrees up to its rounding
+        rnd = rng(1006)
+        found = 0
+        for _ in range(80):
+            P = fuzz_matrix(rnd)
+            got = subcritical_window(P)
+            vals = np.linalg.eigvals(P.to_numpy())
+            real = sorted({round(v.real, 6) for v in vals if abs(v.imag) < 1e-9})
+            if len(real) < 2:
+                assert got == -np.inf
+            else:
+                assert got == pytest.approx(real[-2], abs=1e-5)
+                found += 1
+        assert found >= 40
 
 
 class TestImageMembership:

@@ -1,13 +1,18 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no private module-level name goes unused by the package."""
+no private module-level name goes unused by the package, and no public def
+or class is dead: each is exported, read by a package module or traced by
+the benchmark."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
 import coneq
 
 PACKAGE = Path(coneq.__file__).resolve().parent
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import tracer  # noqa: E402  (imports no coneq module at import time)
 
 
 def _unused_imports(path: Path) -> list:
@@ -62,16 +67,37 @@ def _references(node) -> Counter:
     return refs
 
 
-def test_no_dead_private_helpers():
-    # a private helper that no package module reads outside its own
-    # definition is dead code; references from the tests do not count
+def _unread(definitions) -> list:
+    """'module: name' for each (module, name, node) that no package module
+    reads outside the definition itself; references from the tests do not
+    count."""
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     assert len(trees) >= 10
     refs = sum((_references(tree) for tree in trees.values()), Counter())
-    dead = sorted(
+    return sorted(
         f"{module}: {name}"
         for module, tree in trees.items()
-        for name, node in _private_definitions(tree)
+        for name, node in definitions(tree)
         if refs[name] <= _references(node)[name]
     )
+
+
+def test_no_dead_private_helpers():
+    dead = _unread(_private_definitions)
+    assert not dead, dead
+
+
+def _public_defs(tree):
+    """(name, node) for each module-level def or class of a public name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node
+
+
+def test_no_dead_public_defs():
+    # a public def is dead unless coneq exports it, a package module reads
+    # it, or the benchmark traces it (bench/tracer.LAYERS)
+    kept = set(coneq.__all__) | {name for names in tracer.LAYERS.values() for name in names}
+    dead = [entry for entry in _unread(_public_defs) if entry.split(": ")[1] not in kept]
     assert not dead, dead
