@@ -112,11 +112,12 @@ def exact_fraction(s: Scalar) -> Fraction:
 
 def format_scalar(s: Scalar):
     """JSON-friendly form: integers stay numbers, other rationals become
-    'p/q' strings (never lossy floats), infinity becomes 'inf'."""
+    'p/q' strings (never lossy floats), the infinities become 'inf' and
+    '-inf'."""
     if isinstance(s, Fraction):
         return f"{s.numerator}/{s.denominator}" if s.denominator != 1 else int(s)
     if math.isinf(s):
-        return "inf"
+        return "inf" if s > 0 else "-inf"
     return s
 
 
@@ -321,8 +322,22 @@ class NonnegMatrix:
         return h
 
     def __getstate__(self) -> dict:
-        # str hashes are salted per process, so the memo must not travel
+        # only the fields travel: str hashes are salted per process, so the
+        # memoised hash must not, and memoized values are rebuilt on demand
         return {"rows": self.rows, "mode": self.mode}
+
+    def memoized(self, key, build):
+        """build(), computed on the first call with this key and kept on
+        this matrix for as long as it lives.  Only for values derived from
+        the matrix and the key alone: the memo sits outside the fields, so
+        ==, hash and repr ignore it, and it is not pickled or copied."""
+        memo = self.__dict__.get("_memo")
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_memo", memo)
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
     @staticmethod
     def make(rows: Iterable[Iterable], mode: str = RATIONAL) -> "NonnegMatrix":
@@ -359,7 +374,13 @@ class NonnegMatrix:
         )
 
     def to_numpy(self) -> np.ndarray:
-        return np.array([[float(e) for e in row] for row in self.rows], dtype=float)
+        """The entries as one read-only float array, built once per matrix."""
+        return self.memoized("numpy", self._read_only_numpy)
+
+    def _read_only_numpy(self) -> np.ndarray:
+        a = np.array([[float(e) for e in row] for row in self.rows], dtype=float)
+        a.flags.writeable = False
+        return a
 
     def to_float(self) -> "NonnegMatrix":
         if self.mode == FLOAT:

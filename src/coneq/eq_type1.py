@@ -12,7 +12,6 @@ is exactly the nonnegative eigenvectors at lambda.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from typing import Optional
 
@@ -177,8 +176,10 @@ class ConditionReport:
     and may be None (indeterminate): they follow the powers of P/lambda by
     repeated squaring up to a horizon of tol.power_iters terms, and abstain
     when neither bound is reached by then; e, i use the float generalized
-    eigenvectors of P^T; f, j are exact whenever every needed eigenvalue is
-    an exact rational, and use the same float eigenvectors otherwise.
+    eigenvectors of P^T, computed once per matrix and tolerance and kept on
+    the matrix; f, j are exact whenever every needed eigenvalue is an exact
+    rational (from exact bases kept on the matrix per eigenvalue), and use
+    the same float eigenvectors otherwise.
     All decided verdicts must agree -- `consistent` records that.
     """
 
@@ -289,45 +290,75 @@ def _condition_d(P, lam, b, tol):
     return None
 
 
+def _transpose_eigenspaces(P: NonnegMatrix, tol: Tolerance) -> tuple:
+    """Float generalized eigenvectors of P^T from one eigen pass, built once
+    per (P, tol) and kept on P, as (scale, table): scale is the largest
+    eigenvalue modulus (at least 1), and each row of the contiguous complex
+    table is one basis vector z of a cluster's eigenspace, preceded by the
+    cluster mean.  Neither depends on lambda or b."""
+
+    def build():
+        a_t = P.to_numpy().T
+        vals, clusters, _ = oracle._eigen_clusters(a_t, tol)
+        a_c = a_t.astype(complex)
+        rows = []
+        for mu, mult in clusters:
+            basis = oracle._shift_null(a_c, mu, mult)[1].T
+            rows.append(np.hstack([np.full((mult, 1), mu), basis]))
+        return max(1.0, float(np.max(np.abs(vals)))), np.ascontiguousarray(np.vstack(rows))
+
+    return P.memoized(("transpose_eigenspaces", tol), build)
+
+
 def _peripheral_float(P, b, lam, tol, dvals) -> tuple:
-    """Float conditions (e, f, i, j) from one eigen pass on P^T.
+    """Float conditions (e, f, i, j) from the generalized eigenvectors z of
+    P^T, which _transpose_eigenspaces computes once per matrix.
 
     The rows of the spectral projector at mu span the generalized
     eigenvectors z of P^T at mu, so b has a component there iff some
     z^T b != 0 (e), and i asks |z|.b = 0, over every mu with |mu| >= lambda;
     f and j ask the same at the real distinguished mu >= lambda only.
     """
-    a_t = P.to_numpy().T
-    vals, clusters, _ = oracle._eigen_clusters(a_t, tol)
-    scale = max(1.0, float(np.max(np.abs(vals))))
+    scale, table = _transpose_eigenspaces(P, tol)
     lam_f = float(lam)
     floor = lam_f - tol.eig_tol * max(1.0, lam_f)
     bound = 1e-7 * max(1.0, float(b.inf_norm()))
+    rows = table[np.abs(table[:, 0]) >= floor]
+    z = rows[:, 1:]
     bv = b.to_numpy()
-    e = f = i = j = True
-    for mu, mult in clusters:
-        if abs(mu) < floor:
-            continue
-        distinguished = (
+    component = np.abs(z @ bv) > bound
+    overlap = np.abs(z) @ bv > bound
+    distinguished = np.array(
+        [
             abs(mu.imag) <= tol.eig_tol * scale
             and mu.real >= floor
             and any(scalars_equal(float(mu.real), float(v), tol) for v in dvals)
-        )
-        for z in oracle._shift_null(a_t.astype(complex), mu, mult)[1].T:
-            component = abs(z @ bv) > bound
-            overlap = float(np.abs(z) @ bv) > bound
-            e, i = e and not component, i and not overlap
-            if distinguished:
-                f, j = f and not component, j and not overlap
-    return e, f, i, j
+            for mu in rows[:, 0]
+        ],
+        dtype=bool,
+    )
+    return (
+        not component.any(),
+        not component[distinguished].any(),
+        not overlap.any(),
+        not overlap[distinguished].any(),
+    )
 
 
-@lru_cache(maxsize=512)
 def _transpose_generalized_basis(P: NonnegMatrix, mu: Fraction) -> tuple:
-    """Exact basis of N((P^T - mu*I)^n), as a tuple of tuples.  Cached per
-    (P, mu): a shift sweep asks for the same basis at several shifts."""
-    t_rows = [list(r) for r in P.transpose().rows]
-    return tuple(tuple(z) for z in oracle.generalized_nullspace_exact(t_rows, mu))
+    """Exact basis of N((P^T - mu*I)^n), scaled by the common denominator of
+    its entries to integer vectors, as a tuple of tuples.  A positive factor
+    changes neither the support of a vector nor whether its product with b
+    is zero, which is all _orthogonal_exact asks; small ints are shared
+    objects, so the basis is cheap to keep.  Kept on P per mu: a shift sweep
+    asks for the same basis at several shifts."""
+
+    def build():
+        t_rows = [list(r) for r in P.transpose().rows]
+        basis, _ = oracle._integer_rows(oracle.generalized_nullspace_exact(t_rows, mu))
+        return tuple(map(tuple, basis))
+
+    return P.memoized(("transpose_generalized_basis", mu), build)
 
 
 def _orthogonal_exact(P, b, lam, tol, dvals) -> Optional[tuple]:

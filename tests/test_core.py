@@ -26,6 +26,7 @@ from coneq.core import (
     to_json,
 )
 from coneq.classes import condense, smallest_initial_superset
+from coneq.eq_type1 import solvability_conditions
 from coneq.spectral import class_radii
 
 from fuzz import fuzz_matrix, fuzz_vector, rng
@@ -62,7 +63,9 @@ def test_format_scalar():
     assert format_scalar(Fraction(-3, 1)) == -3
     assert format_scalar(Fraction(1, 3)) == "1/3"
     assert format_scalar(math.inf) == "inf"
+    assert format_scalar(-math.inf) == "-inf"
     assert format_scalar(0.25) == 0.25
+    assert to_json([-math.inf, math.inf]) == ["-inf", "inf"]
 
 
 def test_to_json_walks_containers():
@@ -213,12 +216,15 @@ class TestMatrixHash:
             assert hash(P) == hash(Q) == hash(P) == hash((P.rows, P.mode))
 
     def test_repr_and_equality_ignore_the_memo(self):
+        # both memos: the hash, and the values memoized keeps
         P = NonnegMatrix.make([[1, 2], [0, 3]], RATIONAL)
         Q = NonnegMatrix.make([[1, 2], [0, 3]], RATIONAL)
         before = repr(P)
         hash(P)
+        solvability_conditions(P, Fraction(3), ConeVector.make([1, 1]))
+        assert "_memo" in vars(P) and "_memo" not in vars(Q)
         assert repr(P) == before == repr(Q)
-        assert P == Q and Q == P
+        assert P == Q and Q == P and hash(P) == hash(Q)
 
     def test_hash_is_computed_on_first_use_only(self):
         c = _CountingFraction
@@ -270,3 +276,54 @@ class TestMatrixHash:
         # so the structure caches keep one entry per mode
         assert all(isinstance(r, Fraction) for r in class_radii(P))
         assert all(isinstance(r, float) for r in class_radii(F))
+
+
+class TestMatrixMemo:
+    """NonnegMatrix.memoized keeps values derived from the matrix alone on
+    the instance, outside the fields."""
+
+    def test_to_numpy_is_one_read_only_array(self):
+        P = NonnegMatrix.make([[1, Fraction(1, 2)], [0, 3]], RATIONAL)
+        a = P.to_numpy()
+        assert P.to_numpy() is a
+        assert a.tolist() == [[1.0, 0.5], [0.0, 3.0]]
+        with pytest.raises(ValueError):
+            a[0, 0] = 7.0
+        with pytest.raises(ValueError):
+            a.T[1, 0] = 7.0
+        assert P.to_numpy()[0, 0] == 1.0
+
+    def test_derived_matrices_start_without_a_memo(self):
+        P = NonnegMatrix.make([[1, 2], [0, 3]], RATIONAL)
+        P.to_numpy()
+        solvability_conditions(P, Fraction(3), ConeVector.make([1, 1]))
+        for derived in (P.transpose(), P.submatrix([1, 2]), P.to_float()):
+            assert "_memo" not in vars(derived)
+            assert derived.to_numpy() is not P.to_numpy()
+
+    def test_pickled_matrix_arrives_without_a_memo(self):
+        import pickle
+
+        P = NonnegMatrix.make([[1, 2], [0, 3]], RATIONAL)
+        solvability_conditions(P, Fraction(3), ConeVector.make([1, 1]))
+        assert "_memo" in vars(P)
+        Q = pickle.loads(pickle.dumps(P))
+        assert Q == P and "_memo" not in vars(Q)
+
+    def test_each_tolerance_builds_its_own_eigenspaces(self, monkeypatch):
+        from coneq import oracle
+
+        seen = []
+        orig = oracle._eigen_clusters
+
+        def counted(a, tol):
+            seen.append(tol)
+            return orig(a, tol)
+
+        monkeypatch.setattr(oracle, "_eigen_clusters", counted)
+        P = NonnegMatrix.make([[1, 2], [0, 3]], FLOAT)
+        b = ConeVector.make([1, 1], FLOAT)
+        loose = Tolerance(eq_tol=1e-6, eig_tol=1e-4)
+        for tol in (DEFAULT_TOL, loose, DEFAULT_TOL, Tolerance(eig_tol=1e-4, eq_tol=1e-6)):
+            solvability_conditions(P, 3.0, b, tol)
+        assert seen == [DEFAULT_TOL, loose]

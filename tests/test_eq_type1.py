@@ -346,7 +346,9 @@ class TestConditionBattery:
                     assert got is None or got == want
                 cases += 1
         assert cases >= 60
-        assert calls == {"_peripheral_float": cases, "_eigen_clusters": cases}, calls
+        # one eigen pass per matrix, not per case: the eigenvectors of P^T
+        # are kept on P
+        assert calls == {"_peripheral_float": cases, "_eigen_clusters": 25}, calls
 
     def test_float_battery_agrees_with_the_exact_lp(self, monkeypatch):
         # float-mode twins get no exact transpose basis, so conditions f and
@@ -371,7 +373,7 @@ class TestConditionBattery:
                     verdicts += got is not None
                 cases += 1
         assert cases >= 1000 and verdicts >= 8 * cases
-        assert calls == {"_peripheral_float": cases, "_eigen_clusters": cases}, calls
+        assert calls == {"_peripheral_float": cases, "_eigen_clusters": 300}, calls
 
 
 def _count_calls(monkeypatch) -> Counter:
@@ -472,6 +474,84 @@ def _peripheral_cases(seed, rounds):
                 if M.mode == FLOAT:
                     b = ConeVector.make([float(e) for e in b.entries], FLOAT)
                 yield M, b, lam, dvals
+
+
+def _ref_peripheral_float(P, b, lam, tol, dvals) -> tuple:
+    """Conditions (e, f, i, j) as _peripheral_float gave them when it made
+    its own eigen pass on P^T in every call."""
+    a_t = P.to_numpy().T
+    vals, clusters, _ = oracle._eigen_clusters(a_t, tol)
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    lam_f = float(lam)
+    floor = lam_f - tol.eig_tol * max(1.0, lam_f)
+    bound = 1e-7 * max(1.0, float(b.inf_norm()))
+    bv = b.to_numpy()
+    e = f = i = j = True
+    for mu, mult in clusters:
+        if abs(mu) < floor:
+            continue
+        distinguished = (
+            abs(mu.imag) <= tol.eig_tol * scale
+            and mu.real >= floor
+            and any(scalars_equal(float(mu.real), float(v), tol) for v in dvals)
+        )
+        for z in oracle._shift_null(a_t.astype(complex), mu, mult)[1].T:
+            component = abs(z @ bv) > bound
+            overlap = float(np.abs(z) @ bv) > bound
+            e, i = e and not component, i and not overlap
+            if distinguished:
+                f, j = f and not component, j and not overlap
+    return e, f, i, j
+
+
+# a tolerance coarse enough to merge eigenvalue clusters the default keeps
+# apart, so eigenvectors built under one tolerance give wrong verdicts under
+# the other
+COARSE_TOL = Tolerance(eq_tol=1e-6, eig_tol=0.1)
+
+
+def test_kept_eigenvectors_match_the_per_case_eigen_pass():
+    # each matrix is asked at all its shifts under two tolerances, in
+    # shuffled order, so the first query of a tolerance builds the
+    # eigenvectors of P^T and the others reuse them
+    rnd = rng(75)
+    verdicts = Counter()
+    bases = 0
+    for _ in range(60):
+        P = fuzz_matrix(rnd)
+        for M in (P, irregular(rnd, P), P.to_float()):
+            queries = []
+            for tol in (DEFAULT_TOL, COARSE_TOL):
+                dvals = distinguished_eigenvalues(M, tol)
+                for lam in lambda_sweep(P) + list(taxonomy(M, tol).radii):
+                    if lam > 0:
+                        b = fuzz_vector(rnd, M.n)
+                        if M.mode == FLOAT:
+                            b = ConeVector.make([float(e) for e in b.entries], FLOAT)
+                        queries.append((tol, dvals, lam, b))
+            rnd.shuffle(queries)
+            for tol, dvals, lam, b in queries:
+                got = eq_type1._peripheral_float(M, b, lam, tol, dvals)
+                assert got == _ref_peripheral_float(M, b, lam, tol, dvals), (M.rows, lam, b.entries, tol)
+                verdicts[tol is DEFAULT_TOL, got] += 1
+            if M.mode == RATIONAL:
+                t_rows = [list(r) for r in M.transpose().rows]
+                for mu in distinguished_eigenvalues(M):
+                    if isinstance(mu, Fraction):
+                        kept = eq_type1._transpose_generalized_basis(M, mu)
+                        want = oracle.generalized_nullspace_exact(t_rows, mu)
+                        assert len(kept) == len(want), (M.rows, mu)
+                        for z, w in zip(kept, want):
+                            # an integer vector, a positive multiple of w
+                            assert all(type(e) is int for e in z)
+                            assert [e == 0 for e in z] == [e == 0 for e in w]
+                            ratios = {e / f for e, f in zip(z, w) if f != 0}
+                            assert len(ratios) == 1 and ratios.pop() > 0, (M.rows, mu)
+                        assert eq_type1._transpose_generalized_basis(M, mu) is kept
+                        bases += 1
+    assert bases >= 60
+    both = ((True,) * 4, (False,) * 4)
+    assert min(verdicts[default, v] for default in (True, False) for v in both) >= 100, verdicts
 
 
 def test_support_overlap_matches_its_reference():
