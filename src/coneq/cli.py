@@ -44,17 +44,6 @@ PROPERTY_IDS = (
 # input readers
 
 
-def _read_scalar(raw, mode):
-    if isinstance(raw, bool):
-        raise InvalidInput("booleans are not scalars")
-    try:
-        return as_scalar(raw, mode)
-    except InvalidInput:
-        raise
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise InvalidInput(f"cannot read scalar {raw!r}") from exc
-
-
 def _load_doc(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -69,34 +58,33 @@ def _load_doc(path: str) -> dict:
         raise InvalidInput(f"bad JSON in {path}: {exc}") from exc
 
 
-def _matrix_from_path(path: str, mode: str) -> NonnegMatrix:
+def _entries_from_path(path: str, kind: str) -> list:
+    """The entries of a matrix or vector document: a JSON object with no
+    keys but 'entries', a list, and an optional 'n', its length."""
     doc = _load_doc(path)
     if not isinstance(doc, dict):
-        raise InvalidInput(f"{path}: matrix document must be a JSON object")
+        raise InvalidInput(f"{path}: {kind} document must be a JSON object")
     extra = set(doc) - {"n", "entries"}
     if extra:
-        raise InvalidInput(f"{path}: unknown matrix keys {sorted(extra)}")
-    entries = doc.get("entries")
-    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
-        raise InvalidInput(f"{path}: 'entries' must be a list of rows")
-    rows = [[_read_scalar(v, mode) for v in row] for row in entries]
-    n = doc.get("n")
-    if n is not None and (isinstance(n, bool) or n != len(rows)):
-        raise InvalidInput(f"{path}: 'n' disagrees with the entry rows")
-    return NonnegMatrix.make(rows, mode)
-
-
-def _vector_from_path(path: str, mode: str, n: int) -> ConeVector:
-    doc = _load_doc(path)
-    if not isinstance(doc, dict):
-        raise InvalidInput(f"{path}: vector document must be a JSON object")
-    extra = set(doc) - {"n", "entries"}
-    if extra:
-        raise InvalidInput(f"{path}: unknown vector keys {sorted(extra)}")
+        raise InvalidInput(f"{path}: unknown {kind} keys {sorted(extra)}")
     entries = doc.get("entries")
     if not isinstance(entries, list):
         raise InvalidInput(f"{path}: 'entries' must be a list")
-    vec = ConeVector.make([_read_scalar(v, mode) for v in entries], mode)
+    n = doc.get("n")
+    if n is not None and (isinstance(n, bool) or n != len(entries)):
+        raise InvalidInput(f"{path}: 'n' disagrees with the entries")
+    return entries
+
+
+def _matrix_from_path(path: str, mode: str) -> NonnegMatrix:
+    entries = _entries_from_path(path, "matrix")
+    if not all(isinstance(r, list) for r in entries):
+        raise InvalidInput(f"{path}: 'entries' must be a list of rows")
+    return NonnegMatrix.make(entries, mode)
+
+
+def _vector_from_path(path: str, mode: str, n: int) -> ConeVector:
+    vec = ConeVector.make(_entries_from_path(path, "vector"), mode)
     if vec.n != n:
         raise InvalidInput(f"{path}: vector length {vec.n} != matrix size {n}")
     return vec
@@ -407,11 +395,11 @@ def _dispatch(args):
     if args.verb == "analyze":
         return _cmd_analyze(P, tol)
     if args.verb == "solve1":
-        lam = _read_scalar(args.lam, mode)
+        lam = as_scalar(args.lam, mode)
         b = _vector_from_path(args.b, mode, P.n)
         return eq_type1.solve1(P, lam, b, tol)
     if args.verb == "solve2":
-        lam = _read_scalar(args.lam, mode)
+        lam = as_scalar(args.lam, mode)
         b = _vector_from_path(args.b, mode, P.n)
         return eq_type2.solvable2(P, lam, b, tol)
     if args.verb == "cw":
@@ -420,7 +408,7 @@ def _dispatch(args):
             return collatz_wielandt.cw_numbers(P, x, tol)
         return collatz_wielandt.cw_sets(P, tol)
     if args.verb == "alt":
-        s = _read_scalar(args.shift, mode)
+        s = as_scalar(args.shift, mode)
         x = _vector_from_path(args.x, mode, P.n)
         Z = alternating.ZMatrix.make(s, P)
         return alternating.alt_length(Z, x, args.max_steps, tol)

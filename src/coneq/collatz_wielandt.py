@@ -134,30 +134,50 @@ def _work_pair(P, x, rho_x):
     return P, x, rho_x
 
 
+def _decompose(P, x, tol, radius, sign: int, message: str, x1_of) -> tuple:
+    """The body both decompositions share: rho_x = radius(P, x, tol), which
+    checks the caller's precondition, then b = sign*(rho_x*x - Px) snapped
+    onto the cone (InvalidInput(message) when it is not nonnegative), and
+    (x1_of(P, x, x2), x2) for the minimal solution x2 of
+    (rho_x*I - P)x2 = b; (x, 0) when b vanishes."""
+    require_same_mode(P, x)
+    require_same_size(P, x)
+    if x.is_zero():
+        raise InvalidInput("decomposition needs a nonzero vector")
+    P, x, rho_x = _work_pair(P, x, radius(P, x, tol))
+    img = P.apply(x.entries)
+    if sign > 0:
+        b = [rho_x * e - i for e, i in zip(x.entries, img)]
+    else:
+        b = [i - rho_x * e for e, i in zip(x.entries, img)]
+    try:
+        b = snap_cone(b, P.mode, tol)
+    except InvalidInput:
+        raise InvalidInput(message)
+    if b.is_zero():
+        return x, ConeVector.zero_vector(P.n, P.mode)
+    x2 = minimal_solution(P, rho_x, b, tol)
+    return x1_of(P, x, x2), x2
+
+
 def decompose_subinvariant(
     P: NonnegMatrix, x: ConeVector, tol: Tolerance = DEFAULT_TOL
 ) -> tuple:
     """Split x with Px <= rho_x*x as x = x1 + x2, where x1 is a nonnegative
     eigenvector at rho_x (or zero) and x2 has local radius strictly below
     rho_x with Px2 <= rho_x*x2."""
-    require_same_mode(P, x)
-    require_same_size(P, x)
-    if x.is_zero():
-        raise InvalidInput("decomposition needs a nonzero vector")
-    rho_x = local_spectral_radius(P, x, tol)
-    P, x, rho_x = _work_pair(P, x, rho_x)
-    img = P.apply(x.entries)
-    try:
-        b = snap_cone([rho_x * e - i for e, i in zip(x.entries, img)], P.mode, tol)
-    except InvalidInput:
-        raise InvalidInput(
-            "the upper Collatz-Wielandt number exceeds the local spectral radius"
-        )
-    if b.is_zero():
-        return x, ConeVector.zero_vector(P.n, P.mode)
-    x2 = minimal_solution(P, rho_x, b, tol)
-    x1 = snap_cone([e - f for e, f in zip(x.entries, x2.entries)], P.mode, tol)
-    return x1, x2
+    return _decompose(
+        P, x, tol, local_spectral_radius, 1,
+        "the upper Collatz-Wielandt number exceeds the local spectral radius",
+        lambda P, x, x2: snap_cone([e - f for e, f in zip(x.entries, x2.entries)], P.mode, tol),
+    )
+
+
+def _order_one_radius(P, x, tol):
+    pair = spectral_pair(P, x, tol)
+    if pair.order != 1:
+        raise InvalidInput("decomposition requires a vector of order one")
+    return pair.rho
 
 
 def decompose_superinvariant(
@@ -166,27 +186,11 @@ def decompose_superinvariant(
     """Split x of order one with Px >= rho_x*x as x = x1 - x2, where x1 is a
     nonnegative eigenvector at rho_x and x2 has local radius strictly below
     rho_x with Px2 <= rho_x*x2."""
-    require_same_mode(P, x)
-    require_same_size(P, x)
-    if x.is_zero():
-        raise InvalidInput("decomposition needs a nonzero vector")
-    pair = spectral_pair(P, x, tol)
-    if pair.order != 1:
-        raise InvalidInput("decomposition requires a vector of order one")
-    rho_x = pair.rho
-    P, x, rho_x = _work_pair(P, x, rho_x)
-    img = P.apply(x.entries)
-    try:
-        b = snap_cone([i - rho_x * e for e, i in zip(x.entries, img)], P.mode, tol)
-    except InvalidInput:
-        raise InvalidInput(
-            "the image must dominate the local-radius multiple of the vector"
-        )
-    if b.is_zero():
-        return x, ConeVector.zero_vector(P.n, P.mode)
-    x2 = minimal_solution(P, rho_x, b, tol)
-    x1 = ConeVector(tuple(e + f for e, f in zip(x.entries, x2.entries)), P.mode)
-    return x1, x2
+    return _decompose(
+        P, x, tol, _order_one_radius, -1,
+        "the image must dominate the local-radius multiple of the vector",
+        lambda P, x, x2: ConeVector(tuple(e + f for e, f in zip(x.entries, x2.entries)), P.mode),
+    )
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,9 @@ class Tolerance:
     power_iters: int = 10000
 
     def __post_init__(self):
-        if self.eq_tol <= 0 or self.eig_tol <= 0 or self.power_iters <= 0:
+        if isinstance(self.power_iters, bool) or not isinstance(self.power_iters, int):
+            raise InvalidInput("power_iters must be an int")
+        if not (self.eq_tol > 0 and self.eig_tol > 0 and self.power_iters > 0):  # NaN fails too
             raise InvalidInput("tolerance fields must be strictly positive")
 
 
@@ -64,37 +66,35 @@ DEFAULT_TOL = Tolerance()
 
 
 def as_scalar(value, mode: str) -> Scalar:
-    """Coerce ``value`` into the requested mode.
+    """Coerce ``value`` into the requested mode; anything that is not a
+    finite number there (booleans included) raises InvalidInput.
 
     Rational mode reads floats and numeric strings as *decimal* literals
     ("0.1" means 1/10, not the nearest binary double); strings of the form
     "p/q" are exact rationals in both modes.
     """
+    if isinstance(value, bool):
+        raise InvalidInput("booleans are not scalars")
     if mode == RATIONAL:
         if isinstance(value, Fraction):
             return value
-        if isinstance(value, bool):
-            raise InvalidInput("booleans are not scalars")
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value)
         if isinstance(value, float):
             if not math.isfinite(value):
                 raise InvalidInput("non-finite scalar")
-            return Fraction(repr(value))
-        raise InvalidInput(f"cannot read scalar of type {type(value).__name__}")
-    if mode == FLOAT:
-        if isinstance(value, str):
-            value = Fraction(value)
-        try:
-            out = float(value)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInput(f"cannot read scalar: {value!r}") from exc
-        if not math.isfinite(out):
-            raise InvalidInput("non-finite scalar")
-        return out
-    raise InvalidInput(f"unknown mode {mode!r}")
+            value = repr(value)
+        elif not isinstance(value, (int, str)):
+            raise InvalidInput(f"cannot read scalar of type {type(value).__name__}")
+    elif mode != FLOAT:
+        raise InvalidInput(f"unknown mode {mode!r}")
+    try:
+        if mode == RATIONAL:
+            return Fraction(value)
+        out = float(Fraction(value) if isinstance(value, str) else value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise InvalidInput(f"cannot read scalar {value!r}") from exc
+    if not math.isfinite(out):
+        raise InvalidInput("non-finite scalar")
+    return out
 
 
 def zero(mode: str) -> Scalar:
@@ -180,33 +180,6 @@ def lex_leq(a: SpectralPair, b: SpectralPair, tol: Tolerance = DEFAULT_TOL) -> b
 
 def _read_entries(entries, mode) -> tuple:
     return tuple(as_scalar(e, mode) for e in entries)
-
-
-@dataclass(frozen=True)
-class RealVector:
-    """A sign-unrestricted vector tagged with its numeric mode."""
-
-    entries: tuple
-    mode: str
-
-    @staticmethod
-    def make(entries: Iterable, mode: str = RATIONAL) -> "RealVector":
-        return RealVector(_read_entries(entries, mode), mode)
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
-    def inf_norm(self) -> Scalar:
-        if not self.entries:
-            return zero(self.mode)
-        return max(abs(e) for e in self.entries)
-
-    def to_numpy(self) -> np.ndarray:
-        return np.array([float(e) for e in self.entries], dtype=float)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from .core import (
     InvalidInput,
     NonnegMatrix,
     NumericFailure,
-    RealVector,
     Scalar,
     Tolerance,
     as_scalar,
@@ -133,7 +132,7 @@ def solve1(P: NonnegMatrix, lam: Scalar, b: ConeVector, tol: Tolerance = DEFAULT
 def _residual_norm(P, lam, x, b) -> Scalar:
     lam_s = as_scalar(lam, P.mode)
     lhs = vec_sub(tuple(lam_s * e for e in x.entries), P.apply(x.entries))
-    return RealVector(vec_sub(lhs, b.entries), P.mode).inf_norm()
+    return max((abs(e) for e in vec_sub(lhs, b.entries)), default=zero(P.mode))
 
 
 def neumann_partial(
@@ -290,36 +289,16 @@ def _condition_d(P, lam, b, tol):
     return None
 
 
-def _transpose_eigenspaces(P: NonnegMatrix, tol: Tolerance) -> tuple:
-    """Float generalized eigenvectors of P^T from one eigen pass, built once
-    per (P, tol) and kept on P, as (scale, table): scale is the largest
-    eigenvalue modulus (at least 1), and each row of the contiguous complex
-    table is one basis vector z of a cluster's eigenspace, preceded by the
-    cluster mean.  Neither depends on lambda or b."""
-
-    def build():
-        a_t = P.to_numpy().T
-        vals, clusters, _ = oracle._eigen_clusters(a_t, tol)
-        a_c = a_t.astype(complex)
-        rows = []
-        for mu, mult in clusters:
-            basis = oracle._shift_null(a_c, mu, mult)[1].T
-            rows.append(np.hstack([np.full((mult, 1), mu), basis]))
-        return max(1.0, float(np.max(np.abs(vals)))), np.ascontiguousarray(np.vstack(rows))
-
-    return P.memoized(("transpose_eigenspaces", tol), build)
-
-
 def _peripheral_float(P, b, lam, tol, dvals) -> tuple:
     """Float conditions (e, f, i, j) from the generalized eigenvectors z of
-    P^T, which _transpose_eigenspaces computes once per matrix.
+    P^T, which oracle._eigenspaces computes once per matrix and tolerance.
 
     The rows of the spectral projector at mu span the generalized
     eigenvectors z of P^T at mu, so b has a component there iff some
     z^T b != 0 (e), and i asks |z|.b = 0, over every mu with |mu| >= lambda;
     f and j ask the same at the real distinguished mu >= lambda only.
     """
-    scale, table = _transpose_eigenspaces(P, tol)
+    table, scale = oracle._eigenspaces(P, tol, transpose=True)[:2]
     lam_f = float(lam)
     floor = lam_f - tol.eig_tol * max(1.0, lam_f)
     bound = 1e-7 * max(1.0, float(b.inf_norm()))

@@ -546,25 +546,28 @@ class GeneralizedDecomposition:
     merged: bool  # True when distinct eigenvalues fell into one cluster
     ambiguous: bool  # True when a rank decision was borderline
 
-    def present(self, rel_tol: float = 1e-8) -> list:
+    def present(self) -> list:
         scale = max([c.norm for c in self.components] + [0.0])
-        return [c for c in self.components if c.norm > rel_tol * max(1.0, scale)]
+        return [c for c in self.components if c.norm > 1e-8 * max(1.0, scale)]
+
+
+def _scaled_shift(a, mu: complex):
+    """(a - mu*I)/s, s = max(1, ||a - mu*I||_inf), on a complex matrix a."""
+    shifted = a - mu * np.eye(len(a))
+    return shifted / max(1.0, float(np.linalg.norm(shifted, np.inf)))
 
 
 def _shift_null(a, mu: complex, m: int, basis: bool = True) -> tuple:
-    """SVD nullspace of S^m for the scaled shift S = (a - mu*I)/s, s =
-    max(1, ||a - mu*I||_inf), on a complex matrix a.  Singular values up to
-    max(RANK_REL * largest, 1e-13) count as zero.  Returns (nullity, the m
-    right singular vectors of the m smallest singular values as columns, or
-    None when basis is off, S)."""
+    """SVD nullspace of S^m for the scaled shift S = _scaled_shift(a, mu).
+    Singular values up to max(RANK_REL * largest, 1e-13) count as zero.
+    Returns (nullity, the m right singular vectors of the m smallest singular
+    values as columns, or None when basis is off)."""
     n = len(a)
-    shifted = a - mu * np.eye(n)
-    scaled = shifted / max(1.0, float(np.linalg.norm(shifted, np.inf)))
-    svd = np.linalg.svd(np.linalg.matrix_power(scaled, m), compute_uv=basis)
+    svd = np.linalg.svd(np.linalg.matrix_power(_scaled_shift(a, mu), m), compute_uv=basis)
     sig = svd[1] if basis else svd
     smax = sig[0] if len(sig) else 0.0
     nullity = int(np.sum(sig <= max(RANK_REL * smax, 1e-13))) if smax > 0 else n
-    return nullity, svd[2].conj().T[:, n - m:] if basis else None, scaled
+    return nullity, svd[2].conj().T[:, n - m:] if basis else None
 
 
 def _cluster_eigenvalues(vals, tol: Tolerance, matrix):
@@ -639,46 +642,70 @@ def _eigen_clusters(a, tol: Tolerance = DEFAULT_TOL) -> tuple:
     return vals, clusters, merged
 
 
+def _eigenspaces(P: NonnegMatrix, tol: Tolerance, transpose: bool = False) -> tuple:
+    """The float generalized eigenspaces of P, or of P^T when transpose is
+    set, from one _eigen_clusters pass and one _shift_null basis per
+    cluster, built once per (P, tol, side) and kept on P.
+
+    Returns one flat tuple (table, scale, merged, ambiguous, *sizes): each
+    row of the contiguous complex table is one basis vector of a cluster's
+    space, preceded by the cluster mean, the clusters in _eigen_clusters
+    order with sizes[k] rows each; scale is the largest eigenvalue modulus
+    (at least 1), merged is _eigen_clusters' flag and ambiguous is set when
+    a nullity missed its cluster size.  None of it depends on a vector.
+    The sizes are not a tuple of their own, which would cost a sweep's
+    records a tenth more memory.
+    """
+
+    def build():
+        a = P.to_numpy().T if transpose else P.to_numpy()
+        vals, clusters, merged = _eigen_clusters(a, tol)
+        a_c = a.astype(complex)
+        rows, ambiguous = [], False
+        for mu, mult in clusters:
+            nullity, basis = _shift_null(a_c, mu, mult)
+            ambiguous = ambiguous or nullity != mult
+            rows.append(np.hstack([np.full((mult, 1), mu), basis.T]))
+        scale = max(1.0, float(np.max(np.abs(vals))))
+        return (np.vstack(rows), scale, merged, ambiguous, *(mult for _, mult in clusters))
+
+    return P.memoized(("transpose eigenspaces" if transpose else "eigenspaces", tol), build)
+
+
 def decompose_generalized(
     P: NonnegMatrix, x, tol: Tolerance = DEFAULT_TOL
 ) -> GeneralizedDecomposition:
     """Split x along the generalized eigenspaces of P (float lane).
 
-    Eigenvalues are clustered by _eigen_clusters; each cluster's space is the
-    SVD nullspace of the scaled, powered shift, its size taken from the
-    cluster.  The stacked bases must span C^n; a nullity that misses the
-    cluster size flags the result as ambiguous.
+    The spaces come from _eigenspaces, kept on P: one solve on their stacked
+    bases gives every component, and the order of a present component is
+    the least power of its cluster's scaled shift that sends it to zero.  A
+    nullity that missed its cluster size flags the result as ambiguous.
     """
-    n = P.n
-    a = P.to_numpy()
-    xv = np.array([float(e) for e in x.entries], dtype=float)
-    if n == 0:
+    if P.n == 0:
         return GeneralizedDecomposition((), False, False)
-    _, clusters, merged = _eigen_clusters(a, tol)
-    ambiguous = False
-    spaces = []
-    for mu, mult in clusters:
-        nullity, basis, scaled = _shift_null(a.astype(complex), mu, mult)
-        ambiguous = ambiguous or nullity != mult
-        spaces.append((mu, mult, basis, scaled))
+    table, _, merged, ambiguous, *sizes = _eigenspaces(P, tol)
+    xv = np.array([float(e) for e in x.entries], dtype=float)
     try:
-        coef = np.linalg.solve(np.hstack([sp[2] for sp in spaces]), xv.astype(complex))
+        coef = np.linalg.solve(table[:, 1:].T, xv.astype(complex))
     except np.linalg.LinAlgError:
         raise NumericFailure("generalized eigenbasis is numerically singular")
+    a = P.to_numpy().astype(complex)
+    xnorm = max(1.0, float(np.linalg.norm(xv, np.inf)))
     comps = []
     col = 0
-    xnorm = max(1.0, float(np.linalg.norm(xv, np.inf)))
-    for mu, mult, basis, shifted_scaled in spaces:
-        kdim = basis.shape[1]
-        comp = basis @ coef[col:col + kdim]
-        col += kdim
+    for mult in sizes:
+        mu = complex(table[col, 0])
+        comp = table[col:col + mult, 1:].T @ coef[col:col + mult]
+        col += mult
         cnorm = float(np.linalg.norm(comp, np.inf))
         order = 0
         if cnorm > 1e-9 * xnorm:
+            shift = _scaled_shift(a, mu)
             w = comp
             order = mult
             for t in range(1, mult + 1):
-                w = shifted_scaled @ w
+                w = shift @ w
                 if np.linalg.norm(w, np.inf) <= 1e-8 * cnorm:
                     order = t
                     break

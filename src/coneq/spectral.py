@@ -80,13 +80,9 @@ def _block(P: NonnegMatrix, cls) -> list:
 
 def _block_exact_row_sum(block_rows):
     """The common row sum if the block has constant row sums, else None."""
-    sums = [sum(row, zero_like(row)) for row in block_rows]
+    sums = [sum(row) for row in block_rows]
     first = sums[0]
     return first if all(s == first for s in sums) else None
-
-
-def zero_like(row):
-    return Fraction(0) if row and isinstance(row[0], Fraction) else 0.0
 
 
 def perron_vector_block(block_rows, tol: Tolerance = DEFAULT_TOL):

@@ -49,6 +49,7 @@ def docs(tmp_path_factory):
     paths = {name: _write(root, name, payload) for name, payload in good.items()}
     paths["badkey.json"] = _write(root, "badkey.json", {"entries": [[1]], "name": "x"})
     paths["badn.json"] = _write(root, "badn.json", {"entries": [[1, 0], [0, 1]], "n": 3})
+    paths["badn_vector.json"] = _write(root, "badn_vector.json", {"entries": [1, 0, 0], "n": 5})
     paths["bool.json"] = _write(root, "bool.json", {"entries": [[1, True], [0, 1]]})
     paths["neg.json"] = _write(root, "neg.json", {"entries": [[1, -1], [0, 1]]})
     broken = root / "broken.json"
@@ -94,6 +95,15 @@ class TestDocumentPlumbing:
         )
         assert code == 2
         assert "vector length 2 != matrix size 3" in err
+
+    def test_vector_n_is_checked(self, capsys, docs):
+        # a vector document's optional n must match its entries, as a
+        # matrix document's must
+        code, _, err = run_cli(
+            capsys, ["solve1", "--lambda", "1", "--b", docs["badn_vector.json"], docs["D3.json"]]
+        )
+        assert code == 2
+        assert "'n' disagrees with the entries" in err
 
     def test_decimal_literal_is_exact_in_rational_mode(self, capsys, docs):
         # 0.1 must come through as 1/10, not the nearest double

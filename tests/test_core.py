@@ -50,6 +50,18 @@ def test_as_scalar_rejects_junk():
         as_scalar(None, RATIONAL)
     with pytest.raises(InvalidInput):
         as_scalar(float("inf"), FLOAT)
+    # every malformed scalar is InvalidInput in both modes, never a bare
+    # ValueError, ZeroDivisionError or OverflowError, and booleans are not
+    # read as 0 and 1 in float mode either
+    for mode in (RATIONAL, FLOAT):
+        for junk in (True, False, "abc", "NaN", "1/0", [1], None):
+            with pytest.raises(InvalidInput):
+                as_scalar(junk, mode)
+    with pytest.raises(InvalidInput):
+        as_scalar("1e400", FLOAT)
+    assert as_scalar("1e400", RATIONAL) == 10**400
+    with pytest.raises(InvalidInput):
+        as_scalar(1, "decimal")
 
 
 def test_exact_fraction_is_binary_exact():
@@ -132,6 +144,17 @@ def test_tolerance_validation():
         Tolerance(eq_tol=0)
     with pytest.raises(InvalidInput):
         Tolerance(power_iters=-1)
+    for bad in (
+        {"eq_tol": math.nan},
+        {"eig_tol": math.nan},
+        {"power_iters": 2.5},
+        {"power_iters": 100.0},
+        {"power_iters": True},
+    ):
+        with pytest.raises(InvalidInput):
+            Tolerance(**bad)
+    # an irregular block runs the power iteration, which needs an int cap
+    assert class_radii(NonnegMatrix.make([[1, 2], [3, 1]]), Tolerance(power_iters=100))[0] > 3
 
 
 def test_scalar_comparisons():

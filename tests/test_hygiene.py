@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no private module-level name goes unused by the package, and no public def
-or class is dead: each is exported, read by a package module or traced by
-the benchmark."""
+no private module-level name goes unused by the package, no public def or
+class is dead (each is exported, read by a package module or traced by the
+benchmark), and the float eigen pass has one caller."""
 
 import ast
 import sys
@@ -101,3 +101,18 @@ def test_no_dead_public_defs():
     kept = set(coneq.__all__) | {name for names in tracer.LAYERS.values() for name in names}
     dead = [entry for entry in _unread(_public_defs) if entry.split(": ")[1] not in kept]
     assert not dead, dead
+
+
+def test_one_float_eigen_pass():
+    # every float eigenspace question reads the record oracle._eigenspaces
+    # keeps on the matrix, so the eigen pass itself is called there alone
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name == "_eigen_clusters":
+                        sites.append((path.name, getattr(top, "name", None)))
+    assert sites == [("oracle.py", "_eigenspaces")], sites

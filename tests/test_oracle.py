@@ -6,8 +6,9 @@ from numpy.testing import assert_allclose
 from pytest import raises as assert_raises
 
 from coneq.core import DEFAULT_TOL, FLOAT, RATIONAL, ConeVector, InvalidInput, NonnegMatrix
-from coneq import oracle
-from coneq.collatz_wielandt import _generalized_null_is_eigen
+from coneq import cli, oracle
+from coneq.alternating import alternating_bound_report
+from coneq.collatz_wielandt import _generalized_null_is_eigen, power_limit_exists
 from coneq.eq_type2 import solvable_face_probe
 from coneq.oracle import (
     LPProblem,
@@ -1003,6 +1004,31 @@ class TestDenseEigen:
                 seen["defective"] += any(c.multiplicity > 1 for c in got.components)
                 seen["order 2"] += any(c.order > 1 for c in got.components)
         assert seen["defective"] >= 100 and seen["order 2"] >= 50, seen
+
+    def test_one_eigen_pass_per_matrix(self, monkeypatch):
+        # the eigenspaces of P are kept on P: the cor6.4 report over every
+        # sample vector of the CLI suite, and the power limit of three
+        # vectors, each take one eigen pass per fresh matrix
+        calls = Counter()
+        orig = oracle._eigen_clusters
+
+        def counted(a, tol):
+            calls["_eigen_clusters"] += 1
+            return orig(a, tol)
+
+        monkeypatch.setattr(oracle, "_eigen_clusters", counted)
+        rows = [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 2, 1, 0], [0, 0, 0, 2, 0], [1, 0, 0, 0, 1]]
+        for mode in (RATIONAL, FLOAT):
+            P = NonnegMatrix.make(rows, mode)
+            vectors = cli._sample_vectors(P)
+            for x in vectors:
+                alternating_bound_report(P, x)
+            assert len(vectors) == 6 and calls["_eigen_clusters"] == 1, calls
+            P = NonnegMatrix.make(rows, mode)
+            for x in vectors[:2] + vectors[-1:]:
+                power_limit_exists(P, x)
+            assert calls["_eigen_clusters"] == 2, calls
+            calls.clear()
 
     def test_decompose_jordan_block(self):
         d = decompose_generalized(U.to_float(), ConeVector.unit(2, 2, FLOAT))
