@@ -123,7 +123,7 @@ def _sample_vectors(P: NonnegMatrix) -> list:
 
 def _shift_sweep(P: NonnegMatrix, tol, offsets) -> list:
     """Per-class radius +- 1/3 (positive shifts only), deduplicated."""
-    radii = spectral.class_radii(P, tol)
+    radii = spectral.taxonomy(P, tol).radii
     out = []
     for r in radii:
         for d in offsets:

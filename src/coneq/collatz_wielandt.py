@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import oracle
-from .classes import condense, smallest_initial_superset
+from .classes import smallest_initial_superset
 from .core import (
     DEFAULT_TOL,
     FLOAT,
@@ -281,7 +281,7 @@ def boundary_report(P: NonnegMatrix, x: ConeVector, tol: Tolerance = DEFAULT_TOL
     on_boundary = support(b) < support(x)
     closure_is_face = (
         not b.is_zero()
-        and smallest_initial_superset(condense(P), support(b)) == support(x)
+        and smallest_initial_superset(taxonomy(P, tol).analysis, support(b)) == support(x)
     )
     strict = scalar_lt(cw.rho_x, cw.R_upper, tol)
     return BoundaryReport(b, on_boundary, strict == closure_is_face)

@@ -15,6 +15,7 @@ initial subsets are sets of integers drawn from {1, .., n}.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -71,7 +72,7 @@ def as_scalar(value, mode: str) -> Scalar:
 
     Rational mode reads floats and numeric strings as *decimal* literals
     ("0.1" means 1/10, not the nearest binary double); strings of the form
-    "p/q" are exact rationals in both modes.
+    "p/q" are exact rationals in both modes, and integers of any type exactly.
     """
     if isinstance(value, bool):
         raise InvalidInput("booleans are not scalars")
@@ -83,7 +84,10 @@ def as_scalar(value, mode: str) -> Scalar:
                 raise InvalidInput("non-finite scalar")
             value = repr(value)
         elif not isinstance(value, (int, str)):
-            raise InvalidInput(f"cannot read scalar of type {type(value).__name__}")
+            try:
+                value = operator.index(value)  # NumPy's integer types too, exactly
+            except TypeError:
+                raise InvalidInput(f"cannot read scalar of type {type(value).__name__}") from None
     elif mode != FLOAT:
         raise InvalidInput(f"unknown mode {mode!r}")
     try:

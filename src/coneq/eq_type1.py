@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import oracle
-from .classes import condense, smallest_initial_superset
+from .classes import smallest_initial_superset
 from .core import (
     DEFAULT_TOL,
     FLOAT,
@@ -82,7 +82,7 @@ def minimal_solution(
         return ConeVector.zero_vector(P.n, P.mode)
     if not solvable1(P, lam, b, tol):
         raise InvalidInput("no nonnegative solution exists at this shift")
-    idx = sorted(smallest_initial_superset(condense(P), support(b)))
+    idx = sorted(smallest_initial_superset(taxonomy(P, tol).analysis, support(b)))
     sub = P.submatrix(idx)
     lam_s = as_scalar(lam, P.mode)
     mrows = [

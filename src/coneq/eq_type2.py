@@ -28,7 +28,6 @@ from fractions import Fraction
 from typing import Optional
 
 from . import oracle
-from .classes import condense
 from .core import (
     DEFAULT_TOL,
     FLOAT,
@@ -232,8 +231,7 @@ def resolvent_sign(P: NonnegMatrix, lam: Scalar, tol: Tolerance = DEFAULT_TOL) -
     """Entrywise strict positivity of (P - lambda*I)^(-1) and adj(lambda*I - P)
     for an irreducible matrix.  Exact in both modes: float input is read as
     its binary value, as every LP reads it."""
-    analysis = condense(P)
-    if analysis.class_count != 1 or P.n == 0:
+    if taxonomy(P, tol).analysis.class_count != 1:  # n = 0 has no class
         raise InvalidInput("resolvent sign analysis requires an irreducible matrix")
     # one pass on lambda*I - P; (P - lambda*I)^(-1) = -adj(lambda*I - P) / det
     coeffs, adj = oracle._faddeev_leverrier(oracle.shifted_image_rows(P, lam, sign=-1))

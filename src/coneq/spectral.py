@@ -12,10 +12,10 @@ that radius inside the smallest initial superset of supp(x).  Both facts are
 cross-checked against dense eigendecompositions in the test suite.
 
 ``taxonomy`` is the one structure record per (matrix, tolerance): classes,
-access, radii, flags and distinguished eigenvalues, memoised together with
-``class_radii``.  Everything else here reads it.  ``fv_eigenvector`` and
-``eq_type2.tracedown_witness`` share one back-substitution over the classes
-with access to a given class.
+access, radii, flags and distinguished eigenvalues, kept on the matrix; every
+query reads it, and ``condense`` and ``class_radii`` run only to build one.
+``fv_eigenvector`` and ``eq_type2.tracedown_witness`` share one
+back-substitution over the classes with access to a given class.
 """
 
 from __future__ import annotations
@@ -106,13 +106,11 @@ def class_radii(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> tuple:
 
 
 def spectral_radius(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> Scalar:
-    radii = class_radii(P, tol)
-    return max(radii) if radii else zero(P.mode)
+    return taxonomy(P, tol).rho if P.n else zero(P.mode)  # the record's rho is the int 0 at n = 0
 
 
-@lru_cache(maxsize=512)
 def taxonomy(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> ClassTaxonomy:
-    return classify(condense(P), class_radii(P, tol), tol)
+    return P.memoized(("taxonomy", tol), lambda: classify(condense(P), class_radii(P, tol), tol))
 
 
 def local_spectral_radius(P: NonnegMatrix, x: ConeVector, tol: Tolerance = DEFAULT_TOL) -> Scalar:
@@ -328,7 +326,7 @@ class SpectralReport:
 
 def spectral_report(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> SpectralReport:
     tax = taxonomy(P, tol)
-    rho = tax.rho if tax.radii else zero(P.mode)
+    rho = spectral_radius(P, tol)
     dvals = tax.distinguished_eigenvalues
     probe_vals = list(dvals)
     if not any(scalars_equal(rho, v, tol) for v in probe_vals):

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -39,6 +40,19 @@ def test_as_scalar_reads_decimal_literals_exactly():
     assert as_scalar(7, RATIONAL) == Fraction(7)
     assert as_scalar("2/3", FLOAT) == pytest.approx(2 / 3)
     assert as_scalar("0.5", FLOAT) == 0.5
+
+
+def test_as_scalar_reads_numpy_integers_in_both_modes():
+    for value, exact in ((np.int64(3), 3), (np.uint8(200), 200), (np.int64(2**62 + 1), 2**62 + 1)):
+        got = as_scalar(value, RATIONAL)
+        assert type(got) is Fraction and got == exact
+        got = as_scalar(value, FLOAT)
+        assert type(got) is float and got == float(exact)
+    P = NonnegMatrix.make(np.array([[1, 2], [3, 4]]), RATIONAL)
+    assert P == NonnegMatrix.make([[1, 2], [3, 4]], RATIONAL)
+    assert all(type(e) is Fraction for row in P.rows for e in row)
+    with pytest.raises(InvalidInput):
+        as_scalar(np.True_, RATIONAL)
 
 
 def test_as_scalar_rejects_junk():

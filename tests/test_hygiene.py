@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no private module-level name goes unused by the package, no public def or
 class is dead (each is exported, read by a package module or traced by the
-benchmark), and the float eigen pass has one caller."""
+benchmark), the float eigen pass has one caller, and only the structure
+record's builder condenses and classifies."""
 
 import ast
 import sys
@@ -103,16 +104,35 @@ def test_no_dead_public_defs():
     assert not dead, dead
 
 
-def test_one_float_eigen_pass():
-    # every float eigenspace question reads the record oracle._eigenspaces
-    # keeps on the matrix, so the eigen pass itself is called there alone
-    sites = []
+def _call_sites(names) -> dict:
+    """For each name, the (module, top-level def) pairs of the package that
+    call it, by plain name or as an attribute."""
+    sites = {name: [] for name in names}
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
                 if isinstance(node, ast.Call):
                     func = node.func
                     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                    if name == "_eigen_clusters":
-                        sites.append((path.name, getattr(top, "name", None)))
+                    if name in sites:
+                        sites[name].append((path.name, getattr(top, "name", None)))
+    return sites
+
+
+def test_one_float_eigen_pass():
+    # every float eigenspace question reads the record oracle._eigenspaces
+    # keeps on the matrix, so the eigen pass itself is called there alone
+    sites = _call_sites(["_eigen_clusters"])["_eigen_clusters"]
     assert sites == [("oracle.py", "_eigenspaces")], sites
+
+
+def test_one_structure_builder():
+    # every class and radius question reads the record spectral.taxonomy
+    # keeps on the matrix, so only building that record condenses the
+    # matrix, computes its class radii and classifies
+    sites = _call_sites(["classify", "condense", "class_radii"])
+    assert sites == {
+        "classify": [("spectral.py", "taxonomy")],
+        "condense": [("spectral.py", "class_radii"), ("spectral.py", "taxonomy")],
+        "class_radii": [("spectral.py", "taxonomy")],
+    }, sites

@@ -261,8 +261,75 @@ class TestTaxonomyMemo:
     def test_repeat_call_returns_the_same_object(self):
         P = fuzz_matrix(rng(4202))
         assert taxonomy(P) is taxonomy(P)
+        # an equal matrix built anew has its own record, built from the
+        # condense and class_radii caches without recomputing either
         Q = NonnegMatrix.make([list(row) for row in P.rows], RATIONAL)
-        assert taxonomy(Q) is taxonomy(P)
+        before = [f.cache_info() for f in (condense, class_radii)]
+        assert taxonomy(Q) == taxonomy(P)
+        after = [f.cache_info() for f in (condense, class_radii)]
+        for old, new in zip(before, after):
+            assert new.hits > old.hits and new.misses == old.misses
+
+    def test_default_and_explicit_tolerance_share_one_record(self):
+        P = fuzz_matrix(rng(4203))
+        assert taxonomy(P) is taxonomy(P, DEFAULT_TOL)
+        assert taxonomy(P, Tolerance()) is taxonomy(P)
+
+    def test_one_classify_call_per_matrix_over_a_query_stream(self, monkeypatch):
+        from coneq.eq_type1 import minimal_solution, solve1
+        from coneq.eq_type2 import necessary_face, solvable2, tracedown_witness
+
+        def witnesses(P):
+            tax = taxonomy(P)
+            return [
+                tracedown_witness(P, c)
+                for c in range(len(tax.radii))
+                if tax.basic[c] and tax.distinguished_transpose[c]
+            ]
+
+        rnd = rng(4204)
+        matrices, stream = [], []
+        for _ in range(20):
+            P = fuzz_matrix(rnd)
+            for M in (P, P.to_float()):
+                b = ConeVector.make(fuzz_vector(rnd, M.n).entries, M.mode)
+                matrices.append(M)
+                stream += [
+                    lambda M=M, b=b: solve1(M, spectral_radius(M) + 1, b),
+                    lambda M=M, b=b: solvable2(M, spectral_radius(M, DEFAULT_TOL), b),
+                    lambda M=M, b=b: minimal_solution(M, spectral_radius(M) + 1, b, DEFAULT_TOL),
+                    lambda M=M: spectral_radius(M),
+                    lambda M=M: necessary_face(M, spectral_radius(M)),
+                    lambda M=M: witnesses(M),
+                ]
+        rnd.shuffle(stream)
+        calls = []
+        orig = spectral.classify
+
+        def counted(analysis, radii, tol):
+            calls.append(tol)
+            return orig(analysis, radii, tol)
+
+        monkeypatch.setattr(spectral, "classify", counted)
+        for query in stream:
+            query()
+        assert len(calls) == len(matrices) == 40
+
+    def test_derived_and_pickled_matrices_start_without_a_record(self):
+        import pickle
+
+        P = irregular(rng(4205), fuzz_matrix(rng(4206)))
+        tax = taxonomy(P)
+        derived = (P.transpose(), P.submatrix([1, 2]), P.to_float(), pickle.loads(pickle.dumps(P)))
+        for D in derived:
+            assert ("taxonomy", DEFAULT_TOL) not in vars(D).get("_memo", {})
+            assert taxonomy(D) == _uncached_taxonomy(D)
+        assert taxonomy(derived[-1]) == tax and taxonomy(P) is tax
+
+    def test_spectral_radius_of_the_empty_matrix_keeps_its_mode(self):
+        for mode, want in ((RATIONAL, Fraction(0)), (FLOAT, 0.0)):
+            rho = spectral_radius(NonnegMatrix.zero_matrix(0, mode))
+            assert type(rho) is type(want) and rho == want
 
     def test_equals_classify_on_fuzzed_matrices(self):
         irrational = 0
