@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from . import oracle
 from .classes import smallest_initial_superset
 from .core import (
@@ -40,6 +38,7 @@ from .core import (
     NumericFailure,
     Scalar,
     Tolerance,
+    np,
     require_same_mode,
     require_same_size,
     scalar_lt,
@@ -328,7 +327,7 @@ def _orbit_evidence(P, x, rho_f: float, tol: Tolerance) -> Optional[bool]:
     for _ in range(min(tol.power_iters, 2000)):
         w = a @ v
         nrm = float(np.max(np.abs(w)))
-        if not np.isfinite(nrm) or nrm > 1e12 * scale:
+        if not math.isfinite(nrm) or nrm > 1e12 * scale:
             return False
         if float(np.max(np.abs(w - v))) <= 1e-9 * max(1.0, nrm):
             stable += 1

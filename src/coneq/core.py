@@ -14,13 +14,32 @@ initial subsets are sets of integers drawn from {1, .., n}.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import operator
+import sys
 from dataclasses import dataclass, fields, is_dataclass
+from decimal import Decimal
 from fractions import Fraction
+from numbers import Real
 from typing import Iterable, Sequence, Union
 
-import numpy as np
+
+def _lazy_numpy():
+    """numpy if it is imported already, else a module that imports numpy on
+    its first attribute access (the importlib.util.LazyLoader recipe): every
+    module takes its ``np`` from here, so exact work never executes numpy."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 Scalar = Union[Fraction, float]
 
@@ -68,7 +87,8 @@ DEFAULT_TOL = Tolerance()
 
 def as_scalar(value, mode: str) -> Scalar:
     """Coerce ``value`` into the requested mode; anything that is not a
-    finite number there (booleans included) raises InvalidInput.
+    finite real number there (booleans, NumPy's too, included) raises
+    InvalidInput.
 
     Rational mode reads floats and numeric strings as *decimal* literals
     ("0.1" means 1/10, not the nearest binary double); strings of the form
@@ -82,7 +102,7 @@ def as_scalar(value, mode: str) -> Scalar:
         if isinstance(value, float):
             if not math.isfinite(value):
                 raise InvalidInput("non-finite scalar")
-            value = repr(value)
+            value = repr(float(value))  # float's repr, for NumPy's float64 too
         elif not isinstance(value, (int, str)):
             try:
                 value = operator.index(value)  # NumPy's integer types too, exactly
@@ -90,6 +110,8 @@ def as_scalar(value, mode: str) -> Scalar:
                 raise InvalidInput(f"cannot read scalar of type {type(value).__name__}") from None
     elif mode != FLOAT:
         raise InvalidInput(f"unknown mode {mode!r}")
+    elif not isinstance(value, (float, int, str, Real, Decimal)):  # NumPy's bool is not Real
+        raise InvalidInput(f"cannot read scalar of type {type(value).__name__}")
     try:
         if mode == RATIONAL:
             return Fraction(value)

@@ -11,11 +11,10 @@ is exactly the nonnegative eigenvectors at lambda.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from . import oracle
 from .classes import smallest_initial_superset
@@ -30,6 +29,7 @@ from .core import (
     Scalar,
     Tolerance,
     as_scalar,
+    np,
     require_same_mode,
     require_same_size,
     scalar_le,
@@ -149,7 +149,7 @@ def neumann_partial(
     for _ in range(m):
         term = tuple(inv * e for e in P.apply(term))
         acc = tuple(a + t for a, t in zip(acc, term))
-        if P.mode == FLOAT and any(not np.isfinite(e) for e in acc):
+        if P.mode == FLOAT and not all(map(math.isfinite, acc)):
             raise NumericFailure("resolvent partial sums overflowed")
     return ConeVector(acc, P.mode)
 

@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .core import (
     DEFAULT_TOL,
     InvalidInput,
@@ -40,6 +38,7 @@ from .core import (
     Scalar,
     Tolerance,
     exact_fraction,
+    np,
 )
 
 RANK_REL = 1e-8  # relative singular-value threshold for rank decisions

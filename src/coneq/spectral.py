@@ -23,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import exp, log
+from math import exp, isfinite, log
+from operator import mul
 from typing import Sequence
-
-import numpy as np
 
 from .classes import ClassAnalysis, ClassTaxonomy, classify, condense
 from .core import (
@@ -41,6 +40,7 @@ from .core import (
     SpectralPair,
     Tolerance,
     format_scalar,
+    np,
     require_same_mode,
     require_same_size,
     scalars_equal,
@@ -56,20 +56,23 @@ def _power_iteration_radius(block_rows, tol: Tolerance):
 
     Iterates stay strictly positive, so min_i (Av)_i/v_i <= rho <= max_i
     (Av)_i/v_i sandwiches the root; the gap certifies the error, unlike a
-    Cauchy test on successive estimates.
+    Cauchy test on successive estimates.  Python floats, so the digits do
+    not depend on a BLAS kernel and exact work never loads numpy.
     """
     m = len(block_rows)
-    a = np.array([[float(e) for e in row] for row in block_rows], dtype=float) + np.eye(m)
-    v = np.ones(m) / m
+    a = [[float(e) for e in row] for row in block_rows]
+    for i in range(m):
+        a[i][i] += 1.0
+    v = [1.0 / m] * m
     for _ in range(tol.power_iters):
-        w = a @ v
-        ratios = w / v
-        lo = float(np.min(ratios))
-        hi = float(np.max(ratios))
+        if 0.0 in v:  # an entry underflowed: no positive Perron vector in floats
+            break
+        w = [sum(map(mul, row, v)) for row in a]
+        ratios = [x / y for x, y in zip(w, v)]
+        lo, hi, top = min(ratios), max(ratios), max(w)
         if hi - lo <= tol.eig_tol * max(1.0, abs(hi)):
-            mid = (lo + hi) / 2.0
-            return mid - 1.0, tuple(float(e) for e in w / float(np.max(w)))
-        v = w / float(np.max(w))
+            return (lo + hi) / 2.0 - 1.0, tuple(x / top for x in w)
+        v = [x / top for x in w]
     raise NumericFailure("power iteration did not converge within the iteration cap")
 
 
@@ -147,7 +150,7 @@ def local_radius_estimate(
         nrm = float(np.max(np.abs(v)))
         if nrm == 0.0:
             return 0.0
-        if not np.isfinite(nrm):
+        if not isfinite(nrm):
             raise NumericFailure("orbit overflow despite renormalization")
         v = v / nrm
         log_total += log(nrm)

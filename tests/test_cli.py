@@ -2,12 +2,15 @@
 one sorted-keys JSON document on stdout, exit codes 0/2/3."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from pytest import raises as assert_raises
 
+import coneq
 from coneq.cli import main
 
 
@@ -359,3 +362,59 @@ class TestOutputDiscipline:
         doc = json.loads(proc.stdout)
         assert doc["solvable"] is False
         assert doc["rho_b"] == 2
+
+
+# runs each command line of the JSON list in argv[1] in one process, then
+# prints on stderr the numpy submodules loaded by then: the lazy binding puts
+# an unexecuted `numpy` stub in sys.modules, so only submodules show numpy ran
+_COLD_CHILD = """
+import json, sys
+from coneq.cli import main
+for argv in json.loads(sys.argv[1]):
+    main(argv)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("numpy."))), file=sys.stderr)
+"""
+
+
+def _readme_examples() -> list:
+    """(command line, stdout line) of each README CLI example on P.json."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    return [
+        (line.split()[2:], lines[k + 1])
+        for k, line in enumerate(lines)
+        if line.startswith("$ coneq ") and line.endswith(" P.json") and lines[k + 1].startswith("{")
+    ]
+
+
+class TestColdRationalCall:
+    @pytest.fixture
+    def readme_dir(self, tmp_path):
+        _write(tmp_path, "P.json", {"entries": [[0, 1, 0], [0, 0, 1], ["1/2", 0, 0]]})
+        _write(tmp_path, "b.json", {"entries": [1, 0, 0]})
+        return tmp_path
+
+    def _cold(self, cwd, argvs):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(coneq.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _COLD_CHILD, json.dumps(argvs)],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout, json.loads(proc.stderr.splitlines()[-1])
+
+    def test_readme_examples_print_their_bytes_without_executing_numpy(self, capsys, readme_dir):
+        examples = _readme_examples()
+        assert [argv[0] for argv, _ in examples] == ["solve1", "solve2"]
+        analyze = ["analyze", "P.json"]
+        main(["analyze", str(readme_dir / "P.json")])  # in this process, where numpy is loaded
+        warm = capsys.readouterr().out
+        out, loaded = self._cold(readme_dir, [argv for argv, _ in examples] + [analyze])
+        assert out == "".join(line + "\n" for _, line in examples) + warm
+        assert loaded == []
+
+    def test_float_mode_loads_numpy(self, readme_dir):
+        argv, line = _readme_examples()[0]
+        out, loaded = self._cold(readme_dir, [["--mode", "float", *argv]])
+        assert json.loads(out)["rho_b"] == json.loads(line)["rho_b"]
+        assert "numpy.linalg" in loaded

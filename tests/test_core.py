@@ -51,8 +51,18 @@ def test_as_scalar_reads_numpy_integers_in_both_modes():
     P = NonnegMatrix.make(np.array([[1, 2], [3, 4]]), RATIONAL)
     assert P == NonnegMatrix.make([[1, 2], [3, 4]], RATIONAL)
     assert all(type(e) is Fraction for row in P.rows for e in row)
-    with pytest.raises(InvalidInput):
-        as_scalar(np.True_, RATIONAL)
+    # NumPy's booleans (and complex numbers) are not read in either mode
+    for mode in (RATIONAL, FLOAT):
+        for junk in (np.True_, np.False_, np.complex128(1)):
+            with pytest.raises(InvalidInput):
+                as_scalar(junk, mode)
+
+
+def test_as_scalar_reads_numpy_floats():
+    assert as_scalar(np.float64(0.1), RATIONAL) == Fraction(1, 10)
+    for value, want in ((np.float64(0.1), 0.1), (np.float32(1.5), 1.5)):
+        got = as_scalar(value, FLOAT)
+        assert type(got) is float and got == want
 
 
 def test_as_scalar_rejects_junk():

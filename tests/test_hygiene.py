@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no private module-level name goes unused by the package, no public def or
 class is dead (each is exported, read by a package module or traced by the
-benchmark), the float eigen pass has one caller, and only the structure
-record's builder condenses and classifies."""
+benchmark), the float eigen pass has one caller, only the structure
+record's builder condenses and classifies, every import sits at module
+level, and numpy is bound once, lazily, in core."""
 
 import ast
 import sys
@@ -68,11 +69,15 @@ def _references(node) -> Counter:
     return refs
 
 
+def _trees() -> dict:
+    return {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+
+
 def _unread(definitions) -> list:
     """'module: name' for each (module, name, node) that no package module
     reads outside the definition itself; references from the tests do not
     count."""
-    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    trees = _trees()
     assert len(trees) >= 10
     refs = sum((_references(tree) for tree in trees.values()), Counter())
     return sorted(
@@ -136,3 +141,39 @@ def test_one_structure_builder():
         "condense": [("spectral.py", "class_radii"), ("spectral.py", "taxonomy")],
         "class_radii": [("spectral.py", "taxonomy")],
     }, sites
+
+
+def test_imports_sit_at_module_level():
+    nested = [
+        f"{name}: line {node.lineno}"
+        for name, tree in _trees().items()
+        for top in tree.body
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for node in ast.walk(top)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not nested, nested
+
+
+def test_numpy_is_bound_once_in_core():
+    # core binds np lazily, so exact work never executes numpy: no module
+    # imports numpy itself, and each other module reading np takes core's
+    trees = _trees()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert all(a.name.split(".")[0] != "numpy" for a in node.names), (name, node.lineno)
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "numpy", (name, node.lineno)
+    assert any(
+        isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "np" for t in node.targets)
+        for node in trees["core.py"].body
+    )
+    for name, tree in trees.items():
+        reads_np = any(isinstance(node, ast.Name) and node.id == "np" for node in ast.walk(tree))
+        from_core = any(
+            isinstance(node, ast.ImportFrom) and node.module == "core" and node.level == 1
+            and any(a.name == "np" and a.asname is None for a in node.names)
+            for node in tree.body
+        )
+        assert name == "core.py" or reads_np == from_core, name

@@ -12,6 +12,7 @@ from coneq.core import (
     ConeVector,
     InvalidInput,
     NonnegMatrix,
+    NumericFailure,
     SpectralPair,
     Tolerance,
     saturate,
@@ -68,6 +69,37 @@ class TestRadii:
         (r,) = class_radii(mat([[1, 2], [3, 1]]))
         assert isinstance(r, float)
         assert abs(r - (1 + math.sqrt(6))) < 1e-6
+
+
+class TestPerronIteration:
+    def test_radius_lies_within_eig_tol_of_the_dense_eigenvalues(self):
+        # irregular irreducible blocks, rational and float, from the sizes
+        # the benchmark pools reach up to 32
+        rnd = rng(61)
+
+        def entry():
+            return Fraction(rnd.randint(1, 9), rnd.randint(1, 9)) if rnd.random() < 0.4 else Fraction(0)
+
+        for m in list(range(2, 9)) + [12, 16, 24, 32]:
+            for _ in range(3):
+                rows = [[entry() for _ in range(m)] for _ in range(m)]
+                for i in range(m):
+                    rows[i][(i + 1) % m] += Fraction(1, rnd.randint(1, 3))  # a full cycle: irreducible
+                want = float(np.max(np.abs(np.linalg.eigvals(np.array(rows, dtype=float)))))
+                for block in (rows, [[float(e) for e in row] for row in rows]):
+                    r, v = spectral._power_iteration_radius(block, DEFAULT_TOL)
+                    assert type(r) is float
+                    assert abs(r - want) <= DEFAULT_TOL.eig_tol * max(1.0, want), (m, r, want)
+                    assert max(v) == 1.0 and min(v) > 0
+
+    def test_three_cycle_radius_is_the_float_cube_root_of_one_half(self):
+        assert class_radii(mat([[0, 1, 0], [0, 0, 1], ["1/2", 0, 0]])) == (0.7937005280086775,)
+
+    def test_slow_contraction_still_hits_the_iteration_cap(self):
+        # eigenvalues 1 +- sqrt(2)*1e-6: the iteration on block + I would need
+        # about 1e7 steps to close its 1e-8 gap, against power_iters = 1e4
+        with pytest.raises(NumericFailure):
+            class_radii(mat([[1, Fraction(1, 10**6)], [Fraction(2, 10**6), 1]]))
 
 
 class TestLocalRadius:
