@@ -28,12 +28,11 @@ from .core import (
     as_scalar,
     require_same_mode,
     require_same_size,
-    scalar_lt,
 )
 from .spectral import (
     max_distinguished_order,
     spectral_pair,
-    spectral_radius,
+    taxonomy,
 )
 
 
@@ -139,7 +138,7 @@ def alt_length(
 
 def exists_infinite(Z: ZMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Some x >= 0 has an infinite alternating sequence iff s < rho(P)."""
-    return scalar_lt(Z.s, spectral_radius(Z.P, tol), tol)
+    return taxonomy(Z.P, tol).local_sign(range(1, Z.P.n + 1), Z.s) > 0
 
 
 def is_m_matrix(Z: ZMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -17,14 +17,17 @@ their access relation, the class radii, the basic, final, initial,
 distinguished and semi-distinguished flags, the distinguished eigenvalues,
 and the derived initial sets every decision procedure asks for (the
 accessors of a set of classes, the largest initial set below a shift).
+It keeps the tolerance it was built with and decides every comparison of a
+shift with a radius, so no other module compares the two itself.
 ``spectral.taxonomy`` builds it once per (matrix, tolerance).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     DEFAULT_TOL,
@@ -210,9 +213,12 @@ class ClassTaxonomy:
     distinguished  radius strictly exceeds that of every other accessor class
     distinguished_transpose  the same for the transposed access relation
     semi_distinguished       every accessor class has radius <= its own
-    distinguished_eigenvalues  radii of distinguished classes, deduplicated,
-                               ascending: the eigenvalues admitting a
-                               nonnegative eigenvector
+    eigen_classes  one distinguished class per distinguished eigenvalue (the
+                   radii admitting a nonnegative eigenvector), by ascending
+                   radius
+    tol            the tolerance the record was built with; radius_sign,
+                   which every query below reads, is the one comparison of a
+                   class radius with a shift
     """
 
     analysis: ClassAnalysis
@@ -224,23 +230,47 @@ class ClassTaxonomy:
     distinguished: tuple
     distinguished_transpose: tuple
     semi_distinguished: tuple
-    distinguished_eigenvalues: tuple
+    eigen_classes: tuple
+    tol: Tolerance
 
-    def distinguished_at(self, lam, tol: Tolerance = DEFAULT_TOL) -> tuple:
-        """Indices of distinguished classes whose radius equals lam."""
+    @property
+    def distinguished_eigenvalues(self) -> tuple:
+        """Radii of distinguished classes, deduplicated, ascending."""
+        return tuple(self.radii[c] for c in self.eigen_classes)
+
+    def radius_sign(self, c: Optional[int], lam) -> int:
+        """Sign of radius_c - lam: 0 when they are equal under the record's
+        tolerance (exactly, when both are rational).  c = None stands for
+        no class, whose radius is the exact 0."""
+        r = Fraction(0) if c is None else self.radii[c]
+        if scalars_equal(r, lam, self.tol):
+            return 0
+        return -1 if r < lam else 1
+
+    def classes_at(self, lam, flags: Optional[Sequence[bool]] = None) -> tuple:
+        """Indices of the classes whose radius equals lam, among those the
+        flags mark (all classes when flags is None)."""
         return tuple(
             c
-            for c, flag in enumerate(self.distinguished)
-            if flag and scalars_equal(self.radii[c], lam, tol)
+            for c in range(len(self.radii))
+            if (flags is None or flags[c]) and self.radius_sign(c, lam) == 0
         )
 
-    def semi_distinguished_at(self, lam, tol: Tolerance = DEFAULT_TOL) -> tuple:
-        """Indices of semi-distinguished classes whose radius equals lam."""
-        return tuple(
-            c
-            for c, flag in enumerate(self.semi_distinguished)
-            if flag and scalars_equal(self.radii[c], lam, tol)
-        )
+    def is_distinguished_eigenvalue(self, lam) -> bool:
+        """Does lam equal a distinguished eigenvalue (see radius_sign)?"""
+        return any(self.radius_sign(c, lam) == 0 for c in self.eigen_classes)
+
+    def local_class(self, vertices: Iterable[int]) -> Optional[int]:
+        """The first class of largest radius among those with access to the
+        vertices (None for none): its radius is their local spectral radius."""
+        an = self.analysis
+        mask = an.accessors_mask(an.classes_meeting(vertices))
+        members = (c for c in range(len(self.radii)) if mask >> c & 1)
+        return max(members, key=self.radii.__getitem__, default=None)
+
+    def local_sign(self, vertices: Iterable[int], lam) -> int:
+        """Sign of (local spectral radius of the vertices) - lam."""
+        return self.radius_sign(self.local_class(vertices), lam)
 
     def accessor_vertices(self, classes: Iterable[int]) -> frozenset:
         """Vertices of the classes with access to one of the given classes:
@@ -250,19 +280,18 @@ class ClassTaxonomy:
             mask |= 1 << c
         return self.analysis.vertices_of_mask(self.analysis.accessors_mask(mask))
 
-    def initial_below(self, lam, tol: Tolerance = DEFAULT_TOL, strict: bool = True) -> tuple:
+    def initial_below(self, lam, *, strict: bool = True) -> tuple:
         """Indices of the classes all of whose accessors have radius < lam
         (<= lam when not strict): the largest initial set of classes below
         lam."""
-        below = scalar_lt if strict else scalar_le
         blocked = 0
-        for c, r in enumerate(self.radii):
-            if not below(r, lam, tol):
+        for c in range(len(self.radii)):
+            if self.radius_sign(c, lam) >= (0 if strict else 1):
                 blocked |= self.analysis.reach[c]
         return tuple(c for c in range(len(self.radii)) if not blocked >> c & 1)
 
     def to_json_dict(self) -> dict:
-        """Every field but the analysis and the deduplicated eigenvalues."""
+        """Every field but the analysis, eigen_classes and tol."""
         names = ("radii", "rho", "basic", "final", "initial", "distinguished",
                  "distinguished_transpose", "semi_distinguished")
         return {name: to_json(getattr(self, name)) for name in names}
@@ -281,35 +310,22 @@ def classify(
     initial = tuple(
         all(not analysis.has_access(d, c) for d in range(k) if d != c) for c in range(k)
     )
-    distinguished = tuple(
-        all(
-            scalar_lt(radii[d], radii[c], tol)
+
+    def above_others(c, below, transpose=False):  # d has access to c (c to d when transpose)
+        return all(
+            below(radii[d], radii[c], tol)
             for d in range(k)
-            if d != c and analysis.has_access(d, c)
+            if d != c and (analysis.has_access(c, d) if transpose else analysis.has_access(d, c))
         )
-        for c in range(k)
-    )
-    distinguished_transpose = tuple(
-        all(
-            scalar_lt(radii[d], radii[c], tol)
-            for d in range(k)
-            if d != c and analysis.has_access(c, d)
-        )
-        for c in range(k)
-    )
-    semi = tuple(
-        all(
-            scalar_le(radii[d], radii[c], tol)
-            for d in range(k)
-            if analysis.has_access(d, c)
-        )
-        for c in range(k)
-    )
-    dvals = []
-    for r in sorted(r for r, d in zip(radii, distinguished) if d):
-        if not dvals or not scalars_equal(dvals[-1], r, tol):
-            dvals.append(r)
+
+    distinguished = tuple(above_others(c, scalar_lt) for c in range(k))
+    distinguished_transpose = tuple(above_others(c, scalar_lt, True) for c in range(k))
+    semi = tuple(above_others(c, scalar_le) for c in range(k))
+    eigen_classes = []
+    for c in sorted((c for c in range(k) if distinguished[c]), key=radii.__getitem__):
+        if not eigen_classes or not scalars_equal(radii[eigen_classes[-1]], radii[c], tol):
+            eigen_classes.append(c)
     return ClassTaxonomy(
         analysis, tuple(radii), rho, basic, final, initial, distinguished,
-        distinguished_transpose, semi, tuple(dvals),
+        distinguished_transpose, semi, tuple(eigen_classes), tol,
     )

@@ -23,8 +23,8 @@ from .core import (
     as_scalar,
     exact_fraction,
     one,
-    scalar_lt,
     scalars_equal,
+    support,
     to_json,
 )
 
@@ -102,7 +102,7 @@ def _cmd_analyze(P: NonnegMatrix, tol) -> dict:
     out["faces"] = [
         {
             "eigenvalue": lam,
-            "eigenvector_face": sorted(tax.accessor_vertices(tax.distinguished_at(lam, tol))),
+            "eigenvector_face": sorted(tax.accessor_vertices(tax.classes_at(lam, tax.distinguished))),
             "necessary_face": sorted(eq_type2.necessary_face(P, lam, tol)),
         }
         for lam in tax.distinguished_eigenvalues
@@ -166,9 +166,10 @@ def _check_above_regime(P: NonnegMatrix, tol) -> dict:
     sweep = _shift_sweep(P, tol, (Fraction(1, 3),))
     rho = spectral.spectral_radius(P, tol)
     sweep.append(rho + (Fraction(1) if isinstance(rho, Fraction) else 1.0))
+    tax = spectral.taxonomy(P, tol)
     for lam in sweep:
         for b in _sample_vectors(P):
-            if not scalar_lt(spectral.local_spectral_radius(P, b, tol), lam, tol):
+            if tax.local_sign(support(b), lam) >= 0:
                 continue
             comb = eq_type2.combinatorial_solvable_above(P, lam, b, tol)
             rows = oracle.shifted_image_rows(P, lam, sign=1)  # P - lambda*I
@@ -184,7 +185,7 @@ def _check_above_regime(P: NonnegMatrix, tol) -> dict:
                 pair = spectral.spectral_pair(P, x, tol)
                 if not all(_is_zero(r, tol) for r in resid):
                     issue = "constructed solution has a nonzero residual"
-                elif not (scalars_equal(pair.rho, lam, tol) and pair.order == 1):
+                elif not (tax.local_sign(support(x), lam) == 0 and pair.order == 1):
                     issue = "constructed solution has the wrong spectral pair"
             if issue is not None:
                 bad = bad or {"lambda": lam, "b": b, "issue": issue}
@@ -252,9 +253,11 @@ def _check_window_below_rho(P: NonnegMatrix, tol) -> dict:
         return {"pass": True, "samples": [], "counterexample": None}
     tax = spectral.taxonomy(P, tol)
     expected = tax.accessor_vertices(c for c, flag in enumerate(tax.basic) if flag)
-    coeffs = oracle.charpoly_exact(P)
+    # one Sturm chain: its variations drop from t to rho by the eigenvalues in (t, rho]
+    chain = oracle._sturm_chain(oracle.charpoly_exact(P))
+    top = oracle._variations(chain, rho)
     t = max(rho - 1, Fraction(0))
-    while oracle.count_real_roots_in(coeffs, t, rho) > 1:
+    while oracle._variations(chain, t) - top > 1:
         t = (t + rho) / 2
     # (t, rho] holds no eigenvalue but rho, so every shift in it is certified
     samples = []

@@ -41,8 +41,6 @@ from .core import (
     np,
     require_same_mode,
     require_same_size,
-    scalar_lt,
-    scalars_equal,
     snap_cone,
     support,
     zero,
@@ -251,9 +249,8 @@ def _basic_closure_no_lower_dval(P: NonnegMatrix, rho: Fraction, tol: Tolerance)
     j_verts = sorted(tax.accessor_vertices(c for c, flag in enumerate(tax.basic) if flag))
     if not j_verts:
         return True
-    sub = P.submatrix(j_verts)
-    dvals = distinguished_eigenvalues(sub, tol)
-    return all(scalars_equal(v, rho, tol) for v in dvals)
+    sub_tax = taxonomy(P.submatrix(j_verts), tol)
+    return all(sub_tax.radius_sign(c, rho) == 0 for c in sub_tax.eigen_classes)
 
 
 @dataclass(frozen=True)
@@ -278,11 +275,11 @@ def boundary_report(P: NonnegMatrix, x: ConeVector, tol: Tolerance = DEFAULT_TOL
     img = P.apply(x.entries)
     b = snap_cone([cw.R_upper * e - i for e, i in zip(x.entries, img)], P.mode, tol)
     on_boundary = support(b) < support(x)
+    tax = taxonomy(P, tol)
     closure_is_face = (
-        not b.is_zero()
-        and smallest_initial_superset(taxonomy(P, tol).analysis, support(b)) == support(x)
+        not b.is_zero() and smallest_initial_superset(tax.analysis, support(b)) == support(x)
     )
-    strict = scalar_lt(cw.rho_x, cw.R_upper, tol)
+    strict = tax.local_sign(support(x), cw.R_upper) < 0  # rho_x < R
     return BoundaryReport(b, on_boundary, strict == closure_is_face)
 
 

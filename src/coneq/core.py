@@ -92,7 +92,8 @@ def as_scalar(value, mode: str) -> Scalar:
 
     Rational mode reads floats and numeric strings as *decimal* literals
     ("0.1" means 1/10, not the nearest binary double); strings of the form
-    "p/q" are exact rationals in both modes, and integers of any type exactly.
+    "p/q" are exact rationals in both modes, and integers of any type and
+    Decimals exactly.
     """
     if isinstance(value, bool):
         raise InvalidInput("booleans are not scalars")
@@ -103,7 +104,7 @@ def as_scalar(value, mode: str) -> Scalar:
             if not math.isfinite(value):
                 raise InvalidInput("non-finite scalar")
             value = repr(float(value))  # float's repr, for NumPy's float64 too
-        elif not isinstance(value, (int, str)):
+        elif not isinstance(value, (int, str, Decimal)):
             try:
                 value = operator.index(value)  # NumPy's integer types too, exactly
             except TypeError:

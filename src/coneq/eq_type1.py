@@ -32,9 +32,6 @@ from .core import (
     np,
     require_same_mode,
     require_same_size,
-    scalar_le,
-    scalar_lt,
-    scalars_equal,
     solve_linear,
     support,
     vec_sub,
@@ -42,8 +39,6 @@ from .core import (
 )
 from .spectral import (
     class_radii,  # noqa: F401  (bench/test_smoke.py expects this binding)
-    distinguished_eigenvalues,
-    local_spectral_radius,
     taxonomy,
 )
 
@@ -58,7 +53,7 @@ def _check_inputs(P: NonnegMatrix, lam: Scalar, b: ConeVector):
 def solvable1(P: NonnegMatrix, lam: Scalar, b: ConeVector, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Does (lambda*I - P)x = b admit x >= 0?  Purely combinatorial."""
     _check_inputs(P, lam, b)
-    return scalar_lt(local_spectral_radius(P, b, tol), lam, tol)
+    return taxonomy(P, tol).local_sign(support(b), lam) < 0
 
 
 def _unsolvable_witness(P, lam, b, tol):
@@ -66,8 +61,8 @@ def _unsolvable_witness(P, lam, b, tol):
     reachable; exists whenever the equation is unsolvable."""
     tax = taxonomy(P, tol)
     bmask = tax.analysis.classes_meeting(support(b))
-    for c, r in enumerate(tax.radii):
-        if tax.distinguished[c] and scalar_le(lam, r, tol) and tax.analysis.reach[c] & bmask:
+    for c in range(len(tax.radii)):
+        if tax.distinguished[c] and tax.radius_sign(c, lam) >= 0 and tax.analysis.reach[c] & bmask:
             return c
     return None
 
@@ -116,9 +111,11 @@ class SolveReport1:
 def solve1(P: NonnegMatrix, lam: Scalar, b: ConeVector, tol: Tolerance = DEFAULT_TOL) -> SolveReport1:
     """Decide and, if possible, construct the minimal nonnegative solution."""
     _check_inputs(P, lam, b)
-    rho_b = local_spectral_radius(P, b, tol)
-    freedom = taxonomy(P, tol).distinguished_at(lam, tol)
-    if not scalar_lt(rho_b, lam, tol):
+    tax = taxonomy(P, tol)
+    c_b = tax.local_class(support(b))  # one pass gives rho_b and its comparison
+    rho_b = zero(P.mode) if c_b is None else tax.radii[c_b]
+    freedom = tax.classes_at(lam, tax.distinguished)
+    if tax.radius_sign(c_b, lam) >= 0:
         witness = _unsolvable_witness(P, lam, b, tol)
         return SolveReport1(
             False, rho_b, None, None, freedom, "h", None, witness
@@ -164,7 +161,7 @@ def solvable_set(P: NonnegMatrix, lam: Scalar, tol: Tolerance = DEFAULT_TOL) -> 
     if lam <= 0:
         raise InvalidInput("the shift must be strictly positive")
     tax = taxonomy(P, tol)
-    return frozenset(v for c in tax.initial_below(lam, tol) for v in tax.analysis.classes[c])
+    return frozenset(v for c in tax.initial_below(lam) for v in tax.analysis.classes[c])
 
 
 @dataclass(frozen=True)
@@ -289,7 +286,7 @@ def _condition_d(P, lam, b, tol):
     return None
 
 
-def _peripheral_float(P, b, lam, tol, dvals) -> tuple:
+def _peripheral_float(P, b, lam, tax) -> tuple:
     """Float conditions (e, f, i, j) from the generalized eigenvectors z of
     P^T, which oracle._eigenspaces computes once per matrix and tolerance.
 
@@ -298,6 +295,7 @@ def _peripheral_float(P, b, lam, tol, dvals) -> tuple:
     z^T b != 0 (e), and i asks |z|.b = 0, over every mu with |mu| >= lambda;
     f and j ask the same at the real distinguished mu >= lambda only.
     """
+    tol = tax.tol
     table, scale = oracle._eigenspaces(P, tol, transpose=True)[:2]
     lam_f = float(lam)
     floor = lam_f - tol.eig_tol * max(1.0, lam_f)
@@ -311,7 +309,7 @@ def _peripheral_float(P, b, lam, tol, dvals) -> tuple:
         [
             abs(mu.imag) <= tol.eig_tol * scale
             and mu.real >= floor
-            and any(scalars_equal(float(mu.real), float(v), tol) for v in dvals)
+            and tax.is_distinguished_eigenvalue(float(mu.real))
             for mu in rows[:, 0]
         ],
         dtype=bool,
@@ -340,11 +338,11 @@ def _transpose_generalized_basis(P: NonnegMatrix, mu: Fraction) -> tuple:
     return P.memoized(("transpose_generalized_basis", mu), build)
 
 
-def _orthogonal_exact(P, b, lam, tol, dvals) -> Optional[tuple]:
+def _orthogonal_exact(P, b, lam, tax) -> Optional[tuple]:
     """Exact form of the distinguished-orthogonality condition, when every
     distinguished eigenvalue >= lambda is an exact rational; None otherwise.
     Returns (f_verdict, j_verdict)."""
-    relevant = [v for v in dvals if scalar_le(lam, v, tol)]
+    relevant = [tax.radii[c] for c in tax.eigen_classes if tax.radius_sign(c, lam) >= 0]
     if not all(isinstance(v, Fraction) for v in relevant) or P.mode != RATIONAL:
         return None
     f_ok = True
@@ -371,9 +369,9 @@ def solvability_conditions(
     cond_b = support(b) <= solvable_set(P, lam, tol)
     cond_c = _condition_c(P, lam, b, tol)
     cond_d = _condition_d(P, lam, b, tol)
-    dvals = distinguished_eigenvalues(P, tol)
-    cond_e, cond_f, cond_i, cond_j = _peripheral_float(P, b, lam, tol, dvals)
-    exact_fj = _orthogonal_exact(P, b, lam, tol, dvals)
+    tax = taxonomy(P, tol)
+    cond_e, cond_f, cond_i, cond_j = _peripheral_float(P, b, lam, tax)
+    exact_fj = _orthogonal_exact(P, b, lam, tax)
     if exact_fj is not None:
         cond_f, cond_j = exact_fj
     decided = [cond_b, cond_e, cond_f, cond_g, cond_h, cond_i, cond_j]

@@ -41,10 +41,6 @@ from .core import (
     Tolerance,
     as_scalar,
     exact_fraction,
-    lex_leq,
-    scalar_le,
-    scalar_lt,
-    scalars_equal,
     snap_cone,
     support,
     zero,
@@ -53,9 +49,7 @@ from .eq_type1 import _check_inputs, minimal_solution
 from .spectral import (
     _back_substitute,
     class_radii,  # noqa: F401  (bench/test_smoke.py expects this binding)
-    distinguished_eigenvalues,
     fv_eigenvector,
-    local_spectral_radius,
     max_distinguished_order,
     spectral_pair,
     taxonomy,
@@ -66,7 +60,7 @@ def combinatorial_solvable_above(P, lam, b, tol=DEFAULT_TOL) -> bool:
     """The access test for the regime lambda > rho_b: lambda distinguished and
     every class meeting supp(b) reaches a lambda-distinguished class."""
     tax = taxonomy(P, tol)
-    dist = tax.distinguished_at(lam, tol)
+    dist = tax.classes_at(lam, tax.distinguished)
     return bool(dist) and support(b) <= tax.accessor_vertices(dist)
 
 
@@ -82,15 +76,13 @@ def solve2_above(
     _check_inputs(P, lam, b)
     if b.is_zero():
         return ConeVector.zero_vector(P.n, P.mode)
-    rho_b = local_spectral_radius(P, b, tol)
-    if not scalar_lt(rho_b, lam, tol):
+    tax = taxonomy(P, tol)
+    if tax.local_sign(support(b), lam) >= 0:
         raise InvalidInput("construction requires the shift to exceed the local radius of b")
     if not combinatorial_solvable_above(P, lam, b, tol):
         raise InvalidInput("no nonnegative solution exists at this shift")
-    tax = taxonomy(P, tol)
-    relevant = [
-        c for c in tax.distinguished_at(lam, tol) if support(b) & tax.accessor_vertices((c,))
-    ]
+    dist = tax.classes_at(lam, tax.distinguished)
+    relevant = [c for c in dist if support(b) & tax.accessor_vertices((c,))]
     vecs = [fv_eigenvector(P, c, tol) for c in relevant]
     x0 = minimal_solution(P, lam, b, tol)
     if any(v.mode != x0.mode for v in vecs):
@@ -128,19 +120,21 @@ def solvable2(
     if b.is_zero():
         x = ConeVector.zero_vector(P.n, P.mode)
         return SolveReport2("above", True, zero(P.mode), x, "cor4_2", SpectralPair(zero(P.mode), 0))
-    rho_b = local_spectral_radius(P, b, tol)
-    if scalar_lt(rho_b, lam, tol):
+    tax = taxonomy(P, tol)
+    c_b = tax.local_class(support(b))
+    rho_b = tax.radii[c_b]
+    sign = tax.radius_sign(c_b, lam)
+    if sign < 0:
         if combinatorial_solvable_above(P, lam, b, tol):
             x = solve2_above(P, lam, b, tol)
             pair = spectral_pair(P, x, tol)
-            _assert_above_pair(pair, lam, tol)
+            if not (tax.local_sign(support(x), lam) == 0 and pair.order == 1):
+                raise NumericFailure("constructed solution has the wrong spectral pair")
             return SolveReport2("above", True, rho_b, x, "cor4_2", pair)
         return SolveReport2("above", False, rho_b, None, "cor4_2", None)
-    regime = "at" if scalars_equal(rho_b, lam, tol) else "below"
+    regime = "at" if sign == 0 else "below"
     if regime == "at":
-        dist_vals = distinguished_eigenvalues(P, tol)
-        lam_distinguished = any(scalars_equal(lam, v, tol) for v in dist_vals)
-        if not lam_distinguished or not support(b) <= necessary_face(P, lam, tol):
+        if not tax.is_distinguished_eigenvalue(lam) or not support(b) <= necessary_face(P, lam, tol):
             return SolveReport2("at", False, rho_b, None, "necessary_violated", None)
     res = _lp_solve(P, lam, b)
     if not res.feasible:
@@ -149,7 +143,9 @@ def solvable2(
     if P.mode == FLOAT:
         x = ConeVector(tuple(float(e) for e in x.entries), FLOAT)
     pair = spectral_pair(P, x, tol)
-    _assert_regime_pair(regime, pair, rho_b, lam, tol)
+    # solutions at or below the shift keep the local radius of b
+    if tax.local_sign(support(x), rho_b) != 0:
+        raise NumericFailure("solution violates the local-radius dichotomy")
     return SolveReport2(regime, True, rho_b, x, "lp", pair)
 
 
@@ -157,17 +153,6 @@ def _lp_solve(P, lam, b):
     rows = oracle.shifted_image_rows(P, exact_fraction(lam))
     rhs = [exact_fraction(e) for e in b.entries]
     return oracle.feasible_nonneg_solution(rows, rhs)
-
-
-def _assert_above_pair(pair, lam, tol):
-    if not (scalars_equal(pair.rho, lam, tol) and pair.order == 1):
-        raise NumericFailure("constructed solution has the wrong spectral pair")
-
-
-def _assert_regime_pair(regime, pair, rho_b, lam, tol):
-    # solutions at or below the shift keep the local radius of b
-    if regime in ("at", "below") and not scalars_equal(pair.rho, rho_b, tol):
-        raise NumericFailure("solution violates the local-radius dichotomy")
 
 
 def necessary_face(P: NonnegMatrix, lam: Scalar, tol: Tolerance = DEFAULT_TOL) -> frozenset:
@@ -178,13 +163,13 @@ def necessary_face(P: NonnegMatrix, lam: Scalar, tol: Tolerance = DEFAULT_TOL) -
     lambda = rho the semi-distinguished lambda-classes are the basic classes.
     """
     tax = taxonomy(P, tol)
-    if not any(scalars_equal(lam, v, tol) for v in tax.distinguished_eigenvalues):
+    if not tax.is_distinguished_eigenvalue(lam):
         raise InvalidInput("the necessary face is defined at distinguished eigenvalues")
     # a class strictly above s: an accessor of s other than s itself
     return frozenset().union(
         *(
             tax.accessor_vertices((s,)) - set(tax.analysis.classes[s])
-            for s in tax.semi_distinguished_at(lam, tol)
+            for s in tax.classes_at(lam, tax.semi_distinguished)
         )
     )
 
@@ -218,7 +203,7 @@ def tracedown_witness(P: NonnegMatrix, class_index: int, tol: Tolerance = DEFAUL
         raise InvalidInput(
             "witness construction requires a basic class that is final among basic classes"
         )
-    return _back_substitute(P, tax, class_index, tax.rho, tol, share=Fraction(1, 2))
+    return _back_substitute(P, tax, class_index, tax.rho, share=Fraction(1, 2))
 
 
 @dataclass(frozen=True)
@@ -284,19 +269,18 @@ def image_membership(
     if P.mode != RATIONAL:
         raise InvalidInput("image membership runs in rational mode only")
     tax = taxonomy(P, tol)
-    if not any(scalars_equal(lam, v, tol) for v in tax.distinguished_eigenvalues):
+    if not tax.is_distinguished_eigenvalue(lam):
         raise InvalidInput("membership is defined at distinguished eigenvalues")
     if b.is_zero():
         return MembershipReport(True, True, True)
-    j_verts = tax.accessor_vertices(tax.semi_distinguished_at(lam, tol))
+    j_verts = tax.accessor_vertices(tax.classes_at(lam, tax.semi_distinguished))
     rows = oracle.shifted_image_rows(P, exact_fraction(lam))
     rhs = [exact_fraction(e) for e in b.entries]
-    rho_b = local_spectral_radius(P, b, tol)
-    in_s1 = scalar_le(rho_b, lam, tol) and oracle.feasible_nonneg_solution(rows, rhs).feasible
+    in_s1 = tax.local_sign(support(b), lam) <= 0 and oracle.feasible_nonneg_solution(rows, rhs).feasible
     in_s2 = oracle.feasible_nonneg_solution(rows, rhs, support_within=j_verts).feasible
     m_lam = max_distinguished_order(P, lam, tol)
-    pair_b = spectral_pair(P, b, tol)
-    in_s3 = support(b) <= j_verts and lex_leq(
-        pair_b, SpectralPair(as_scalar(lam, P.mode), m_lam - 1), tol
-    )
+    order_b = spectral_pair(P, b, tol).order
+    # (rho_b, order_b) <= (lambda, m_lam - 1) lexicographically
+    sign = tax.local_sign(support(b), as_scalar(lam, P.mode))
+    in_s3 = support(b) <= j_verts and (sign < 0 or sign == 0 and order_b <= m_lam - 1)
     return MembershipReport(in_s1, in_s2, in_s3)

@@ -3,8 +3,8 @@
 Per-class radii come out exactly whenever a diagonal block has constant row
 sums (the radius is that sum); otherwise the block's Perron root is found by
 power iteration on (block + I), which is primitive for an irreducible block,
-and the scalar silently degrades to a float.  Comparisons downstream then
-switch to tolerance-based automatically (see core.scalars_equal).
+and the scalar silently degrades to a float; the structure record then
+compares it with a shift under a tolerance (ClassTaxonomy.radius_sign).
 
 The local spectral radius of x is the largest class radius over classes with
 access to supp(x); the order of x is the longest access chain of classes at
@@ -43,7 +43,6 @@ from .core import (
     np,
     require_same_mode,
     require_same_size,
-    scalars_equal,
     solve_linear,
     support,
     zero,
@@ -123,8 +122,7 @@ def local_spectral_radius(P: NonnegMatrix, x: ConeVector, tol: Tolerance = DEFAU
     if x.is_zero():
         return zero(P.mode)
     tax = taxonomy(P, tol)
-    mask = tax.analysis.accessors_mask(tax.analysis.classes_meeting(support(x)))
-    return max(r for c, r in enumerate(tax.radii) if mask >> c & 1)
+    return tax.radii[tax.local_class(support(x))]
 
 
 def local_radius_estimate(
@@ -165,7 +163,7 @@ def distinguished_eigenvalues(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> 
     return taxonomy(P, tol).distinguished_eigenvalues
 
 
-def _back_substitute(P, tax, target, lam, tol, share=0) -> tuple:
+def _back_substitute(P, tax, target, lam, share=0) -> tuple:
     """(x, b) >= 0 with (P - lam*I)x = b, supported on the classes with
     access to class `target`.
 
@@ -181,7 +179,7 @@ def _back_substitute(P, tax, target, lam, tol, share=0) -> tuple:
     """
     an = tax.analysis
     involved = [c for c in reversed(range(an.class_count)) if an.has_access(c, target)]
-    perron = {c for c in involved if scalars_equal(tax.radii[c], lam, tol)}
+    perron = {c for c in involved if tax.radius_sign(c, lam) == 0}
     exact = P.mode == RATIONAL and isinstance(lam, Fraction) and all(
         isinstance(tax.radii[c], Fraction) for c in perron
     )
@@ -203,7 +201,7 @@ def _back_substitute(P, tax, target, lam, tol, share=0) -> tuple:
                     if work.rows[i - 1][j - 1] != 0
                 )
         if c in perron:
-            x_by_class[c] = list(perron_vector_block(block, tol)[1])
+            x_by_class[c] = list(perron_vector_block(block, tax.tol)[1])
             b_by_class[c] = inflow
             continue
         mrows = [
@@ -240,7 +238,7 @@ def fv_eigenvector(
         raise InvalidInput(f"class index {class_index} outside 0..{k - 1}")
     if not tax.distinguished[class_index]:
         raise InvalidInput("eigenvector construction requires a distinguished class")
-    return _back_substitute(P, tax, class_index, tax.radii[class_index], tol)[0]
+    return _back_substitute(P, tax, class_index, tax.radii[class_index])[0]
 
 
 def _longest_chain(analysis: ClassAnalysis, members: Sequence[int]) -> int:
@@ -273,7 +271,7 @@ def spectral_pair(
     mask = tax.analysis.accessors_mask(tax.analysis.classes_meeting(support(x)))
     members = [c for c in range(tax.analysis.class_count) if mask >> c & 1]
     rho_x = max(tax.radii[c] for c in members)
-    at_radius = [c for c in members if scalars_equal(tax.radii[c], rho_x, tol)]
+    at_radius = [c for c in members if tax.radius_sign(c, rho_x) == 0]
     return SpectralPair(rho_x, _longest_chain(tax.analysis, at_radius))
 
 
@@ -286,8 +284,7 @@ def eigenvalue_index(P: NonnegMatrix, lam: Scalar, tol: Tolerance = DEFAULT_TOL)
     Jordan data hidden inside individual blocks.
     """
     tax = taxonomy(P, tol)
-    members = [c for c, r in enumerate(tax.radii) if scalars_equal(r, lam, tol)]
-    return _longest_chain(tax.analysis, members)
+    return _longest_chain(tax.analysis, tax.classes_at(lam))
 
 
 def max_distinguished_order(
@@ -300,10 +297,10 @@ def max_distinguished_order(
     Requires lam to be a distinguished eigenvalue.
     """
     tax = taxonomy(P, tol)
-    if not any(scalars_equal(lam, v, tol) for v in tax.distinguished_eigenvalues):
+    if not tax.is_distinguished_eigenvalue(lam):
         raise InvalidInput("order bound requires a distinguished eigenvalue")
-    inside = tax.initial_below(lam, tol, strict=False)
-    members = [c for c in inside if scalars_equal(tax.radii[c], lam, tol)]
+    inside = tax.initial_below(lam, strict=False)
+    members = [c for c in inside if tax.radius_sign(c, lam) == 0]
     return _longest_chain(tax.analysis, members)
 
 
@@ -332,7 +329,7 @@ def spectral_report(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> SpectralRe
     rho = spectral_radius(P, tol)
     dvals = tax.distinguished_eigenvalues
     probe_vals = list(dvals)
-    if not any(scalars_equal(rho, v, tol) for v in probe_vals):
+    if not tax.is_distinguished_eigenvalue(rho):
         probe_vals.append(rho)
     index_at = tuple((v, eigenvalue_index(P, v, tol)) for v in probe_vals)
     max_order_at = tuple((v, max_distinguished_order(P, v, tol)) for v in dvals)

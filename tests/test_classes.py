@@ -3,7 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from coneq.core import RATIONAL, InvalidInput, NonnegMatrix, scalar_le, scalar_lt, scalars_equal
+from coneq.core import (
+    RATIONAL,
+    ConeVector,
+    InvalidInput,
+    NonnegMatrix,
+    scalar_le,
+    scalar_lt,
+    scalars_equal,
+    zero,
+)
 from coneq.classes import (
     classify,
     condense,
@@ -11,13 +20,18 @@ from coneq.classes import (
     is_initial,
     smallest_initial_superset,
 )
-from coneq.spectral import taxonomy
+from coneq.spectral import local_spectral_radius, taxonomy
 
 from fuzz import fuzz_matrix, irregular, rng
 
 
 def mat(rows):
     return NonnegMatrix.make(rows, RATIONAL)
+
+
+def _sign(a, lam):
+    """Sign of a - lam by the scalar comparison helpers."""
+    return 0 if scalars_equal(a, lam) else (-1 if scalar_lt(a, lam) else 1)
 
 
 class TestCondense:
@@ -162,7 +176,7 @@ class TestTaxonomy:
         for _ in range(40):
             P = fuzz_matrix(rnd)
             t = taxonomy(P)
-            at_rho = set(t.semi_distinguished_at(t.rho))
+            at_rho = set(t.classes_at(t.rho, t.semi_distinguished))
             assert at_rho == {c for c, b in enumerate(t.basic) if b}
 
     def test_derived_sets_match_brute_force_loops(self):
@@ -183,11 +197,26 @@ class TestTaxonomy:
                 shifts = [r + d for r in t.radii for d in (0, Fraction(-1, 3), Fraction(1, 3))]
                 shifts += [float(r) + d for r in t.radii for d in (-1e-12, 1e-12, 1e-6)]
                 for lam in shifts:
-                    at = tuple(
-                        c for c in range(k) if t.distinguished[c] and scalars_equal(t.radii[c], lam)
-                    )
-                    assert t.distinguished_at(lam) == at
+                    for c, r in enumerate(t.radii):
+                        assert t.radius_sign(c, lam) == _sign(r, lam)
+                    for flags in (None, t.distinguished, t.semi_distinguished):
+                        at = tuple(
+                            c
+                            for c in range(k)
+                            if (flags is None or flags[c]) and scalars_equal(t.radii[c], lam)
+                        )
+                        assert t.classes_at(lam, flags) == at
+                    at = t.classes_at(lam, t.distinguished)
                     reached["distinguished at"] += bool(at)
+                    is_dval = any(scalars_equal(lam, v) for v in t.distinguished_eigenvalues)
+                    assert t.is_distinguished_eigenvalue(lam) == is_dval
+                    reached["distinguished eigenvalue"] += is_dval
+                    for v in range(1, M.n + 1):
+                        rho_x = local_spectral_radius(M, ConeVector.unit(M.n, v, M.mode))
+                        assert t.radii[t.local_class({v})] is rho_x
+                        assert t.local_sign({v}, lam) == _sign(rho_x, lam)
+                    # no vertex: the local radius of the zero vector
+                    assert t.local_sign((), lam) == _sign(zero(M.mode), lam)
                     for strict, below in ((True, scalar_lt), (False, scalar_le)):
                         inside = tuple(
                             c
@@ -208,6 +237,7 @@ class TestTaxonomy:
                     seed = [v for d in classes for v in an.classes[d]]
                     assert want == smallest_initial_superset(an, seed)
         assert reached["distinguished at"] >= 500 and reached["proper initial"] >= 500, reached
+        assert reached["distinguished eigenvalue"] >= 500, reached
 
     def test_classify_rejects_radius_count_mismatch(self):
         an = condense(mat([[1, 0], [0, 1]]))

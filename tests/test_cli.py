@@ -5,13 +5,18 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from pytest import raises as assert_raises
 
 import coneq
+from coneq import cli, oracle, spectral
 from coneq.cli import main
+from coneq.core import DEFAULT_TOL, to_json
+
+from fuzz import fuzz_irreducible, fuzz_matrix, rng
 
 
 def _write(root, name, payload):
@@ -311,6 +316,36 @@ class TestCheck:
         assert exc.value.code == 2
 
 
+def _window_samples_reference(P):
+    """The cor4.20 samples from a halving loop that counts the eigenvalues in
+    (t, rho] with oracle.count_real_roots_in, which builds a Sturm chain on
+    every call."""
+    rho = spectral.spectral_radius(P)
+    coeffs = oracle.charpoly_exact(P)
+    t = max(rho - 1, Fraction(0))
+    while oracle.count_real_roots_in(coeffs, t, rho) > 1:
+        t = (t + rho) / 2
+    return [t + (rho - t) * k / 4 for k in (1, 2, 3)]
+
+
+class TestWindowBelowRho:
+    def test_samples_match_the_per_step_chain_loop(self):
+        rnd = rng(4111)
+        halved = checked = 0
+        for _ in range(60):
+            for P in (fuzz_matrix(rnd, n_max=5), fuzz_irreducible(rnd)):
+                rho = spectral.spectral_radius(P)
+                if not isinstance(rho, Fraction) or rho == 0:
+                    continue
+                want = _window_samples_reference(P)
+                got = cli.PROPERTY_SUITES["cor4.20"](P, DEFAULT_TOL)["samples"]
+                assert json.dumps(to_json(got)) == json.dumps(to_json(want)), P.rows
+                checked += 1
+                start = max(rho - 1, 0)
+                halved += want[0] != start + (rho - start) / 4  # the loop moved t
+        assert checked >= 100 and halved >= 15, (checked, halved)
+
+
 class TestOutputDiscipline:
     def test_byte_stable_reruns(self, capsys, docs):
         _, first, _ = run_cli(capsys, ["analyze", docs["T.json"]])
@@ -411,6 +446,14 @@ class TestColdRationalCall:
         warm = capsys.readouterr().out
         out, loaded = self._cold(readme_dir, [argv for argv, _ in examples] + [analyze])
         assert out == "".join(line + "\n" for _, line in examples) + warm
+        assert loaded == []
+
+    def test_readme_thm4_13_example_prints_its_bytes(self, tmp_path):
+        lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+        (tmp_path / "T.json").write_text(lines[lines.index("$ cat T.json") + 1])
+        k = lines.index("$ coneq check --property thm4.13 T.json")
+        out, loaded = self._cold(tmp_path, [lines[k].split()[2:]])
+        assert out == lines[k + 1] + "\n"
         assert loaded == []
 
     def test_float_mode_loads_numpy(self, readme_dir):

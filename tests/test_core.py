@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +41,10 @@ def test_as_scalar_reads_decimal_literals_exactly():
     assert as_scalar(7, RATIONAL) == Fraction(7)
     assert as_scalar("2/3", FLOAT) == pytest.approx(2 / 3)
     assert as_scalar("0.5", FLOAT) == 0.5
+    # a Decimal is read exactly in rational mode, as its value in float mode
+    assert as_scalar(Decimal("0.1"), RATIONAL) == Fraction(1, 10)
+    assert as_scalar(Decimal("1e-400"), RATIONAL) == Fraction(1, 10**400)
+    assert as_scalar(Decimal("0.1"), FLOAT) == 0.1
 
 
 def test_as_scalar_reads_numpy_integers_in_both_modes():
@@ -77,8 +82,9 @@ def test_as_scalar_rejects_junk():
     # every malformed scalar is InvalidInput in both modes, never a bare
     # ValueError, ZeroDivisionError or OverflowError, and booleans are not
     # read as 0 and 1 in float mode either
+    non_finite = [Decimal(v) for v in ("NaN", "sNaN", "Infinity", "-Infinity")]
     for mode in (RATIONAL, FLOAT):
-        for junk in (True, False, "abc", "NaN", "1/0", [1], None):
+        for junk in (True, False, "abc", "NaN", "1/0", [1], None, *non_finite):
             with pytest.raises(InvalidInput):
                 as_scalar(junk, mode)
     with pytest.raises(InvalidInput):

@@ -17,7 +17,7 @@ from coneq.core import (
     support,
     to_json,
 )
-from coneq.classes import condense, smallest_initial_superset
+from coneq.classes import ClassTaxonomy, condense, smallest_initial_superset
 from coneq.spectral import class_radii, distinguished_eigenvalues, local_spectral_radius, taxonomy
 from coneq.eq_type1 import (
     minimal_solution,
@@ -313,7 +313,8 @@ class TestConditionBattery:
 
     def test_b_does_not_share_the_local_radius_with_g(self, monkeypatch):
         # b tests supp(b) against the solvable set, g the local spectral
-        # radius; a fault in local_spectral_radius must split them
+        # radius; a fault in the record's local-radius comparison must split
+        # them
         rnd = rng(70)
         while True:
             P = fuzz_matrix(rnd, n_max=5)
@@ -323,7 +324,7 @@ class TestConditionBattery:
                 break
         rep = solvability_conditions(P, lam, b)
         assert rep.consistent and not rep.b and not rep.g
-        monkeypatch.setattr(eq_type1, "local_spectral_radius", lambda P, x, tol: F(0))
+        monkeypatch.setattr(ClassTaxonomy, "local_sign", lambda self, vertices, lam: -1)
         rep = solvability_conditions(P, lam, b)
         assert not rep.b and rep.g and not rep.consistent
 
@@ -531,7 +532,7 @@ def test_kept_eigenvectors_match_the_per_case_eigen_pass():
                         queries.append((tol, dvals, lam, b))
             rnd.shuffle(queries)
             for tol, dvals, lam, b in queries:
-                got = eq_type1._peripheral_float(M, b, lam, tol, dvals)
+                got = eq_type1._peripheral_float(M, b, lam, taxonomy(M, tol))
                 assert got == _ref_peripheral_float(M, b, lam, tol, dvals), (M.rows, lam, b.entries, tol)
                 verdicts[tol is DEFAULT_TOL, got] += 1
             if M.mode == RATIONAL:
@@ -560,7 +561,7 @@ def test_support_overlap_matches_its_reference():
     # clustered eigenvalue); verdicts must not move
     verdicts = Counter()
     for M, b, lam, dvals in _peripheral_cases(72, 60):
-        _, _, got_i, got_j = eq_type1._peripheral_float(M, b, lam, DEFAULT_TOL, dvals)
+        _, _, got_i, got_j = eq_type1._peripheral_float(M, b, lam, taxonomy(M))
         for only, got in ((False, got_i), (True, got_j)):
             want = _ref_support_overlap_float(M, b, lam, DEFAULT_TOL, only, dvals)
             assert got == want, (M.rows, lam, b.entries, only)
@@ -574,7 +575,7 @@ def test_peripheral_components_match_the_decomposition_reference():
     # move
     verdicts = Counter()
     for M, b, lam, dvals in _peripheral_cases(74, 60):
-        got_e, got_f, _, _ = eq_type1._peripheral_float(M, b, lam, DEFAULT_TOL, dvals)
+        got_e, got_f, _, _ = eq_type1._peripheral_float(M, b, lam, taxonomy(M))
         assert got_e == _ref_peripheral_components(M, b, lam, DEFAULT_TOL), (M.rows, lam, b.entries)
         want_f = _ref_peripheral_distinguished_float(M, b, lam, DEFAULT_TOL, dvals)
         assert got_f == want_f, (M.rows, lam, b.entries)

@@ -2,10 +2,12 @@
 no private module-level name goes unused by the package, no public def or
 class is dead (each is exported, read by a package module or traced by the
 benchmark), the float eigen pass has one caller, only the structure
-record's builder condenses and classifies, every import sits at module
-level, and numpy is bound once, lazily, in core."""
+record's builder condenses and classifies, only that record compares a
+shift with a radius, every import sits at module level, and numpy is bound
+once, lazily, in core."""
 
 import ast
+import inspect
 import sys
 from collections import Counter
 from pathlib import Path
@@ -141,6 +143,28 @@ def test_one_structure_builder():
         "condense": [("spectral.py", "class_radii"), ("spectral.py", "taxonomy")],
         "class_radii": [("spectral.py", "taxonomy")],
     }, sites
+
+
+def test_the_structure_record_decides_radius_comparisons():
+    # a shift is compared with a class radius only through ClassTaxonomy,
+    # which keeps its tolerance: outside classes.py and core.py the scalar
+    # comparisons serve only the CLI's shift deduplication and residual test
+    names = ["scalars_equal", "scalar_lt", "scalar_le", "lex_leq"]
+    allowed = {("cli.py", "_shift_sweep"), ("cli.py", "_is_zero")}
+    stray = [
+        (name, site)
+        for name, sites in _call_sites(names).items()
+        for site in sites
+        if site[0] not in ("classes.py", "core.py") and site not in allowed
+    ]
+    assert not stray, stray
+    methods = [
+        f
+        for name, f in vars(coneq.classes.ClassTaxonomy).items()
+        if inspect.isfunction(f) and not name.startswith("__")  # the dataclass __init__ takes it
+    ]
+    assert len(methods) >= 8
+    assert not [f.__name__ for f in methods if "tol" in inspect.signature(f).parameters]
 
 
 def test_imports_sit_at_module_level():
