@@ -25,7 +25,6 @@ shift with a radius, so no other module compares the two itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -241,8 +240,10 @@ class ClassTaxonomy:
     def radius_sign(self, c: Optional[int], lam) -> int:
         """Sign of radius_c - lam: 0 when they are equal under the record's
         tolerance (exactly, when both are rational).  c = None stands for
-        no class, whose radius is the exact 0."""
-        r = Fraction(0) if c is None else self.radii[c]
+        no class, whose radius is the exact 0, compared exactly."""
+        if c is None:
+            return (lam < 0) - (lam > 0)  # the sign of 0 - lam
+        r = self.radii[c]
         if scalars_equal(r, lam, self.tol):
             return 0
         return -1 if r < lam else 1

@@ -21,24 +21,11 @@ from .core import (
     NonnegMatrix,
     NumericFailure,
     as_scalar,
-    exact_fraction,
     one,
     scalars_equal,
     support,
     to_json,
 )
-
-PROPERTY_IDS = (
-    "thm3.1",
-    "cor4.2",
-    "thm4.13",
-    "cor4.20",
-    "thm5.10",
-    "thm5.11",
-    "cor6.4",
-    "cor4.8-gap",
-)
-
 
 # ---------------------------------------------------------------------------
 # input readers
@@ -135,10 +122,6 @@ def _shift_sweep(P: NonnegMatrix, tol, offsets) -> list:
     return out
 
 
-def _rhs(b: ConeVector) -> list:
-    return [exact_fraction(e) for e in b.entries]
-
-
 def _is_zero(v, tol) -> bool:
     # exact in the rational lane, tolerance-based for floats
     return v == 0 if isinstance(v, Fraction) else scalars_equal(v, 0.0, tol)
@@ -152,7 +135,7 @@ def _check_type1_battery(P: NonnegMatrix, tol) -> dict:
         for b in _sample_vectors(P):
             rep = eq_type1.solvability_conditions(P, lam, b, tol)
             rows = oracle.shifted_image_rows(P, lam, sign=-1)  # lambda*I - P
-            lp = oracle.feasible_nonneg_solution(rows, _rhs(b)).feasible
+            lp = oracle.feasible_nonneg_solution(rows, b.entries).feasible
             cases += 1
             votes = (rep.b, rep.g, rep.h, rep.j)
             if not rep.consistent or any(v != lp for v in votes):
@@ -173,7 +156,7 @@ def _check_above_regime(P: NonnegMatrix, tol) -> dict:
                 continue
             comb = eq_type2.combinatorial_solvable_above(P, lam, b, tol)
             rows = oracle.shifted_image_rows(P, lam, sign=1)  # P - lambda*I
-            lp = oracle.feasible_nonneg_solution(rows, _rhs(b)).feasible
+            lp = oracle.feasible_nonneg_solution(rows, b.entries).feasible
             cases += 1
             issue = None
             if comb != lp:
@@ -253,11 +236,12 @@ def _check_window_below_rho(P: NonnegMatrix, tol) -> dict:
         return {"pass": True, "samples": [], "counterexample": None}
     tax = spectral.taxonomy(P, tol)
     expected = tax.accessor_vertices(c for c, flag in enumerate(tax.basic) if flag)
-    # one Sturm chain: its variations drop from t to rho by the eigenvalues in (t, rho]
-    chain = oracle._sturm_chain(oracle.charpoly_exact(P))
-    top = oracle._variations(chain, rho)
+    # one Sturm counter: the roots above t less those above rho are the
+    # eigenvalues in (t, rho]
+    roots_above = oracle.sturm_counter(oracle.charpoly_exact(P))
+    top = roots_above(rho)[0]
     t = max(rho - 1, Fraction(0))
-    while oracle._variations(chain, t) - top > 1:
+    while roots_above(t)[0] - top > 1:
         t = (t + rho) / 2
     # (t, rho] holds no eigenvalue but rho, so every shift in it is certified
     samples = []
@@ -277,13 +261,9 @@ def _check_rho_attained(P: NonnegMatrix, tol) -> dict:
         raise InvalidInput("this check needs an exact rational spectral radius")
     flag = collatz_wielandt.rho_in_sigma1(P, tol)
     n = P.n
-    rows = []
-    for i in range(n):
-        unit_row = [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-        rows.append((unit_row, Fraction(1)))  # x_i >= 1, i.e. x > 0 after scaling
-    for i in range(n):
-        slack = [(rho if j == i else 0) - P.rows[i][j] for j in range(n)]
-        rows.append((slack, Fraction(0)))  # (rho*I - P)x >= 0
+    # x_i >= 1 (x > 0 after scaling) and (rho*I - P)x >= 0
+    rows = [([int(j == i) for j in range(n)], 1) for i in range(n)]
+    rows += [(row, 0) for row in oracle.shifted_image_rows(P, rho, sign=-1)]
     lp = oracle.lp_feasible(oracle.LPProblem.build(n, ge_rows=rows)).feasible
     return {"pass": flag == lp, "rho_in_sigma1": flag, "lp_agrees": flag == lp}
 
@@ -380,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
 
     p = sub.add_parser("check", help="run a named property suite on the matrix")
-    p.add_argument("--property", dest="prop", required=True, choices=PROPERTY_IDS)
+    p.add_argument("--property", dest="prop", required=True, choices=PROPERTY_SUITES)
     p.add_argument("matrix")
 
     return parser

@@ -78,14 +78,10 @@ def minimal_solution(
     if not solvable1(P, lam, b, tol):
         raise InvalidInput("no nonnegative solution exists at this shift")
     idx = sorted(smallest_initial_superset(taxonomy(P, tol).analysis, support(b)))
-    sub = P.submatrix(idx)
-    lam_s = as_scalar(lam, P.mode)
-    mrows = [
-        [(lam_s if i == j else zero(P.mode)) - sub.rows[i][j] for j in range(sub.n)]
-        for i in range(sub.n)
-    ]
-    rhs = [b.entries[i - 1] for i in idx]
-    sol = solve_linear(mrows, rhs, P.mode)
+    # exact rows of lambda*I - P; in float mode the solve rounds each entry
+    # to the nearest float, which is the correctly rounded float lam - e
+    mrows = oracle.shifted_image_rows(P.submatrix(idx), as_scalar(lam, P.mode), sign=-1)
+    sol = solve_linear(mrows, [b.entries[i - 1] for i in idx], P.mode)
     if sol is None:
         raise NumericFailure("principal subsystem unexpectedly singular")
     entries = [zero(P.mode)] * P.n

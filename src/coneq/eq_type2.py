@@ -40,7 +40,6 @@ from .core import (
     SpectralPair,
     Tolerance,
     as_scalar,
-    exact_fraction,
     snap_cone,
     support,
     zero,
@@ -136,7 +135,7 @@ def solvable2(
     if regime == "at":
         if not tax.is_distinguished_eigenvalue(lam) or not support(b) <= necessary_face(P, lam, tol):
             return SolveReport2("at", False, rho_b, None, "necessary_violated", None)
-    res = _lp_solve(P, lam, b)
+    res = oracle.feasible_nonneg_solution(oracle.shifted_image_rows(P, lam), b.entries)
     if not res.feasible:
         return SolveReport2(regime, False, rho_b, None, "lp", None)
     x = ConeVector.make(res.witness, RATIONAL)
@@ -147,12 +146,6 @@ def solvable2(
     if tax.local_sign(support(x), rho_b) != 0:
         raise NumericFailure("solution violates the local-radius dichotomy")
     return SolveReport2(regime, True, rho_b, x, "lp", pair)
-
-
-def _lp_solve(P, lam, b):
-    rows = oracle.shifted_image_rows(P, exact_fraction(lam))
-    rhs = [exact_fraction(e) for e in b.entries]
-    return oracle.feasible_nonneg_solution(rows, rhs)
 
 
 def necessary_face(P: NonnegMatrix, lam: Scalar, tol: Tolerance = DEFAULT_TOL) -> frozenset:
@@ -232,21 +225,20 @@ def subcritical_window(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> float:
     polynomial (Perron-Frobenius), and Sturm bisection isolates the next
     distinct real root below it."""
     coeffs = oracle.charpoly_exact(P)
-    chain = oracle._sturm_chain(coeffs)
+    roots_above = oracle.sturm_counter(coeffs)
     # every root lies in (-bound, bound) (Cauchy's bound; the polynomial is
     # monic), and a power of two keeps every midpoint dyadic, so a dyadic
     # root is met exactly and any other root has a unique nearest float
     bound = Fraction(2 ** math.ceil(1 + max(map(abs, coeffs))).bit_length())
-    top = oracle._variations(chain, bound)
-    if oracle._variations(chain, -bound) - top < 2:
+    if roots_above(-bound)[0] < 2:
         return -math.inf
     lo, hi = -bound, bound  # the root sought lies in (lo, hi]
     while float(lo) != float(hi):
         mid = (lo + hi) / 2
-        above = oracle._variations(chain, mid) - top
+        above, is_root = roots_above(mid)
         if above >= 2:
             lo = mid
-        elif above == 1 and oracle._poly_eval(coeffs, mid) == 0:
+        elif above == 1 and is_root:
             return float(mid)
         else:
             hi = mid
@@ -274,10 +266,9 @@ def image_membership(
     if b.is_zero():
         return MembershipReport(True, True, True)
     j_verts = tax.accessor_vertices(tax.classes_at(lam, tax.semi_distinguished))
-    rows = oracle.shifted_image_rows(P, exact_fraction(lam))
-    rhs = [exact_fraction(e) for e in b.entries]
-    in_s1 = tax.local_sign(support(b), lam) <= 0 and oracle.feasible_nonneg_solution(rows, rhs).feasible
-    in_s2 = oracle.feasible_nonneg_solution(rows, rhs, support_within=j_verts).feasible
+    rows = oracle.shifted_image_rows(P, lam)
+    in_s1 = tax.local_sign(support(b), lam) <= 0 and oracle.feasible_nonneg_solution(rows, b.entries).feasible
+    in_s2 = oracle.feasible_nonneg_solution(rows, b.entries, support_within=j_verts).feasible
     m_lam = max_distinguished_order(P, lam, tol)
     order_b = spectral_pair(P, b, tol).order
     # (rho_b, order_b) <= (lambda, m_lam - 1) lexicographically

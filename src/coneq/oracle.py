@@ -277,12 +277,14 @@ def max_support(forms, eq_rows=()) -> frozenset:
     return frozenset(i + 1 for i, t in enumerate(res.witness[n:]) if t)
 
 
-def shifted_image_rows(P: NonnegMatrix, lam: Scalar, sign: int = 1):
-    """Rows of sign*(P - lam*I), sign = +-1, as exact Fractions.  The shift
-    touches the diagonal only, and zero entries are shared, not computed."""
+def shifted_image_rows(P, lam: Scalar, sign: int = 1):
+    """Rows of sign*(P - lam*I), sign = +-1, as exact Fractions, for a
+    NonnegMatrix P or a square sequence of its rows; floats are read as their
+    binary value.  The one builder of shifted rows: the shift touches the
+    diagonal only, and zero entries are shared, not computed."""
     lam = exact_fraction(lam)
     rows = []
-    for i, row in enumerate(P.rows):
+    for i, row in enumerate(getattr(P, "rows", P)):
         if sign > 0:
             out = [exact_fraction(e) if e else _ZERO for e in row]
         else:
@@ -390,10 +392,7 @@ def generalized_nullspace_exact(mat_rows, mu: Fraction) -> list:
     for (M - mu*I)^n itself.
     """
     n = len(mat_rows)
-    mu = exact_fraction(mu)
-    base, _ = _integer_rows(
-        [[exact_fraction(e) - mu if i == j else e for j, e in enumerate(row)] for i, row in enumerate(mat_rows)]
-    )
+    base, _ = _integer_rows(shifted_image_rows(mat_rows, mu))
     power = base
     basis = nullspace_exact(power)
     for _ in range(1, n):
@@ -490,24 +489,35 @@ def _sturm_chain(coeffs) -> list:
     return chain
 
 
-def _variations(chain, t: Fraction) -> int:
-    """Sign changes along a Sturm chain at t; the drop from a to b counts the
-    distinct real roots in (a, b]."""
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, t)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+def _variations(values) -> int:
+    """Sign changes along a sequence of values, zeros skipped."""
+    signs = [v > 0 for v in values if v]
     return sum(1 for s, u in zip(signs, signs[1:]) if s != u)
+
+
+def sturm_counter(coeffs):
+    """The exact root counter of a nonzero polynomial: a function of t that
+    returns (the number of distinct real roots above t, whether t is a
+    root).  The Sturm chain is built once, here; its sign changes at t drop
+    to those at +infinity (the signs of the leading coefficients) by the
+    distinct roots in (t, +infinity), and each call evaluates it once."""
+    chain = _sturm_chain(coeffs)
+    top = _variations(p[0] for p in chain if p)
+
+    def roots_above(t: Fraction) -> tuple:
+        values = [_poly_eval(p, t) for p in chain]
+        return _variations(values) - top, values[0] == 0
+
+    return roots_above
 
 
 def count_real_roots_in(coeffs, a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots of the polynomial in the half-open
-    interval (a, b], via an exact Sturm chain."""
-    if not coeffs or len(coeffs) == 1:
+    interval (a, b], from its Sturm counter."""
+    if len(coeffs) < 2:
         return 0
-    chain = _sturm_chain(coeffs)
-    return _variations(chain, a) - _variations(chain, b)
+    roots_above = sturm_counter(coeffs)
+    return roots_above(a)[0] - roots_above(b)[0]
 
 
 # ---------------------------------------------------------------------------

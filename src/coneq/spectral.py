@@ -27,6 +27,7 @@ from math import exp, isfinite, log
 from operator import mul
 from typing import Sequence
 
+from . import oracle
 from .classes import ClassAnalysis, ClassTaxonomy, classify, condense
 from .core import (
     DEFAULT_TOL,
@@ -204,10 +205,7 @@ def _back_substitute(P, tax, target, lam, share=0) -> tuple:
             x_by_class[c] = list(perron_vector_block(block, tax.tol)[1])
             b_by_class[c] = inflow
             continue
-        mrows = [
-            [(lam_s if bi == bj else zero(mode)) - e for bj, e in enumerate(row)]
-            for bi, row in enumerate(block)
-        ]
+        mrows = oracle.shifted_image_rows(block, lam_s, sign=-1)  # lam*I - B_c
         x_by_class[c] = solve_linear(mrows, [keep * e for e in inflow], mode)
         if x_by_class[c] is None:
             raise NumericFailure("singular block during back-substitution")

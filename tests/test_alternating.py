@@ -79,6 +79,16 @@ class TestMMatrix:
         assert exists_infinite(ZMatrix.make(1, T))
         assert not exists_infinite(ZMatrix.make(2, T))
 
+    def test_empty_matrix_at_negative_shifts(self):
+        # rho of the 0x0 matrix is the exact 0: every negative shift, a float
+        # within eig_tol of 0 included, lies below it
+        for mode in (RATIONAL, FLOAT):
+            empty = NonnegMatrix.zero_matrix(0, mode)
+            for s in (-1, -1e-9, -5e-324):
+                assert exists_infinite(ZMatrix.make(s, empty)), (mode, s)
+            for s in (0, 1e-9, 1):
+                assert not exists_infinite(ZMatrix.make(s, empty)), (mode, s)
+
     def test_shift_sweep(self):
         rnd = rng(101)
         for _ in range(25):

@@ -11,7 +11,6 @@ from coneq.core import (
     scalar_le,
     scalar_lt,
     scalars_equal,
-    zero,
 )
 from coneq.classes import (
     classify,
@@ -215,8 +214,9 @@ class TestTaxonomy:
                         rho_x = local_spectral_radius(M, ConeVector.unit(M.n, v, M.mode))
                         assert t.radii[t.local_class({v})] is rho_x
                         assert t.local_sign({v}, lam) == _sign(rho_x, lam)
-                    # no vertex: the local radius of the zero vector
-                    assert t.local_sign((), lam) == _sign(zero(M.mode), lam)
+                    # no vertex: the local radius of the zero vector is the
+                    # exact 0, compared exactly even with a float shift
+                    assert t.local_sign((), lam) == (0 > lam) - (0 < lam)
                     for strict, below in ((True, scalar_lt), (False, scalar_le)):
                         inside = tuple(
                             c

@@ -305,10 +305,19 @@ class TestCheck:
         assert code == 2
         assert "rational mode only" in err
 
-    def test_unknown_property_is_a_usage_error(self, capsys, docs):
+    def test_unknown_property_is_a_usage_error(self, capsys, docs, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
         with assert_raises(SystemExit) as exc:
             main(["check", "--property", "nope", docs["U.json"]])
         assert exc.value.code == 2
+        # the choices are the suite ids, in their order, byte for byte
+        assert capsys.readouterr().err == (
+            "usage: coneq check [-h] --property\n"
+            "                   {thm3.1,cor4.2,thm4.13,cor4.20,thm5.10,thm5.11,cor6.4,cor4.8-gap}\n"
+            "                   matrix\n"
+            "coneq check: error: argument --property: invalid choice: 'nope' (choose from "
+            "'thm3.1', 'cor4.2', 'thm4.13', 'cor4.20', 'thm5.10', 'thm5.11', 'cor6.4', 'cor4.8-gap')\n"
+        )
 
     def test_missing_required_flag_is_a_usage_error(self, capsys, docs):
         with assert_raises(SystemExit) as exc:

@@ -146,6 +146,18 @@ class TestMinimalSolution:
     def test_zero_rhs(self):
         assert minimal_solution(T, F(1), ConeVector.zero_vector(2)).is_zero()
 
+    def test_zero_rhs_is_solvable_at_every_positive_shift(self):
+        # x = 0 solves (lambda*I - P)x = 0: the zero vector's local radius is
+        # the exact 0, so a float shift within eig_tol of 0 is still above it
+        for mode in (RATIONAL, FLOAT):
+            P = mat([[1, 0], [0, 2]], mode)
+            zero_b = ConeVector.zero_vector(2, mode)
+            for lam in (1e-9, 1e-300, F(1, 10**12), 5e-324):
+                assert solvable1(P, lam, zero_b), (mode, lam)
+                rep = solve1(P, lam, zero_b)
+                assert rep.solvable and rep.fired_condition == "g" and rep.x0.is_zero()
+                assert rep.x0.mode == mode
+
     def test_structure_on_fuzz(self):
         rnd = rng(62)
         for _ in range(50):

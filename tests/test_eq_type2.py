@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from coneq.eq_type2 import (
 )
 from coneq import eq_type2, oracle
 
-from fuzz import fuzz_irreducible, fuzz_matrix, fuzz_vector, lambda_sweep, rng
+from fuzz import fuzz_irreducible, fuzz_matrix, fuzz_vector, irregular, lambda_sweep, rng
 
 
 def mat(rows, mode=RATIONAL):
@@ -506,6 +507,49 @@ class TestSubcriticalWindow:
                 assert got == pytest.approx(real[-2], abs=1e-5)
                 found += 1
         assert found >= 40
+
+
+def _subcritical_window_reference(P):
+    """The Sturm bisection as written before oracle.sturm_counter: sign
+    changes of one chain at each midpoint against those at Cauchy's bound,
+    the characteristic polynomial evaluated apart."""
+    coeffs = oracle.charpoly_exact(P)
+    chain = oracle._sturm_chain(coeffs)
+
+    def variations(t):
+        return oracle._variations([oracle._poly_eval(p, t) for p in chain])
+
+    bound = F(2 ** math.ceil(1 + max(map(abs, coeffs))).bit_length())
+    top = variations(bound)
+    if variations(-bound) - top < 2:
+        return -math.inf
+    lo, hi = -bound, bound
+    while float(lo) != float(hi):
+        mid = (lo + hi) / 2
+        above = variations(mid) - top
+        if above >= 2:
+            lo = mid
+        elif above == 1 and oracle._poly_eval(coeffs, mid) == 0:
+            return float(mid)
+        else:
+            hi = mid
+    return float(hi)
+
+
+class TestSubcriticalWindowReference:
+    def test_values_match_the_reference_bisection(self):
+        rnd = rng(1007)
+        kinds = Counter()
+        for _ in range(40):
+            P = fuzz_matrix(rnd)
+            for M in (P, irregular(rnd, P), P.to_float(), fuzz_irreducible(rnd)):
+                want = _subcritical_window_reference(M)
+                assert repr(subcritical_window(M)) == repr(want), M.rows
+                if want == -math.inf:
+                    kinds["no window"] += 1
+                else:  # a root met at a midpoint, or one rounded to a float
+                    kinds[oracle._poly_eval(oracle.charpoly_exact(M), F(want)) == 0] += 1
+        assert kinds["no window"] >= 5 and kinds[True] >= 20 and kinds[False] >= 20, kinds
 
 
 class TestImageMembership:

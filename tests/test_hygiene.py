@@ -167,6 +167,14 @@ def test_the_structure_record_decides_radius_comparisons():
     assert not [f.__name__ for f in methods if "tol" in inspect.signature(f).parameters]
 
 
+def test_one_sturm_counter():
+    # every exact root count goes through oracle.sturm_counter, so the
+    # chain, its sign changes and polynomial values are computed in oracle
+    names = ["_sturm_chain", "_variations", "_poly_eval"]
+    stray = [(name, site) for name, sites in _call_sites(names).items() for site in sites if site[0] != "oracle.py"]
+    assert not stray, stray
+
+
 def test_imports_sit_at_module_level():
     nested = [
         f"{name}: line {node.lineno}"

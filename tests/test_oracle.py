@@ -937,6 +937,33 @@ class TestCharpoly:
         assert count_real_roots_in(coeffs, Fraction(0), Fraction(1)) == 1
         assert count_real_roots_in(coeffs, Fraction(2), Fraction(3)) == 0
 
+    def test_sturm_counter_counts_roots_above_and_spots_roots(self):
+        coeffs = charpoly_exact(A)  # roots {1 (double), 2}
+        roots_above = oracle.sturm_counter(coeffs)
+        assert roots_above(Fraction(0)) == (2, False)
+        assert roots_above(Fraction(1)) == (1, True)
+        assert roots_above(Fraction(3, 2)) == (1, False)
+        assert roots_above(Fraction(2)) == (0, True)
+        assert roots_above(Fraction(3)) == (0, False)
+        assert oracle.sturm_counter([Fraction(5)])(Fraction(0)) == (0, False)  # a constant
+        # the signs at +infinity are those at a bound above every root
+        # (Cauchy's), and t is a root where the polynomial itself vanishes
+        rnd = rng(52)
+        for _ in range(30):
+            P = fuzz_matrix(rnd, n_max=6)
+            coeffs = charpoly_exact(P)
+            chain = oracle._sturm_chain(coeffs)
+            bound = 1 + max(map(abs, coeffs))
+
+            def variations(t):
+                return oracle._variations([oracle._poly_eval(p, t) for p in chain])
+
+            roots_above = oracle.sturm_counter(coeffs)
+            assert roots_above(bound) == (0, False)
+            for t in [Fraction(k, 3) for k in range(-3, 13)] + [Fraction(r) for r in class_radii(P)]:
+                want = (variations(t) - variations(bound), oracle._poly_eval(coeffs, t) == 0)
+                assert roots_above(t) == want, (P.rows, t)
+
     def test_root_counting_on_swap(self):
         coeffs = charpoly_exact(S)  # roots {-1, 1}
         assert count_real_roots_in(coeffs, Fraction(-2), Fraction(2)) == 2
