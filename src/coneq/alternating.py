@@ -26,8 +26,7 @@ from .core import (
     Scalar,
     Tolerance,
     as_scalar,
-    require_same_mode,
-    require_same_size,
+    require_operand,
 )
 from .spectral import (
     max_distinguished_order,
@@ -58,12 +57,6 @@ class AltResult:
     kind: str  # FINITE | AT_LEAST | INFINITE_CERTIFIED
     value: Optional[int]  # the exact length, or the verified lower bound
     iterates_checked: int
-
-
-def _signed_iterate(P: NonnegMatrix, s, entries) -> tuple:
-    """(P - s*I) applied to raw entries."""
-    img = P.apply(entries)
-    return tuple(i - s * e for i, e in zip(img, entries))
 
 
 def _split_nonneg(entries, mode, tol: Tolerance):
@@ -104,7 +97,7 @@ def _alternating_run(P: NonnegMatrix, s, entries, max_steps: int, tol: Tolerance
             # w_r = 0: length r is maximal (longer runs need w_r nonzero)
             return r, checked
         checked += 1
-        ok, entries = _split_nonneg(_signed_iterate(P, s, entries), P.mode, tol)
+        ok, entries = _split_nonneg(P.shifted_apply(entries, s, 1), P.mode, tol)
         if not ok:
             return r, checked
     return max_steps, checked
@@ -121,8 +114,7 @@ def alt_length(
     eigenvector with eigenvalue above s.
     """
     P, s = Z.P, Z.s
-    require_same_mode(P, x)
-    require_same_size(P, x)
+    require_operand(P, x)
     if x.is_zero():
         raise InvalidInput("alternating sequences need a nonzero start vector")
     if max_steps is None:
@@ -167,8 +159,7 @@ class AlternatingBoundReport:
 def alternating_bound_report(
     P: NonnegMatrix, x: ConeVector, tol: Tolerance = DEFAULT_TOL
 ) -> AlternatingBoundReport:
-    require_same_mode(P, x)
-    require_same_size(P, x)
+    require_operand(P, x)
     if x.is_zero():
         raise InvalidInput("bound report needs a nonzero vector")
     pair = spectral_pair(P, x, tol)

@@ -36,7 +36,6 @@ from .core import (
     scalar_le,
     scalar_lt,
     scalars_equal,
-    to_json,
 )
 
 
@@ -87,15 +86,6 @@ class ClassAnalysis:
             if mask >> c & 1:
                 verts.extend(self.classes[c])
         return frozenset(verts)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "classes": [list(c) for c in self.classes],
-            "access": [
-                [self.has_access(c, d) for d in range(self.class_count)]
-                for c in range(self.class_count)
-            ],
-        }
 
 
 def _tarjan_sccs(adj: Sequence[Sequence[int]]) -> list:
@@ -290,12 +280,6 @@ class ClassTaxonomy:
             if self.radius_sign(c, lam) >= (0 if strict else 1):
                 blocked |= self.analysis.reach[c]
         return tuple(c for c in range(len(self.radii)) if not blocked >> c & 1)
-
-    def to_json_dict(self) -> dict:
-        """Every field but the analysis, eigen_classes and tol."""
-        names = ("radii", "rho", "basic", "final", "initial", "distinguished",
-                 "distinguished_transpose", "semi_distinguished")
-        return {name: to_json(getattr(self, name)) for name in names}
 
 
 def classify(

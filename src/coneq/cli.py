@@ -25,6 +25,7 @@ from .core import (
     scalars_equal,
     support,
     to_json,
+    vec_sub,
 )
 
 # ---------------------------------------------------------------------------
@@ -83,18 +84,36 @@ def _vector_from_path(path: str, mode: str, n: int) -> ConeVector:
 
 def _cmd_analyze(P: NonnegMatrix, tol) -> dict:
     tax = spectral.taxonomy(P, tol)
-    out = tax.analysis.to_json_dict()
-    out["taxonomy"] = tax.to_json_dict()
-    out["spectral"] = spectral.spectral_report(P, tol).to_json_dict()
-    out["faces"] = [
-        {
-            "eigenvalue": lam,
-            "eigenvector_face": sorted(tax.accessor_vertices(tax.classes_at(lam, tax.distinguished))),
-            "necessary_face": sorted(eq_type2.necessary_face(P, lam, tol)),
-        }
-        for lam in tax.distinguished_eigenvalues
-    ]
-    return out
+    an = tax.analysis
+    rep = spectral.spectral_report(P, tol)
+    k = an.class_count
+    return {
+        "classes": an.classes,
+        "access": [[an.has_access(c, d) for d in range(k)] for c in range(k)],
+        # every field of the structure record but the analysis (printed as
+        # classes and access), eigen_classes and tol
+        "taxonomy": {
+            name: getattr(tax, name)
+            for name in ("radii", "rho", "basic", "final", "initial", "distinguished",
+                         "distinguished_transpose", "semi_distinguished")
+        },
+        "spectral": {
+            "rho": rep.rho,
+            "class_radii": rep.radii,
+            "distinguished_eigenvalues": rep.distinguished,
+            # a JSON key is a string: the eigenvalue's encoding as text
+            "index": {str(to_json(v)): i for v, i in rep.index_at},
+            "max_distinguished_order": {str(to_json(v)): m for v, m in rep.max_order_at},
+        },
+        "faces": [
+            {
+                "eigenvalue": lam,
+                "eigenvector_face": sorted(tax.accessor_vertices(tax.classes_at(lam, tax.distinguished))),
+                "necessary_face": sorted(eq_type2.necessary_face(P, lam, tol)),
+            }
+            for lam in tax.distinguished_eigenvalues
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +182,7 @@ def _check_above_regime(P: NonnegMatrix, tol) -> dict:
                 issue = "combinatorial test disagrees with the LP"
             elif comb:
                 x = eq_type2.solve2_above(P, lam, b, tol)
-                img = P.apply(x.entries)
-                resid = [img[i] - lam * x.entries[i] - b.entries[i] for i in range(P.n)]
+                resid = vec_sub(P.shifted_apply(x.entries, lam, 1), b.entries)
                 pair = spectral.spectral_pair(P, x, tol)
                 if not all(_is_zero(r, tol) for r in resid):
                     issue = "constructed solution has a nonzero residual"
@@ -178,8 +196,7 @@ def _check_above_regime(P: NonnegMatrix, tol) -> dict:
 def _verify_tracedown(P: NonnegMatrix, analysis, rho, c: int, tol):
     """Residual and support pattern of one trace-down witness; None if good."""
     x, b = eq_type2.tracedown_witness(P, c, tol)
-    img = P.apply(x.entries)
-    resid = [img[i] - rho * x.entries[i] - b.entries[i] for i in range(P.n)]
+    resid = vec_sub(P.shifted_apply(x.entries, rho, 1), b.entries)
     if not all(_is_zero(r, tol) for r in resid):
         return "residual"
     for d in range(analysis.class_count):

@@ -30,7 +30,6 @@ from . import oracle
 from .classes import smallest_initial_superset
 from .core import (
     DEFAULT_TOL,
-    FLOAT,
     RATIONAL,
     ConeVector,
     InvalidInput,
@@ -39,8 +38,7 @@ from .core import (
     Scalar,
     Tolerance,
     np,
-    require_same_mode,
-    require_same_size,
+    require_operand,
     snap_cone,
     support,
     zero,
@@ -65,8 +63,7 @@ class CWReport:
 
 def cw_numbers(P: NonnegMatrix, x: ConeVector, tol: Tolerance = DEFAULT_TOL) -> CWReport:
     """Lower and upper Collatz-Wielandt numbers of x, with its local radius."""
-    require_same_mode(P, x)
-    require_same_size(P, x)
+    require_operand(P, x)
     if x.is_zero():
         raise InvalidInput("Collatz-Wielandt numbers need a nonzero vector")
     img = P.apply(x.entries)
@@ -127,28 +124,22 @@ def rho_in_sigma1(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
 def _work_pair(P, x, rho_x):
     """Degrade to floats when the local radius is not an exact rational."""
     if P.mode == RATIONAL and not isinstance(rho_x, Fraction):
-        return P.to_float(), ConeVector(tuple(float(e) for e in x.entries), FLOAT), float(rho_x)
+        return P.to_float(), x.to_float(), float(rho_x)
     return P, x, rho_x
 
 
 def _decompose(P, x, tol, radius, sign: int, message: str, x1_of) -> tuple:
     """The body both decompositions share: rho_x = radius(P, x, tol), which
-    checks the caller's precondition, then b = sign*(rho_x*x - Px) snapped
+    checks the caller's precondition, then b = sign*(P - rho_x*I)x snapped
     onto the cone (InvalidInput(message) when it is not nonnegative), and
     (x1_of(P, x, x2), x2) for the minimal solution x2 of
     (rho_x*I - P)x2 = b; (x, 0) when b vanishes."""
-    require_same_mode(P, x)
-    require_same_size(P, x)
+    require_operand(P, x)
     if x.is_zero():
         raise InvalidInput("decomposition needs a nonzero vector")
     P, x, rho_x = _work_pair(P, x, radius(P, x, tol))
-    img = P.apply(x.entries)
-    if sign > 0:
-        b = [rho_x * e - i for e, i in zip(x.entries, img)]
-    else:
-        b = [i - rho_x * e for e, i in zip(x.entries, img)]
     try:
-        b = snap_cone(b, P.mode, tol)
+        b = snap_cone(P.shifted_apply(x.entries, rho_x, sign), P.mode, tol)
     except InvalidInput:
         raise InvalidInput(message)
     if b.is_zero():
@@ -164,7 +155,7 @@ def decompose_subinvariant(
     eigenvector at rho_x (or zero) and x2 has local radius strictly below
     rho_x with Px2 <= rho_x*x2."""
     return _decompose(
-        P, x, tol, local_spectral_radius, 1,
+        P, x, tol, local_spectral_radius, -1,
         "the upper Collatz-Wielandt number exceeds the local spectral radius",
         lambda P, x, x2: snap_cone([e - f for e, f in zip(x.entries, x2.entries)], P.mode, tol),
     )
@@ -184,7 +175,7 @@ def decompose_superinvariant(
     nonnegative eigenvector at rho_x and x2 has local radius strictly below
     rho_x with Px2 <= rho_x*x2."""
     return _decompose(
-        P, x, tol, _order_one_radius, -1,
+        P, x, tol, _order_one_radius, 1,
         "the image must dominate the local-radius multiple of the vector",
         lambda P, x, x2: ConeVector(tuple(e + f for e, f in zip(x.entries, x2.entries)), P.mode),
     )
@@ -265,15 +256,13 @@ class BoundaryReport:
 
 
 def boundary_report(P: NonnegMatrix, x: ConeVector, tol: Tolerance = DEFAULT_TOL) -> BoundaryReport:
-    require_same_mode(P, x)
-    require_same_size(P, x)
+    require_operand(P, x)
     if x.is_zero():
         raise InvalidInput("boundary analysis needs a nonzero vector")
     cw = cw_numbers(P, x, tol)
     if cw.R_upper == math.inf:
         raise InvalidInput("the image leaves the face of x (upper number infinite)")
-    img = P.apply(x.entries)
-    b = snap_cone([cw.R_upper * e - i for e, i in zip(x.entries, img)], P.mode, tol)
+    b = snap_cone(P.shifted_apply(x.entries, cw.R_upper, -1), P.mode, tol)
     on_boundary = support(b) < support(x)
     tax = taxonomy(P, tol)
     closure_is_face = (
@@ -294,8 +283,7 @@ def power_limit_exists(
 ) -> PowerLimitReport:
     """Does (P/rho_x)^k x converge?  True iff the only present component of x
     on the modulus-rho_x circle is an honest eigenvector at rho_x itself."""
-    require_same_mode(P, x)
-    require_same_size(P, x)
+    require_operand(P, x)
     if x.is_zero():
         raise InvalidInput("power limit needs a nonzero vector")
     rho_x = local_spectral_radius(P, x, tol)

@@ -5,8 +5,9 @@ Numbers run in one of two modes: exact rational arithmetic over
 container carries its mode, and operations that combine containers reject
 mixed modes at entry.  Eigen-quantities that have no exact representation
 (irrational Perron roots) may come back as floats even inside a rational
-computation; comparison helpers degrade to tolerance-based tests whenever
-either operand is a float.
+computation.  Ints and Fractions compare exactly; the comparison helpers
+fall back to tolerance-based tests only when an operand is a float.  Public
+entry points read a shift with ``as_scalar``, as the CLI reads --lambda.
 
 Vertex indices are 1-based throughout the public API: supports, classes and
 initial subsets are sets of integers drawn from {1, .., n}.
@@ -21,7 +22,7 @@ import sys
 from dataclasses import dataclass, fields, is_dataclass
 from decimal import Decimal
 from fractions import Fraction
-from numbers import Real
+from numbers import Rational, Real
 from typing import Iterable, Sequence, Union
 
 
@@ -170,8 +171,10 @@ def to_json(value):
 
 
 def scalars_equal(a: Scalar, b: Scalar, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Exact when both sides are rational, |a-b| <= eig_tol*max(1,|a|,|b|) otherwise."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
+    """Exact when both sides are rational (ints of any type included),
+    |a-b| <= eig_tol*max(1,|a|,|b|) otherwise."""
+    # the type test is the fast path: isinstance against an ABC is slow
+    if (type(a) is Fraction or isinstance(a, Rational)) and (type(b) is Fraction or isinstance(b, Rational)):
         return a == b
     fa, fb = float(a), float(b)
     return abs(fa - fb) <= tol.eig_tol * max(1.0, abs(fa), abs(fb))
@@ -256,6 +259,11 @@ class ConeVector:
 
     def to_numpy(self) -> np.ndarray:
         return np.array([float(e) for e in self.entries], dtype=float)
+
+    def to_float(self) -> "ConeVector":
+        if self.mode == FLOAT:
+            return self
+        return ConeVector(tuple(float(e) for e in self.entries), FLOAT)
 
 
 def support(v) -> frozenset:
@@ -373,6 +381,15 @@ class NonnegMatrix:
             for row in self.rows
         )
 
+    def shifted_apply(self, entries: Sequence, lam: Scalar, sign: int) -> tuple:
+        """sign*(P - lam*I) times raw entries, sign = +-1: the one product of
+        the shifted matrix with a vector.  Sign -1 computes lam*x_i - (Px)_i
+        rather than negating (Px)_i - lam*x_i, so a float zero stays +0.0."""
+        img = self.apply(entries)
+        if sign > 0:
+            return tuple(p - lam * e for p, e in zip(img, entries))
+        return tuple(lam * e - p for p, e in zip(img, entries))
+
     def to_numpy(self) -> np.ndarray:
         """The entries as one read-only float array, built once per matrix."""
         return self.memoized("numpy", self._read_only_numpy)
@@ -390,16 +407,12 @@ class NonnegMatrix:
         )
 
 
-def require_same_mode(*objs) -> str:
-    modes = {o.mode for o in objs}
-    if len(modes) != 1:
-        raise InvalidInput(f"mixed numeric modes in one computation: {sorted(modes)}")
-    return modes.pop()
-
-
-def require_same_size(mat: NonnegMatrix, vec) -> None:
-    if mat.n != vec.n:
-        raise InvalidInput(f"dimension mismatch: matrix {mat.n}, vector {vec.n}")
+def require_operand(P: NonnegMatrix, x: ConeVector) -> None:
+    """x can meet P in one computation: the same mode and the same size."""
+    if P.mode != x.mode:
+        raise InvalidInput(f"mixed numeric modes in one computation: {sorted({P.mode, x.mode})}")
+    if P.n != x.n:
+        raise InvalidInput(f"dimension mismatch: matrix {P.n}, vector {x.n}")
 
 
 def saturate(P: NonnegMatrix, x: ConeVector) -> ConeVector:
@@ -410,8 +423,7 @@ def saturate(P: NonnegMatrix, x: ConeVector) -> ConeVector:
     When only that support is needed, use the class-graph closure instead;
     this dense form is for numeric cross-checks.
     """
-    require_same_mode(P, x)
-    require_same_size(P, x)
+    require_operand(P, x)
     entries = x.entries
     for _ in range(P.n - 1):
         entries = vec_add(entries, P.apply(entries))

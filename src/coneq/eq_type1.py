@@ -30,8 +30,7 @@ from .core import (
     Tolerance,
     as_scalar,
     np,
-    require_same_mode,
-    require_same_size,
+    require_operand,
     solve_linear,
     support,
     vec_sub,
@@ -43,16 +42,21 @@ from .spectral import (
 )
 
 
-def _check_inputs(P: NonnegMatrix, lam: Scalar, b: ConeVector):
-    require_same_mode(P, b)
-    require_same_size(P, b)
+def _check_inputs(P: NonnegMatrix, lam, b: Optional[ConeVector] = None) -> Scalar:
+    """The shift, read once in P's mode by as_scalar (as the CLI reads
+    --lambda) and required to be strictly positive; b, when given, must be
+    an operand of P."""
+    if b is not None:
+        require_operand(P, b)
+    lam = as_scalar(lam, P.mode)
     if lam <= 0:
         raise InvalidInput("the shift must be strictly positive")
+    return lam
 
 
 def solvable1(P: NonnegMatrix, lam: Scalar, b: ConeVector, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Does (lambda*I - P)x = b admit x >= 0?  Purely combinatorial."""
-    _check_inputs(P, lam, b)
+    lam = _check_inputs(P, lam, b)
     return taxonomy(P, tol).local_sign(support(b), lam) < 0
 
 
@@ -72,7 +76,7 @@ def minimal_solution(
 ) -> ConeVector:
     """The minimal nonnegative solution: restricted solve on the smallest
     initial superset of supp(b).  Requires solvability."""
-    _check_inputs(P, lam, b)
+    lam = _check_inputs(P, lam, b)
     if b.is_zero():
         return ConeVector.zero_vector(P.n, P.mode)
     if not solvable1(P, lam, b, tol):
@@ -80,7 +84,7 @@ def minimal_solution(
     idx = sorted(smallest_initial_superset(taxonomy(P, tol).analysis, support(b)))
     # exact rows of lambda*I - P; in float mode the solve rounds each entry
     # to the nearest float, which is the correctly rounded float lam - e
-    mrows = oracle.shifted_image_rows(P.submatrix(idx), as_scalar(lam, P.mode), sign=-1)
+    mrows = oracle.shifted_image_rows(P.submatrix(idx), lam, sign=-1)
     sol = solve_linear(mrows, [b.entries[i - 1] for i in idx], P.mode)
     if sol is None:
         raise NumericFailure("principal subsystem unexpectedly singular")
@@ -106,7 +110,7 @@ class SolveReport1:
 
 def solve1(P: NonnegMatrix, lam: Scalar, b: ConeVector, tol: Tolerance = DEFAULT_TOL) -> SolveReport1:
     """Decide and, if possible, construct the minimal nonnegative solution."""
-    _check_inputs(P, lam, b)
+    lam = _check_inputs(P, lam, b)
     tax = taxonomy(P, tol)
     c_b = tax.local_class(support(b))  # one pass gives rho_b and its comparison
     rho_b = zero(P.mode) if c_b is None else tax.radii[c_b]
@@ -123,8 +127,7 @@ def solve1(P: NonnegMatrix, lam: Scalar, b: ConeVector, tol: Tolerance = DEFAULT
 
 
 def _residual_norm(P, lam, x, b) -> Scalar:
-    lam_s = as_scalar(lam, P.mode)
-    lhs = vec_sub(tuple(lam_s * e for e in x.entries), P.apply(x.entries))
+    lhs = P.shifted_apply(x.entries, lam, -1)
     return max((abs(e) for e in vec_sub(lhs, b.entries)), default=zero(P.mode))
 
 
@@ -132,11 +135,10 @@ def neumann_partial(
     P: NonnegMatrix, lam: Scalar, b: ConeVector, m: int, tol: Tolerance = DEFAULT_TOL
 ) -> ConeVector:
     """Partial sum of the resolvent series through the m-th power of P."""
-    _check_inputs(P, lam, b)
+    lam = _check_inputs(P, lam, b)
     if m < 0:
         raise InvalidInput("partial sum index must be nonnegative")
-    lam_s = as_scalar(lam, P.mode)
-    inv = (Fraction(1) / lam_s) if P.mode == RATIONAL else 1.0 / lam_s
+    inv = 1 / lam
     term = tuple(inv * e for e in b.entries)
     acc = term
     for _ in range(m):
@@ -154,8 +156,7 @@ def solvable_set(P: NonnegMatrix, lam: Scalar, tol: Tolerance = DEFAULT_TOL) -> 
     at lambda; it is all of {1..n} iff lambda > spectral_radius(P) and empty
     iff lambda is at most the least distinguished eigenvalue.
     """
-    if lam <= 0:
-        raise InvalidInput("the shift must be strictly positive")
+    lam = _check_inputs(P, lam)
     tax = taxonomy(P, tol)
     return frozenset(v for c in tax.initial_below(lam) for v in tax.analysis.classes[c])
 
@@ -357,7 +358,7 @@ def solvability_conditions(
     P: NonnegMatrix, lam: Scalar, b: ConeVector, tol: Tolerance = DEFAULT_TOL
 ) -> ConditionReport:
     """Evaluate the full battery of equivalent solvability conditions."""
-    _check_inputs(P, lam, b)
+    lam = _check_inputs(P, lam, b)
     if b.is_zero():
         raise InvalidInput("the condition battery requires b != 0")
     cond_g = solvable1(P, lam, b, tol)

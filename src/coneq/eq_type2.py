@@ -30,7 +30,6 @@ from typing import Optional
 from . import oracle
 from .core import (
     DEFAULT_TOL,
-    FLOAT,
     RATIONAL,
     ConeVector,
     InvalidInput,
@@ -39,7 +38,6 @@ from .core import (
     Scalar,
     SpectralPair,
     Tolerance,
-    as_scalar,
     snap_cone,
     support,
     zero,
@@ -58,6 +56,7 @@ from .spectral import (
 def combinatorial_solvable_above(P, lam, b, tol=DEFAULT_TOL) -> bool:
     """The access test for the regime lambda > rho_b: lambda distinguished and
     every class meeting supp(b) reaches a lambda-distinguished class."""
+    lam = _check_inputs(P, lam, b)
     tax = taxonomy(P, tol)
     dist = tax.classes_at(lam, tax.distinguished)
     return bool(dist) and support(b) <= tax.accessor_vertices(dist)
@@ -72,7 +71,7 @@ def solve2_above(
     classes reachable from supp(b), x0 solves (lambda*I - P)x0 = b minimally,
     and alpha is the smallest multiple keeping the difference nonnegative.
     """
-    _check_inputs(P, lam, b)
+    lam = _check_inputs(P, lam, b)
     if b.is_zero():
         return ConeVector.zero_vector(P.n, P.mode)
     tax = taxonomy(P, tol)
@@ -85,8 +84,8 @@ def solve2_above(
     vecs = [fv_eigenvector(P, c, tol) for c in relevant]
     x0 = minimal_solution(P, lam, b, tol)
     if any(v.mode != x0.mode for v in vecs):
-        vecs = [ConeVector(tuple(float(e) for e in v.entries), FLOAT) for v in vecs]
-        x0 = ConeVector(tuple(float(e) for e in x0.entries), FLOAT)
+        vecs = [v.to_float() for v in vecs]
+        x0 = x0.to_float()
     mode = x0.mode
     u = [zero(mode)] * P.n
     for v in vecs:
@@ -115,7 +114,7 @@ def solvable2(
     P: NonnegMatrix, lam: Scalar, b: ConeVector, tol: Tolerance = DEFAULT_TOL
 ) -> SolveReport2:
     """Decide (P - lambda*I)x = b over the orthant and construct a solution."""
-    _check_inputs(P, lam, b)
+    lam = _check_inputs(P, lam, b)
     if b.is_zero():
         x = ConeVector.zero_vector(P.n, P.mode)
         return SolveReport2("above", True, zero(P.mode), x, "cor4_2", SpectralPair(zero(P.mode), 0))
@@ -138,9 +137,7 @@ def solvable2(
     res = oracle.feasible_nonneg_solution(oracle.shifted_image_rows(P, lam), b.entries)
     if not res.feasible:
         return SolveReport2(regime, False, rho_b, None, "lp", None)
-    x = ConeVector.make(res.witness, RATIONAL)
-    if P.mode == FLOAT:
-        x = ConeVector(tuple(float(e) for e in x.entries), FLOAT)
+    x = ConeVector.make(res.witness, P.mode)
     pair = spectral_pair(P, x, tol)
     # solutions at or below the shift keep the local radius of b
     if tax.local_sign(support(x), rho_b) != 0:
@@ -257,7 +254,7 @@ def image_membership(
 ) -> MembershipReport:
     """Membership of b in the three nested image sets at a distinguished
     eigenvalue lambda (rational mode)."""
-    _check_inputs(P, lam, b)
+    lam = _check_inputs(P, lam, b)
     if P.mode != RATIONAL:
         raise InvalidInput("image membership runs in rational mode only")
     tax = taxonomy(P, tol)
@@ -268,10 +265,12 @@ def image_membership(
     j_verts = tax.accessor_vertices(tax.classes_at(lam, tax.semi_distinguished))
     rows = oracle.shifted_image_rows(P, lam)
     in_s1 = tax.local_sign(support(b), lam) <= 0 and oracle.feasible_nonneg_solution(rows, b.entries).feasible
-    in_s2 = oracle.feasible_nonneg_solution(rows, b.entries, support_within=j_verts).feasible
+    # x supported inside j_verts: the LP on those columns alone
+    cols = sorted(j_verts)
+    in_s2 = oracle.feasible_nonneg_solution([[row[j - 1] for j in cols] for row in rows], b.entries).feasible
     m_lam = max_distinguished_order(P, lam, tol)
     order_b = spectral_pair(P, b, tol).order
     # (rho_b, order_b) <= (lambda, m_lam - 1) lexicographically
-    sign = tax.local_sign(support(b), as_scalar(lam, P.mode))
+    sign = tax.local_sign(support(b), lam)
     in_s3 = support(b) <= j_verts and (sign < 0 or sign == 0 and order_b <= m_lam - 1)
     return MembershipReport(in_s1, in_s2, in_s3)

@@ -28,10 +28,11 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
     DEFAULT_TOL,
+    ConeVector,
     InvalidInput,
     NonnegMatrix,
     NumericFailure,
@@ -232,24 +233,9 @@ def lp_feasible(problem: LPProblem) -> LPResult:
 # convenience builders used across the package ------------------------------
 
 
-def feasible_nonneg_solution(
-    mat_rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-    support_within: Optional[Iterable[int]] = None,
-) -> LPResult:
-    """Is there x >= 0 with M x = rhs (optionally supp(x) inside a 1-based set)?"""
+def feasible_nonneg_solution(mat_rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> LPResult:
+    """Is there x >= 0 with M x = rhs?"""
     n = len(mat_rows[0]) if mat_rows else 0
-    if support_within is not None:
-        allowed = set(support_within)
-        cols = [j for j in range(n) if j + 1 in allowed]
-        rows = [([row[j] for j in cols], r) for row, r in zip(mat_rows, rhs)]
-        res = lp_feasible(LPProblem.build(len(cols), eq_rows=rows))
-        if not res.feasible:
-            return res
-        x = [Fraction(0)] * n
-        for k, j in enumerate(cols):
-            x[j] = res.witness[k]
-        return LPResult("optimal", tuple(x), None, res.pivots)
     rows = [(row, r) for row, r in zip(mat_rows, rhs)]
     return lp_feasible(LPProblem.build(n, eq_rows=rows))
 
@@ -682,7 +668,7 @@ def _eigenspaces(P: NonnegMatrix, tol: Tolerance, transpose: bool = False) -> tu
 
 
 def decompose_generalized(
-    P: NonnegMatrix, x, tol: Tolerance = DEFAULT_TOL
+    P: NonnegMatrix, x: ConeVector, tol: Tolerance = DEFAULT_TOL
 ) -> GeneralizedDecomposition:
     """Split x along the generalized eigenspaces of P (float lane).
 
@@ -694,7 +680,7 @@ def decompose_generalized(
     if P.n == 0:
         return GeneralizedDecomposition((), False, False)
     table, _, merged, ambiguous, *sizes = _eigenspaces(P, tol)
-    xv = np.array([float(e) for e in x.entries], dtype=float)
+    xv = x.to_numpy()
     try:
         coef = np.linalg.solve(table[:, 1:].T, xv.astype(complex))
     except np.linalg.LinAlgError:
@@ -722,11 +708,11 @@ def decompose_generalized(
     return GeneralizedDecomposition(tuple(comps), merged, ambiguous)
 
 
-def krylov_local_rho(P: NonnegMatrix, x, tol: Tolerance = DEFAULT_TOL) -> float:
+def krylov_local_rho(P: NonnegMatrix, x: ConeVector, tol: Tolerance = DEFAULT_TOL) -> float:
     """Largest eigenvalue modulus of P restricted to the cyclic subspace
     generated by x (Arnoldi with full reorthogonalization)."""
     a = P.to_numpy()
-    v = np.array([float(e) for e in x.entries], dtype=float)
+    v = x.to_numpy()
     nrm = np.linalg.norm(v)
     if nrm == 0:
         return 0.0

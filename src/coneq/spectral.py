@@ -40,10 +40,8 @@ from .core import (
     Scalar,
     SpectralPair,
     Tolerance,
-    format_scalar,
     np,
-    require_same_mode,
-    require_same_size,
+    require_operand,
     solve_linear,
     support,
     zero,
@@ -118,8 +116,7 @@ def taxonomy(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> ClassTaxonomy:
 
 def local_spectral_radius(P: NonnegMatrix, x: ConeVector, tol: Tolerance = DEFAULT_TOL) -> Scalar:
     """max class radius over classes with access to supp(x); zero for x = 0."""
-    require_same_mode(P, x)
-    require_same_size(P, x)
+    require_operand(P, x)
     if x.is_zero():
         return zero(P.mode)
     tax = taxonomy(P, tol)
@@ -136,7 +133,7 @@ def local_radius_estimate(
     """
     if m < 1:
         raise InvalidInput("estimate needs at least one step")
-    require_same_size(P, x)
+    require_operand(P, x)
     if x.is_zero():
         return 0.0
     a = P.to_numpy()
@@ -261,8 +258,7 @@ def spectral_pair(
     The order is the longest access chain of classes at the local radius
     inside the smallest initial superset of supp(x).
     """
-    require_same_mode(P, x)
-    require_same_size(P, x)
+    require_operand(P, x)
     if x.is_zero():
         return SpectralPair(zero(P.mode), 0)
     tax = taxonomy(P, tol)
@@ -309,17 +305,6 @@ class SpectralReport:
     distinguished: tuple
     index_at: tuple  # (eigenvalue, chain index) pairs
     max_order_at: tuple  # (eigenvalue, distinguished order bound) pairs
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rho": format_scalar(self.rho),
-            "class_radii": [format_scalar(r) for r in self.radii],
-            "distinguished_eigenvalues": [format_scalar(v) for v in self.distinguished],
-            "index": {str(format_scalar(v)): k for v, k in self.index_at},
-            "max_distinguished_order": {
-                str(format_scalar(v)): k for v, k in self.max_order_at
-            },
-        }
 
 
 def spectral_report(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> SpectralReport:

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from coneq import cli
 from coneq.core import (
+    DEFAULT_TOL,
     RATIONAL,
     ConeVector,
     InvalidInput,
@@ -11,6 +13,7 @@ from coneq.core import (
     scalar_le,
     scalar_lt,
     scalars_equal,
+    to_json,
 )
 from coneq.classes import (
     classify,
@@ -71,8 +74,9 @@ class TestCondense:
             an.class_of_vertex(3)
 
     def test_json_dict_shape(self):
-        d = condense(mat([[1, 1], [0, 1]])).to_json_dict()
-        assert d == {
+        # the classes and their access relation, as analyze prints them
+        d = to_json(cli._cmd_analyze(mat([[1, 1], [0, 1]]), DEFAULT_TOL))
+        assert {k: d[k] for k in ("classes", "access")} == {
             "classes": [[1], [2]],
             "access": [[True, True], [False, True]],
         }
@@ -245,7 +249,7 @@ class TestTaxonomy:
             classify(an, (Fraction(1),))
 
     def test_json_dict(self):
-        d = taxonomy(mat([[2, 0], [1, 1]])).to_json_dict()
+        d = to_json(cli._cmd_analyze(mat([[2, 0], [1, 1]]), DEFAULT_TOL))["taxonomy"]
         assert d["radii"] == [1, 2]
         assert d["rho"] == 2
         assert d["basic"] == [False, True]

@@ -3,7 +3,8 @@ no private module-level name goes unused by the package, no public def or
 class is dead (each is exported, read by a package module or traced by the
 benchmark), the float eigen pass has one caller, only the structure
 record's builder condenses and classifies, only that record compares a
-shift with a radius, every import sits at module level, and numpy is bound
+shift with a radius, a shift is read in one place, the shifted product has
+one implementation, every import sits at module level, and numpy is bound
 once, lazily, in core."""
 
 import ast
@@ -163,7 +164,7 @@ def test_the_structure_record_decides_radius_comparisons():
         for name, f in vars(coneq.classes.ClassTaxonomy).items()
         if inspect.isfunction(f) and not name.startswith("__")  # the dataclass __init__ takes it
     ]
-    assert len(methods) >= 8
+    assert len(methods) >= 7
     assert not [f.__name__ for f in methods if "tol" in inspect.signature(f).parameters]
 
 
@@ -173,6 +174,47 @@ def test_one_sturm_counter():
     names = ["_sturm_chain", "_variations", "_poly_eval"]
     stray = [(name, site) for name, sites in _call_sites(names).items() for site in sites if site[0] != "oracle.py"]
     assert not stray, stray
+
+
+def test_a_shift_is_read_once():
+    # the decision procedures read lambda with as_scalar in one place,
+    # _check_inputs, and every entry point rebinds lambda from it
+    sites = _call_sites(["as_scalar"])["as_scalar"]
+    sites = [site for site in sites if site[0] in ("eq_type1.py", "eq_type2.py")]
+    assert sites == [("eq_type1.py", "_check_inputs")], sites
+
+
+def _innermost_call_sites(name) -> set:
+    """(module, dotted path of the innermost enclosing def or class) for each
+    call of name, by plain name or as an attribute, in the package."""
+    sites = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                    sites.add((module, ".".join(scope)))
+            visit(child, module, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, ())
+    return sites
+
+
+def test_one_shifted_product():
+    # sign*(P - lambda*I)x is computed by NonnegMatrix.shifted_apply alone:
+    # every other product with P is a plain product, not a shifted one
+    assert _innermost_call_sites("apply") == {
+        ("core.py", "saturate"),
+        ("core.py", "NonnegMatrix.shifted_apply"),
+        ("collatz_wielandt.py", "cw_numbers"),
+        ("alternating.py", "_eigenvector_witness"),
+        ("eq_type1.py", "neumann_partial"),
+    }
 
 
 def test_imports_sit_at_module_level():

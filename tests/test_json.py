@@ -1,8 +1,9 @@
-"""Golden JSON of every report record and of the CLI's counterexample
-payloads.  core.to_json is the one encoding: each report prints as the
-sorted JSON of its fields, and each `check` suite prints its counterexample
-(forced here by patching the decider it trusts) with the same bytes as the
-hand-written encoders it replaced."""
+"""Golden JSON of every report record, of the CLI's counterexample payloads
+and of the `analyze` payload.  core.to_json is the one encoding: each report
+prints as the sorted JSON of its fields, and each `check` suite prints its
+counterexample (forced here by patching the decider it trusts) and `analyze`
+its payload with the same bytes as the hand-written encoders they
+replaced."""
 
 import json
 from dataclasses import replace
@@ -249,3 +250,25 @@ def test_check_counterexample_json(prop, mode, tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert json.loads(out)["counterexample"] is not None
     assert out == GOLDEN_CLI[prop, mode] + "\n"
+
+
+# stdout of `coneq [--mode float] analyze A.json` on five classes: one of
+# irrational radius (the golden ratio, from power iteration), and two at
+# rho = 3, one with access to the other
+ANALYZE = [[1, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 1, "1/2", 0, 0, 0], [0, 0, 0, 3, 0, 0], [0, 0, 0, 1, 2, 0], [0, 0, 0, 1, 0, 3]]
+GOLDEN_ANALYZE = {
+    RATIONAL: (
+        '{"access": [[true, false, true, false, false], [false, true, true, false, false], [false, false, true, false, false], [false, false, false, true, true], [false, false, false, false, true]], "classes": [[6], [5], [4], [3], [1, 2]], "faces": [{"eigenvalue": "1/2", "eigenvector_face": [3], "necessary_face": []}, {"eigenvalue": 1.6180339875964775, "eigenvector_face": [1, 2, 3], "necessary_face": [3]}, {"eigenvalue": 2, "eigenvector_face": [5], "necessary_face": []}, {"eigenvalue": 3, "eigenvector_face": [6], "necessary_face": [5, 6]}], "spectral": {"class_radii": [3, 2, 3, "1/2", 1.6180339875964775], "distinguished_eigenvalues": ["1/2", 1.6180339875964775, 2, 3], "index": {"1.6180339875964775": 1, "1/2": 1, "2": 1, "3": 2}, "max_distinguished_order": {"1.6180339875964775": 1, "1/2": 1, "2": 1, "3": 2}, "rho": 3}, "taxonomy": {"basic": [true, false, true, false, false], "distinguished": [true, true, false, true, true], "distinguished_transpose": [false, false, true, false, true], "final": [false, false, true, false, true], "initial": [true, true, false, true, false], "radii": [3, 2, 3, "1/2", 1.6180339875964775], "rho": 3, "semi_distinguished": [true, true, true, true, true]}}'
+    ),
+    FLOAT: (
+        '{"access": [[true, false, true, false, false], [false, true, true, false, false], [false, false, true, false, false], [false, false, false, true, true], [false, false, false, false, true]], "classes": [[6], [5], [4], [3], [1, 2]], "faces": [{"eigenvalue": 0.5, "eigenvector_face": [3], "necessary_face": []}, {"eigenvalue": 1.6180339875964775, "eigenvector_face": [1, 2, 3], "necessary_face": [3]}, {"eigenvalue": 2.0, "eigenvector_face": [5], "necessary_face": []}, {"eigenvalue": 3.0, "eigenvector_face": [6], "necessary_face": [5, 6]}], "spectral": {"class_radii": [3.0, 2.0, 3.0, 0.5, 1.6180339875964775], "distinguished_eigenvalues": [0.5, 1.6180339875964775, 2.0, 3.0], "index": {"0.5": 1, "1.6180339875964775": 1, "2.0": 1, "3.0": 2}, "max_distinguished_order": {"0.5": 1, "1.6180339875964775": 1, "2.0": 1, "3.0": 2}, "rho": 3.0}, "taxonomy": {"basic": [true, false, true, false, false], "distinguished": [true, true, false, true, true], "distinguished_transpose": [false, false, true, false, true], "final": [false, false, true, false, true], "initial": [true, true, false, true, false], "radii": [3.0, 2.0, 3.0, 0.5, 1.6180339875964775], "rho": 3.0, "semi_distinguished": [true, true, true, true, true]}}'
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", (RATIONAL, FLOAT))
+def test_analyze_json(mode, tmp_path, capsys):
+    path = tmp_path / "A.json"
+    path.write_text(json.dumps({"entries": ANALYZE}))
+    assert cli.main(["--mode", mode, "analyze", str(path)]) == 0
+    assert capsys.readouterr().out == GOLDEN_ANALYZE[mode] + "\n"

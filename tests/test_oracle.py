@@ -579,7 +579,8 @@ class TestLP:
         rows = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
         free = feasible_nonneg_solution(rows, [Fraction(2), Fraction(1)])
         assert free.feasible and free.witness == (Fraction(1), Fraction(1))
-        pinned = feasible_nonneg_solution(rows, [Fraction(2), Fraction(1)], support_within={2})
+        # x supported inside {2}: the LP on column 2 alone
+        pinned = feasible_nonneg_solution([[row[1]] for row in rows], [Fraction(2), Fraction(1)])
         assert not pinned.feasible
 
     def test_determinism(self):
@@ -647,7 +648,7 @@ class TestLP:
         assert solve_lp(zero_row).pivots == 0
         rows = shifted_image_rows(T, Fraction(2))
         assert feasible_nonneg_solution(rows, [Fraction(0), Fraction(1)]).pivots > 0
-        pinned = feasible_nonneg_solution([[1, 1], [0, 1]], [2, 1], support_within={1, 2})
+        pinned = feasible_nonneg_solution([[1, 1], [0, 1]], [2, 1])
         assert pinned.pivots > 0
         infeasible = LPProblem.build(1, eq_rows=[((1,), 1), ((1,), 2)])
         assert solve_lp(infeasible).pivots > 0

@@ -1,15 +1,19 @@
 """oracle.shifted_image_rows is the one builder of the rows of
-sign*(P - lambda*I).  Its callers used to write those rows by hand; each
-hand-written builder is kept below, as it read in its caller, as the
-reference.  Patched in for the builder, a reference makes its caller run as
-it did, and the output must have the same repr as the caller's own, float
-mode included: there the builder's exact entries are rounded back to the
-floats the hand-written differences gave."""
+sign*(P - lambda*I), and NonnegMatrix.shifted_apply the one product of
+sign*(P - lambda*I) with a vector.  Their callers used to write these by
+hand; each hand-written builder and product is kept below, as it read in its
+caller, as the reference.  Patched in for the builder or the product, a
+reference makes its caller run as it did, and the output must have the same
+repr as the caller's own, float mode included: there the builder's exact
+entries are rounded back to the floats the hand-written differences gave,
+and the product keeps the sign of every float zero."""
 
 from collections import Counter
 from fractions import Fraction
 
 from coneq import cli, oracle
+from coneq.alternating import ZMatrix, alt_length, alternating_bound_report
+from coneq.collatz_wielandt import boundary_report, decompose_subinvariant, decompose_superinvariant
 from coneq.core import (
     DEFAULT_TOL,
     FLOAT,
@@ -19,9 +23,10 @@ from coneq.core import (
     NonnegMatrix,
     NumericFailure,
     exact_fraction,
+    vec_sub,
     zero,
 )
-from coneq.eq_type1 import minimal_solution, solvable1
+from coneq.eq_type1 import minimal_solution, solvable1, solve1
 from coneq.eq_type2 import tracedown_witness
 from coneq.spectral import fv_eigenvector, taxonomy
 
@@ -215,3 +220,122 @@ def test_the_four_callers_go_through_the_builder(monkeypatch):
     calls.clear()
     assert oracle.generalized_nullspace_exact([[1, 1], [0, 1]], Fraction(1))
     assert calls == {1: 1}
+
+
+# the hand-written products, each as it read in its caller; the two cli
+# checks subtracted b in the same expression, (img - lam*x) - b, which is
+# the product with b subtracted afterwards
+
+
+def _residual_norm_product(P, lam_s, entries):
+    """eq_type1._residual_norm: lambda*x - Px."""
+    return vec_sub(tuple(lam_s * e for e in entries), P.apply(entries))
+
+
+def _signed_iterate(P, s, entries):
+    """alternating._signed_iterate: (P - s*I) applied to raw entries."""
+    img = P.apply(entries)
+    return tuple(i - s * e for i, e in zip(img, entries))
+
+
+def _above_regime_product(P, lam, entries):
+    """cli._check_above_regime: img[i] - lam*x[i]."""
+    img = P.apply(entries)
+    return [img[i] - lam * entries[i] for i in range(P.n)]
+
+
+def _tracedown_product(P, rho, entries):
+    """cli._verify_tracedown: img[i] - rho*x[i]."""
+    img = P.apply(entries)
+    return [img[i] - rho * entries[i] for i in range(P.n)]
+
+
+def _decompose_product(P, rho_x, entries, sign):
+    """collatz_wielandt._decompose: sign*(rho_x*x - Px), by a sign branch."""
+    img = P.apply(entries)
+    if sign > 0:
+        return [rho_x * e - i for e, i in zip(entries, img)]
+    return [i - rho_x * e for e, i in zip(entries, img)]
+
+
+def _boundary_product(P, R, entries):
+    """collatz_wielandt.boundary_report: R*x - Px."""
+    img = P.apply(entries)
+    return [R * e - i for e, i in zip(entries, img)]
+
+
+# caller -> (the sign it passes, the reference taking (P, lam, entries, sign))
+PRODUCTS = {
+    "solve1": (-1, lambda P, lam, x, sign: _residual_norm_product(P, lam, x)),
+    "alternating": (1, lambda P, lam, x, sign: _signed_iterate(P, lam, x)),
+    "cor4.2": (1, lambda P, lam, x, sign: _above_regime_product(P, lam, x)),
+    "thm4.13": (1, lambda P, lam, x, sign: _tracedown_product(P, lam, x)),
+    # the old sign of _decompose: +1 in decompose_subinvariant, -1 in
+    # decompose_superinvariant
+    "decompose_subinvariant": (-1, lambda P, lam, x, sign: _decompose_product(P, lam, x, 1)),
+    "decompose_superinvariant": (1, lambda P, lam, x, sign: _decompose_product(P, lam, x, -1)),
+    "boundary_report": (-1, lambda P, lam, x, sign: _boundary_product(P, lam, x)),
+}
+
+
+def _eigenvector_sums(P):
+    """The nonnegative eigenvectors of the distinguished classes, and the sum
+    of each with the all-ones vector: vectors both decompositions accept."""
+    tax = taxonomy(P)
+    out = []
+    for c in range(len(tax.radii)):
+        if tax.distinguished[c]:
+            u = fv_eigenvector(P, c)
+            if u.mode == P.mode:
+                out += [u, ConeVector(tuple(e + 1 for e in u.entries), P.mode)]
+    return out
+
+
+def _calls(P):
+    """(caller, zero-argument call) for every call that reaches a product."""
+    vecs = _vectors(P)
+    for lam in _shifts(P):
+        for b in vecs:
+            yield "solve1", lambda lam=lam, b=b: solve1(P, lam, b)
+            yield "alternating", lambda lam=lam, b=b: alt_length(ZMatrix.make(lam, P), b)
+    for x in vecs + _eigenvector_sums(P):
+        yield "alternating", lambda x=x: alternating_bound_report(P, x)
+        yield "decompose_subinvariant", lambda x=x: decompose_subinvariant(P, x)
+        yield "decompose_superinvariant", lambda x=x: decompose_superinvariant(P, x)
+        yield "boundary_report", lambda x=x: boundary_report(P, x)
+    yield "cor4.2", lambda: cli.PROPERTY_SUITES["cor4.2"](P, DEFAULT_TOL)
+    if P.mode == RATIONAL:
+        yield "thm4.13", lambda: cli.PROPERTY_SUITES["thm4.13"](P, DEFAULT_TOL)
+
+
+def test_vector_products_match_the_hand_written_ones(monkeypatch):
+    seen, zeros = Counter(), Counter()
+    matrices = [NonnegMatrix.make([[1, 1], [0, 1]], FLOAT)]  # R*x - Px = (0.0, 1.0) at x = (1, 1)
+    for mode in (RATIONAL, FLOAT):  # cor4.2 constructs at lambda = 4/3 on the radius-1 class
+        matrices.append(NonnegMatrix.make([["4/3", 0, 0], [1, 1, 0], [0, 1, "2/3"]], mode))
+    for P in _matrices(75, 15):
+        # scaled by 2/3, the fuzz radii lie 1/3 apart, so that some radius
+        # + 1/3 is a distinguished eigenvalue, where cor4.2 constructs
+        two_thirds = Fraction(2, 3) if P.mode == RATIONAL else 2 / 3
+        matrices += [P, NonnegMatrix.make([[e * two_thirds for e in row] for row in P.rows], P.mode)]
+    for P in matrices:
+        for caller, call in _calls(P):
+            got = _outcome(call)
+            want_sign, product = PRODUCTS[caller]
+            with monkeypatch.context() as m:
+
+                def reference(self, entries, lam, sign):
+                    assert sign == want_sign, (caller, sign)
+                    out = product(self, lam, entries, sign)
+                    seen[caller, self.mode] += 1
+                    zeros[caller] += self.mode == FLOAT and any(e == 0 for e in out)
+                    return out
+
+                m.setattr(NonnegMatrix, "shifted_apply", reference)
+                want = _outcome(call)
+            assert got == want, (P, caller)
+    for caller in PRODUCTS:
+        modes = (RATIONAL,) if caller == "thm4.13" else (RATIONAL, FLOAT)
+        assert all(seen[caller, mode] >= 5 for mode in modes), seen
+    # float products with an exact zero entry, whose sign the repr shows
+    assert zeros["solve1"] >= 20 and zeros["boundary_report"] >= 20, zeros

@@ -17,6 +17,7 @@ from coneq.core import (
     Tolerance,
     saturate,
     support,
+    to_json,
 )
 from coneq.classes import classify, condense
 from coneq.spectral import (
@@ -30,10 +31,9 @@ from coneq.spectral import (
     perron_vector_block,
     spectral_pair,
     spectral_radius,
-    spectral_report,
     taxonomy,
 )
-from coneq import oracle, spectral
+from coneq import cli, oracle, spectral
 
 from fuzz import fuzz_matrix, fuzz_vector, irregular, rng
 
@@ -256,7 +256,8 @@ class TestPairsAndOrders:
 
 
 def test_report_serialization():
-    assert spectral_report(T).to_json_dict() == {
+    # the spectral report, as analyze prints it
+    assert to_json(cli._cmd_analyze(T, DEFAULT_TOL))["spectral"] == {
         "rho": 2,
         "class_radii": [1, 2],
         "distinguished_eigenvalues": [1, 2],
