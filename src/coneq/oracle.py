@@ -2,16 +2,17 @@
 eigendecomposition, generalized eigencomponents, a Krylov estimate of the
 local spectral radius, and exact characteristic-polynomial root counting.
 
-The LP solver is a two-phase tableau simplex with Bland's rule on integers
-over one common denominator, pivoted fraction-free (Bareiss), so verdicts
-are exact and termination is guaranteed.  All variables are nonnegative;
->= rows get slack variables internally.  A >= row that x = 0 satisfies
-(right-hand side <= 0) starts with its slack basic, so only the other rows
-get artificial columns, and phase 1 is skipped when no row needs one.  The
-slack columns are the exact ones times a positive factor, which keeps every
-Bland choice of the rational tableau from that start.  Each face question
-(which coordinates a cone of nonnegative solutions can make positive) is
-one maximal-support LP, max_support, whose rows all hold at x = 0.  The
+The LP solver is a two-phase tableau simplex with Bland's rule on integer
+rows, pivoted fraction-free (Bareiss), so verdicts are exact and
+termination is guaranteed.  All variables are nonnegative; >= rows get
+slack variables internally.  A >= row that x = 0 satisfies (right-hand
+side <= 0) starts with its slack basic and is scaled by its own
+denominator; the other rows get artificial columns and share one, and
+phase 1 is skipped when no row needs one.  Each row and slack column is
+the rational one times a positive factor, which keeps every Bland choice
+of the rational tableau from that start.  Each face question (which
+coordinates a cone of nonnegative solutions can make positive) is one
+maximal-support LP, max_support, whose rows all hold at x = 0.  The
 signed solve and the exact nullspaces share the LP's fraction-free integer
 pivot in one Gauss-Jordan kernel.  Exact matrix algebra runs on integer
 rows over one common denominator (_integer_rows) with one product
@@ -43,7 +44,7 @@ from .core import (
 )
 
 RANK_REL = 1e-8  # relative singular-value threshold for rank decisions
-_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+_ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -52,38 +53,38 @@ _ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 
 @dataclass(frozen=True)
 class LPProblem:
-    """min/max c.x (optional) with Ax = b rows, Gx >= h rows, x >= 0.
+    """min/max c.x (optional) with Ax = b rows, Gx >= h rows, x >= 0, in
+    integers: each row is a positive multiple of its rational row, and the
+    objective is c times objective_scale.
 
-    All data must be Fractions (ints are accepted and coerced).
-    """
+    build scales rational data (floats read as their binary value) once,
+    with _integer_rows.  A >= row whose right-hand side is <= 0 keeps its
+    own denominator; the rows that get an artificial in solve_lp (every =
+    row and every other >= row) share one, so phase 1 weighs the
+    artificials alike."""
 
     n: int
     eq_rows: tuple = ()
     ge_rows: tuple = ()
     objective: Optional[tuple] = None
     maximize: bool = False
+    objective_scale: int = 1
 
     @staticmethod
     def build(n, eq_rows=(), ge_rows=(), objective=None, maximize=False) -> "LPProblem":
-        def row(r):
-            coeffs, rhs = r
-            coeffs = tuple(exact_fraction(c) for c in coeffs)
-            if len(coeffs) != n:
-                raise InvalidInput("LP row length mismatch")
-            return (coeffs, exact_fraction(rhs))
-
-        obj = None
+        rows = [*eq_rows, *ge_rows]
+        if any(len(coeffs) != n for coeffs, _ in rows):
+            raise InvalidInput("LP row length mismatch")
+        n_eq = len(eq_rows)
+        own = [k >= n_eq and rhs <= 0 for k, (_, rhs) in enumerate(rows)]
+        rows = [(tuple(row[:n]), row[n]) for row in _integer_rows([[*c, rhs] for c, rhs in rows], own)[0]]
+        scale = 1
         if objective is not None:
-            obj = tuple(exact_fraction(c) for c in objective)
-            if len(obj) != n:
+            if len(objective) != n:
                 raise InvalidInput("LP objective length mismatch")
-        return LPProblem(
-            n,
-            tuple(row(r) for r in eq_rows),
-            tuple(row(r) for r in ge_rows),
-            obj,
-            maximize,
-        )
+            (objective,), scale = _integer_rows([objective])
+            objective = tuple(objective)
+        return LPProblem(n, tuple(rows[:n_eq]), tuple(rows[n_eq:]), objective, maximize, scale)
 
 
 @dataclass(frozen=True)
@@ -149,31 +150,28 @@ def _simplex_min(tableau, basis, d, cost):
         pivots += 1
 
 
-def _scaled(values, scale) -> list:
-    return [v.numerator * (scale // v.denominator) for v in values]
-
-
 def solve_lp(problem: LPProblem) -> LPResult:
     """Two-phase exact simplex.  Feasibility and optima are exact.
 
-    All rows of [A | b] are scaled to integers by one common factor: that
-    scales the artificial variables and the phase-1 cost uniformly, so the
-    pivots are the ones a rational tableau takes.  A >= row whose
-    right-hand side is <= 0 holds at x = 0, so it starts with its own slack
-    basic; only the other rows get an artificial, and phase 1 runs only if
-    some row has one.  Each slack is written as -1, not -scale: a positive
-    column scale, which changes no reduced-cost sign and no ratio order, so
-    Bland's rule takes the pivots of the rational tableau from that start."""
+    The integer rows are pivoted as they come.  A >= row whose right-hand
+    side is <= 0 holds at x = 0, so it starts with its own slack basic;
+    only the other rows get an artificial, and phase 1 runs only if some
+    row has one.  Those rows share one denominator (LPProblem), so the
+    artificials and the phase-1 cost are scaled alike.  Each slack is
+    written as -1: a positive column scale.  Every tableau row is then a
+    positive multiple of the rational tableau's, which changes no
+    reduced-cost sign and no ratio order, so Bland's rule takes the pivots
+    of the rational tableau from that start."""
     n, n_eq = problem.n, len(problem.eq_rows)
     rows = problem.eq_rows + problem.ge_rows
     m = len(rows)
     total = n + m - n_eq  # >= rows get slack variables
-    scale = math.lcm(*(e.denominator for coeffs, rhs in rows for e in (*coeffs, rhs)))
     slack_start = [r >= n_eq and rhs <= 0 for r, (coeffs, rhs) in enumerate(rows)]
     n_art = m - sum(slack_start)
+    pad = [0] * (total - n + n_art)
     tableau, basis, art = [], [], total
     for r, (coeffs, rhs) in enumerate(rows):
-        row = _scaled(coeffs, scale) + [0] * (total - n + n_art) + _scaled([rhs], scale)
+        row = [*coeffs, *pad, rhs]
         if r >= n_eq:
             row[n + r - n_eq] = -1
         if rhs < 0 or slack_start[r]:  # nonnegative right-hand sides, basic slacks +1
@@ -207,27 +205,25 @@ def solve_lp(problem: LPProblem) -> LPResult:
     basis = [basis[r] for r in keep]
 
     def extract():
-        x = [Fraction(0)] * total
+        x = [_ZERO] * n
         for r, c in enumerate(basis):
-            x[c] = Fraction(tableau[r][-1], d)
-        return tuple(x[:n])
+            if c < n:
+                x[c] = Fraction(tableau[r][-1], d)
+        return tuple(x)
 
     if problem.objective is None:
         return LPResult("optimal", extract(), None, pivots)
     sign = -1 if problem.maximize else 1
-    cost_scale = math.lcm(*(c.denominator for c in problem.objective))
-    cost = _scaled([sign * c for c in problem.objective], cost_scale)
-    status, value, d, more = _simplex_min(tableau, basis, d, cost + [0] * (total - n))
+    cost = [sign * c for c in problem.objective] + [0] * (total - n)
+    status, value, d, more = _simplex_min(tableau, basis, d, cost)
     if status == "unbounded":
         return LPResult("unbounded", None, None, pivots + more)
-    return LPResult("optimal", extract(), sign * Fraction(value, d * cost_scale), pivots + more)
+    return LPResult("optimal", extract(), sign * Fraction(value, d * problem.objective_scale), pivots + more)
 
 
 def lp_feasible(problem: LPProblem) -> LPResult:
     """Feasibility-only entry point (phase one)."""
-    return solve_lp(
-        LPProblem(problem.n, problem.eq_rows, problem.ge_rows, None, False)
-    )
+    return solve_lp(LPProblem(problem.n, problem.eq_rows, problem.ge_rows))
 
 
 # convenience builders used across the package ------------------------------
@@ -235,9 +231,10 @@ def lp_feasible(problem: LPProblem) -> LPResult:
 
 def feasible_nonneg_solution(mat_rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> LPResult:
     """Is there x >= 0 with M x = rhs?"""
+    if len(rhs) != len(mat_rows):
+        raise InvalidInput("LP right-hand side length mismatch")
     n = len(mat_rows[0]) if mat_rows else 0
-    rows = [(row, r) for row, r in zip(mat_rows, rhs)]
-    return lp_feasible(LPProblem.build(n, eq_rows=rows))
+    return lp_feasible(LPProblem.build(n, eq_rows=list(zip(mat_rows, rhs))))
 
 
 def max_support(forms, eq_rows=()) -> frozenset:
@@ -246,18 +243,22 @@ def max_support(forms, eq_rows=()) -> frozenset:
 
     One LP (Freund, Roundy & Todd 1985): maximise sum(t) over x >= 0 and
     0 <= t <= 1 with Lx >= t.  The feasible x form a cone, so every optimum
-    has t_i = 1 exactly on the set and 0 off it."""
+    has t_i = 1 exactly on the set and 0 off it.  Every >= row holds at
+    x = 0, so each form row L_i x - t_i >= 0 keeps its own denominator; the
+    equality rows share theirs, and the padding and objective are ints."""
     m = len(forms)
     if not m:
         return frozenset()
     n = len(forms[0])
-    pad, x_pad = [_ZERO] * m, [_ZERO] * n  # shared constants: build makes no Fraction
-    minus_t = [[*pad[:i], _MINUS_ONE, *pad[i + 1:]] for i in range(m)]
-    ge_rows = [([*row, *minus_t[i]], _ZERO) for i, row in enumerate(forms)]
-    ge_rows += [([*x_pad, *t], _MINUS_ONE) for t in minus_t]
-    res = solve_lp(LPProblem.build(
-        n + m, [([*row, *pad], _ZERO) for row in eq_rows], ge_rows, [*x_pad, *([_ONE] * m)], True
-    ))
+    scaled, _ = _integer_rows([*([*row, -1] for row in forms), *eq_rows], [True] * m)
+
+    def t(i, v):  # v in the column of t_i
+        return (*[0] * i, v, *[0] * (m - 1 - i))
+
+    ge_rows = [((*row[:n], *t(i, row[n])), 0) for i, row in enumerate(scaled[:m])]
+    ge_rows += [((*[0] * n, *t(i, -1)), -1) for i in range(m)]
+    eq = tuple(((*row, *[0] * m), 0) for row in scaled[m:])
+    res = solve_lp(LPProblem(n + m, eq, tuple(ge_rows), (*[0] * n, *[1] * m), True))
     if res.status != "optimal":  # x = 0 is feasible and sum(t) <= m
         raise NumericFailure(f"maximal-support LP ended {res.status}")
     return frozenset(i + 1 for i, t in enumerate(res.witness[n:]) if t)
@@ -284,12 +285,19 @@ def shifted_image_rows(P, lam: Scalar, sign: int = 1):
 # exact dense helpers
 
 
-def _integer_rows(rows) -> tuple:
-    """(T, L): the rational rows scaled by their one common denominator L to
-    integer rows T = L*rows.  Floats keep their binary-exact value."""
-    rows = [[exact_fraction(e) for e in row] for row in rows]
-    scale = math.lcm(*(e.denominator for row in rows for e in row))
-    return [_scaled(row, scale) for row in rows], scale
+def _integer_rows(rows, own=()) -> tuple:
+    """(T, L): the rational rows scaled to integer rows T, the one pass from
+    rationals to integers.  Row k with a true own[k] is scaled by its own
+    denominator; the other rows share their one common denominator L.
+    Ints are taken as they are, floats keep their binary-exact value."""
+    rows = [[(e, 1) if type(e) is int else exact_fraction(e).as_integer_ratio() for e in row] for row in rows]
+    own = [*own, *[False] * (len(rows) - len(own))]
+    shared = math.lcm(*(q for row, mine in zip(rows, own) if not mine for _, q in row))
+    out = []
+    for row, mine in zip(rows, own):
+        scale = math.lcm(*(q for _, q in row)) if mine else shared
+        out.append([p * (scale // q) for p, q in row])
+    return out, shared
 
 
 def _matmul(a, b) -> list:

@@ -4,8 +4,9 @@ class is dead (each is exported, read by a package module or traced by the
 benchmark), the float eigen pass has one caller, only the structure
 record's builder condenses and classifies, only that record compares a
 shift with a radius, a shift is read in one place, the shifted product has
-one implementation, every import sits at module level, and numpy is bound
-once, lazily, in core."""
+one implementation, every LP reaches the simplex through solve_lp and has
+its rows scaled by one helper, every import sits at module level, and numpy
+is bound once, lazily, in core."""
 
 import ast
 import inspect
@@ -215,6 +216,24 @@ def test_one_shifted_product():
         ("alternating.py", "_eigenvector_witness"),
         ("eq_type1.py", "neumann_partial"),
     }
+
+
+def test_one_simplex_entry_and_one_row_scaling():
+    # every LP is pivoted through solve_lp, the traced entry, and only
+    # oracle._integer_rows turns rational rows into integer ones: no other
+    # code takes a common denominator or reads a numerator or denominator
+    # (but core.format_scalar, which prints a Fraction)
+    assert _innermost_call_sites("_simplex_min") == {("oracle.py", "solve_lp")}
+    for name in ("lcm", "as_integer_ratio"):
+        assert _innermost_call_sites(name) == {("oracle.py", "_integer_rows")}, name
+    readers = {
+        (name, top.name)
+        for name, tree in _trees().items()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator")
+    }
+    assert readers == {("core.py", "format_scalar")}, readers
 
 
 def test_imports_sit_at_module_level():

@@ -1,5 +1,7 @@
+import math
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.testing import assert_allclose
@@ -100,17 +102,19 @@ def _ref_solve_lp(problem, seen, slack_start=True):
     """(status, witness, objective, pivots) of the Fraction simplex.  With
     slack_start, a >= row whose right-hand side is <= 0 starts with its
     slack basic and only the other rows get an artificial, as in solve_lp;
-    without it every row gets one, as solve_lp did before."""
+    without it every row gets one, as solve_lp did before.  Every datum is
+    read as a Fraction, so a ratio of the integer rows LPProblem.build makes
+    is an exact quotient, and the objective over its scale."""
     n, n_eq = problem.n, len(problem.eq_rows)
     rows = []
     n_slack = len(problem.ge_rows)
     total = n + n_slack
     for coeffs, rhs in problem.eq_rows:
-        rows.append(([*coeffs] + [Fraction(0)] * n_slack, rhs))
+        rows.append(([*map(Fraction, coeffs)] + [Fraction(0)] * n_slack, Fraction(rhs)))
     for k, (coeffs, rhs) in enumerate(problem.ge_rows):
         slack = [Fraction(0)] * n_slack
         slack[k] = Fraction(-1)
-        rows.append(([*coeffs] + slack, rhs))
+        rows.append(([*map(Fraction, coeffs)] + slack, Fraction(rhs)))
     m = len(rows)
     starts = [slack_start and r >= n_eq and rhs <= 0 for r, (_, rhs) in enumerate(rows)]
     n_art = starts.count(False)
@@ -155,7 +159,7 @@ def _ref_solve_lp(problem, seen, slack_start=True):
     if problem.objective is None:
         return "optimal", extract(), None, seen["pivots"] - before
     sign = Fraction(-1) if problem.maximize else Fraction(1)
-    cost = [sign * c for c in problem.objective] + [Fraction(0)] * n_slack
+    cost = [sign * Fraction(c, problem.objective_scale) for c in problem.objective] + [Fraction(0)] * n_slack
     status, value = _ref_simplex_min(tableau, basis, cost, seen)
     if status == "unbounded":
         return "unbounded", None, None, seen["pivots"] - before
@@ -575,6 +579,12 @@ class TestLP:
         with assert_raises(InvalidInput):
             LPProblem.build(2, eq_rows=[((Fraction(1),), Fraction(0))])
 
+    def test_rhs_length_validation(self):
+        # a right-hand side of the wrong length is refused, not cut to fit
+        for rhs in ([1], [1, 0, 1]):
+            with assert_raises(InvalidInput):
+                feasible_nonneg_solution([[1, 0], [0, 1]], rhs)
+
     def test_support_restriction(self):
         rows = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
         free = feasible_nonneg_solution(rows, [Fraction(2), Fraction(1)])
@@ -624,6 +634,97 @@ class TestLP:
         assert len(statuses) == 6 and min(statuses.values()) >= 20, statuses
         assert seen["ties"] >= 50 and seen["negative pivots"] >= 10, seen
         assert seen["dropped rows"] >= 10, seen
+
+    def test_scaling_keeps_the_rational_pivots(self, monkeypatch):
+        # build scales each >= row with a right-hand side <= 0 (it starts
+        # with its slack basic) by its own denominator, and the rows that get
+        # an artificial (= rows, >= rows with a right-hand side > 0) by one
+        # shared denominator; solve_lp on those integer rows equals the
+        # Fraction simplex on the rational rows, on LPs mixing slack-start
+        # rows of unequal denominators with each kind of artificial row
+        rnd = rng(2020)
+        mixes, statuses = Counter(), Counter()
+        for _ in range(600):
+            n = rnd.randint(1, 5)
+
+            def row(rhs_sign, den):
+                coeffs = [Fraction(rnd.randint(-3, 4), rnd.choice((1, den))) for _ in range(n)]
+                return coeffs, rhs_sign * Fraction(rnd.randint(int(rhs_sign > 0), 5), rnd.choice((1, den)))
+
+            dens = rnd.sample([2, 3, 4, 5, 7, 9], 4)
+            slack = [row(-1, den) for den in dens[: rnd.randint(2, 3)]]
+            kind = rnd.choice(("eq", "ge", "eq+ge"))
+            eq = [row(rnd.choice((-1, 1)), dens[-1]) for _ in range(rnd.randint(1, 2) if "eq" in kind else 0)]
+            ge = [row(1, dens[-1]) for _ in range(rnd.randint(1, 2) if "ge" in kind else 0)]
+            ge_rows = rnd.sample(slack + ge, len(slack) + len(ge))
+            objective = [Fraction(rnd.randint(-3, 3), rnd.choice(dens)) for _ in range(n)]
+            maximize = rnd.random() < 0.5
+            prob = LPProblem.build(n, eq, ge_rows, objective, maximize)
+            artificial = eq + [r for r in ge_rows if r[1] > 0]
+            shared = math.lcm(*(e.denominator for coeffs, rhs in artificial for e in (*coeffs, rhs)))
+            for k, ((coeffs, rhs), built) in enumerate(zip(eq + ge_rows, prob.eq_rows + prob.ge_rows)):
+                scale = shared
+                if k >= len(eq) and rhs <= 0:
+                    scale = math.lcm(*(e.denominator for e in (*coeffs, rhs)))
+                assert built == (tuple(c * scale for c in coeffs), rhs * scale)
+                assert all(type(e) is int for e in (*built[0], built[1]))
+            rational = SimpleNamespace(
+                n=n, eq_rows=eq, ge_rows=ge_rows, objective=objective, maximize=maximize, objective_scale=1
+            )
+            res = solve_lp(prob)
+            assert (res.status, res.witness, res.objective, res.pivots) == _ref_solve_lp(rational, Counter())
+            own = {math.lcm(*(e.denominator for e in (*coeffs, rhs))) for coeffs, rhs in slack}
+            mixes[kind] += len(own) > 1 and res.pivots > 0
+            statuses[res.status] += 1
+        assert min(mixes[k] for k in ("eq", "ge", "eq+ge")) >= 100, mixes
+        assert min(statuses[k] for k in ("optimal", "infeasible", "unbounded")) >= 30, statuses
+
+    def test_max_support_scaling_keeps_the_rational_pivots(self, monkeypatch):
+        # the maximal-support LP scales each form row L_i x - t_i >= 0 by its
+        # own denominator and the equality rows (collatz_wielandt's
+        # zero-intersection check) by theirs; it equals the Fraction simplex
+        # on the rational LP, with and without equality rows
+        rnd = rng(2021)
+        recorded = []
+        monkeypatch.setattr(oracle, "solve_lp", lambda prob: recorded.append(prob) or solve_lp(prob))
+        with_eq = Counter()
+        for _ in range(300):
+            n, m = rnd.randint(2, 5), rnd.randint(1, 5)
+            forms = [
+                [Fraction(rnd.randint(-2, 3), den) for _ in range(n)] for den in rnd.choices([1, 2, 3, 5, 7], k=m)
+            ]
+            forms += [[-2 * e for e in rnd.choice(forms)] for _ in range(rnd.randint(0, 1))]  # held at 0
+            m = len(forms)
+            eq_rows = [
+                [Fraction(rnd.choice((-1, 0, 0, 1)) * rnd.randint(1, 3), rnd.choice((1, 4))) for _ in range(n)]
+                for _ in range(rnd.randint(0, 2))
+            ]
+            recorded.clear()
+            face = oracle.max_support(forms, eq_rows)
+            (prob,) = recorded
+            zeros = [Fraction(0)] * m
+
+            def t(i, v):
+                return [*zeros[:i], Fraction(v), *zeros[i + 1:]]
+
+            rational = SimpleNamespace(
+                n=n + m,
+                eq_rows=[([*row, *zeros], 0) for row in eq_rows],
+                ge_rows=[([*row, *t(i, -1)], 0) for i, row in enumerate(forms)]
+                + [([Fraction(0)] * n + t(i, -1), -1) for i in range(m)],
+                objective=[0] * n + [1] * m,
+                maximize=True,
+                objective_scale=1,
+            )
+            res = solve_lp(prob)
+            assert (res.status, res.witness, res.objective, res.pivots) == _ref_solve_lp(rational, Counter())
+            for row, (coeffs, _), (want, _) in zip(forms, prob.ge_rows, rational.ge_rows):
+                scale = math.lcm(*(e.denominator for e in row))
+                assert coeffs == tuple(e * scale for e in want)
+            shared = math.lcm(*(e.denominator for row in eq_rows for e in row))
+            assert prob.eq_rows == tuple((tuple(e * shared for e in want), 0) for want, _ in rational.eq_rows)
+            with_eq[bool(eq_rows), "empty" if not face else "full" if len(face) == m else "partial"] += 1
+        assert min(with_eq.values()) >= 20 and len(with_eq) == 6, with_eq
 
     def test_slack_start_keeps_every_status_and_optimum(self):
         # the slack-basic start changes the pivots, never the status or the
