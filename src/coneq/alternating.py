@@ -174,16 +174,8 @@ def _gamma_deduction(P, x, rho_x, ord_x, m_observed, tol) -> Optional[bool]:
     dec = oracle.decompose_generalized(P, x, tol)
     if dec.ambiguous or dec.merged:
         return None
-    rho_f = float(rho_x)
-    band = tol.eig_tol * max(1.0, rho_f)
-    peripheral_orders = []
-    for comp in dec.present():
-        mu = comp.eigenvalue
-        if abs(abs(mu) - rho_f) > band:
-            continue
-        if abs(mu.imag) <= band and abs(mu.real - rho_f) <= band:
-            continue  # the real radius component itself
-        peripheral_orders.append(comp.order)
+    # the components on the circle of radius rho_x, but not at rho_x itself
+    peripheral_orders = [c.order for c in dec.present() if c.relative_to(float(rho_x), tol) == (0, False)]
     if not peripheral_orders:
         return None
     return m_observed <= ord_x - max(peripheral_orders)

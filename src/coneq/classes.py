@@ -25,7 +25,8 @@ shift with a radius, so no other module compares the two itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -79,6 +80,10 @@ class ClassAnalysis:
             if self.reach[c] & target_mask:
                 out |= 1 << c
         return out
+
+    def reached_mask(self, source_mask: int) -> int:
+        """Bitmask of classes that at least one class in source_mask has access to."""
+        return reduce(or_, (r for c, r in enumerate(self.reach) if source_mask >> c & 1), 0)
 
     def vertices_of_mask(self, mask: int) -> frozenset:
         verts = []
@@ -275,10 +280,9 @@ class ClassTaxonomy:
         """Indices of the classes all of whose accessors have radius < lam
         (<= lam when not strict): the largest initial set of classes below
         lam."""
-        blocked = 0
-        for c in range(len(self.radii)):
-            if self.radius_sign(c, lam) >= (0 if strict else 1):
-                blocked |= self.analysis.reach[c]
+        cut = 0 if strict else 1
+        above = sum(1 << c for c in range(len(self.radii)) if self.radius_sign(c, lam) >= cut)
+        blocked = self.analysis.reached_mask(above)
         return tuple(c for c in range(len(self.radii)) if not blocked >> c & 1)
 
 

@@ -215,11 +215,7 @@ def _verify_tracedown(P: NonnegMatrix, analysis, rho, c: int, tol):
 
 
 def _check_face_at_rho(P: NonnegMatrix, tol) -> dict:
-    if P.mode != RATIONAL:
-        raise InvalidInput("this check runs in rational mode only")
     rho = spectral.spectral_radius(P, tol)
-    if not isinstance(rho, Fraction):
-        raise InvalidInput("this check needs an exact rational spectral radius")
     probe = eq_type2.solvable_face_probe(P, rho, tol)
     tax = spectral.taxonomy(P, tol)
     closure = smallest_initial_superset(tax.analysis, probe)
@@ -244,11 +240,7 @@ def _check_face_at_rho(P: NonnegMatrix, tol) -> dict:
 
 
 def _check_window_below_rho(P: NonnegMatrix, tol) -> dict:
-    if P.mode != RATIONAL:
-        raise InvalidInput("this check runs in rational mode only")
     rho = spectral.spectral_radius(P, tol)
-    if not isinstance(rho, Fraction):
-        raise InvalidInput("this check needs an exact rational spectral radius")
     if rho == 0:  # no positive shift lies below rho
         return {"pass": True, "samples": [], "counterexample": None}
     tax = spectral.taxonomy(P, tol)
@@ -274,8 +266,6 @@ def _check_window_below_rho(P: NonnegMatrix, tol) -> dict:
 
 def _check_rho_attained(P: NonnegMatrix, tol) -> dict:
     rho = spectral.spectral_radius(P, tol)
-    if not isinstance(rho, Fraction):
-        raise InvalidInput("this check needs an exact rational spectral radius")
     flag = collatz_wielandt.rho_in_sigma1(P, tol)
     n = P.n
     # x_i >= 1 (x > 0 after scaling) and (rho*I - P)x >= 0
@@ -306,8 +296,6 @@ def _check_alternating_bounds(P: NonnegMatrix, tol) -> dict:
 
 
 def _check_membership_gap(P: NonnegMatrix, tol) -> dict:
-    if P.mode != RATIONAL:
-        raise InvalidInput("this check runs in rational mode only")
     cases = 0
     gap = 0
     bad = None
@@ -324,15 +312,28 @@ def _check_membership_gap(P: NonnegMatrix, tol) -> dict:
     return {"pass": bad is None, "cases": cases, "gap_examples": gap, "counterexample": bad}
 
 
+def _guarded(suite, *, rational_mode: bool = False, exact_rho: bool = False):
+    """The suite behind the preconditions it names: rational mode, an exact rational radius."""
+
+    def run(P: NonnegMatrix, tol) -> dict:
+        if rational_mode and P.mode != RATIONAL:
+            raise InvalidInput("this check runs in rational mode only")
+        if exact_rho and not isinstance(spectral.spectral_radius(P, tol), Fraction):
+            raise InvalidInput("this check needs an exact rational spectral radius")
+        return suite(P, tol)
+
+    return run
+
+
 PROPERTY_SUITES = {
     "thm3.1": _check_type1_battery,
     "cor4.2": _check_above_regime,
-    "thm4.13": _check_face_at_rho,
-    "cor4.20": _check_window_below_rho,
-    "thm5.10": _check_rho_attained,
+    "thm4.13": _guarded(_check_face_at_rho, rational_mode=True, exact_rho=True),
+    "cor4.20": _guarded(_check_window_below_rho, rational_mode=True, exact_rho=True),
+    "thm5.10": _guarded(_check_rho_attained, exact_rho=True),
     "thm5.11": _check_zero_intersection,
     "cor6.4": _check_alternating_bounds,
-    "cor4.8-gap": _check_membership_gap,
+    "cor4.8-gap": _guarded(_check_membership_gap, rational_mode=True),
 }
 
 

@@ -46,7 +46,6 @@ from .core import (
 from .eq_type1 import minimal_solution
 from .eq_type2 import solvable_face_probe
 from .spectral import (
-    distinguished_eigenvalues,
     local_spectral_radius,
     spectral_pair,
     spectral_radius,
@@ -86,19 +85,21 @@ class CWSets:
 
 
 def cw_sets(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> CWSets:
-    """Extrema of the four Collatz-Wielandt sets.
+    """Extrema of the four Collatz-Wielandt sets, all read off P's record.
 
     sup over the cone of the lower number is the spectral radius (attained);
     inf of the upper number is the least distinguished eigenvalue (attained);
-    over the interior, sup of the lower number is the transpose's least
-    distinguished eigenvalue (attained -- the orthant is polyhedral) and inf
-    of the upper number is the spectral radius, attained iff rho_in_sigma1.
+    over the interior, sup of the lower number is the least radius of a
+    distinguished_transpose class (attained -- the orthant is polyhedral)
+    and inf of the upper number is the spectral radius, attained iff
+    rho_in_sigma1.
     """
+    tax = taxonomy(P, tol)
     rho = spectral_radius(P, tol)
-    dvals = distinguished_eigenvalues(P, tol)
-    dvals_t = distinguished_eigenvalues(P.transpose(), tol)
-    inf_sigma = dvals[0] if dvals else zero(P.mode)
-    sup_omega1 = dvals_t[0] if dvals_t else zero(P.mode)
+    inf_sigma, sup_omega1 = (
+        min((r for r, flag in zip(tax.radii, flags) if flag), default=zero(P.mode))
+        for flags in (tax.distinguished, tax.distinguished_transpose)
+    )
     return CWSets(rho, inf_sigma, sup_omega1, rho, rho_in_sigma1(P, tol))
 
 
@@ -107,16 +108,24 @@ def rho_in_sigma1(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     class is final.  Cross-checked against the face formulation: classes with
     access to a distinguished basic class, together with classes receiving no
     access from any basic class, must exhaust all classes."""
-    tax = taxonomy(P, tol)
+    return _rho_attained(taxonomy(P, tol), transpose=False)
+
+
+def _rho_attained(tax, transpose: bool) -> bool:
+    """rho_in_sigma1 on the record's matrix, or on its transpose: the same classes
+    and radii with access reversed, so final reads initial, distinguished reads
+    distinguished_transpose, and the classes a set reaches those with access to it."""
+    an = tax.analysis
+    final, distinguished = tax.final, tax.distinguished
+    reached, accessors = an.reached_mask, an.accessors_mask
+    if transpose:
+        final, distinguished = tax.initial, tax.distinguished_transpose
+        reached, accessors = accessors, reached
     basic = [c for c, flag in enumerate(tax.basic) if flag]
-    primary = all(tax.final[c] for c in basic)
-    # every class a basic class reaches must have access to a distinguished
-    # basic class
-    reached = 0
-    for c in basic:
-        reached |= tax.analysis.reach[c]
-    face = tax.accessor_vertices(c for c in basic if tax.distinguished[c])
-    if primary != (tax.analysis.vertices_of_mask(reached) <= face):
+    primary = all(final[c] for c in basic)
+    # every class a basic class reaches must have access to a distinguished basic class
+    face = accessors(sum(1 << c for c in basic if distinguished[c]))
+    if primary != ((reached(sum(1 << c for c in basic)) & ~face) == 0):
         raise NumericFailure("final-class and face routes disagree on attainment")
     return primary
 
@@ -198,19 +207,21 @@ class ZeroIntersectionReport:
     c: bool
 
 
-def zero_intersection_conditions(
-    P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL
-) -> ZeroIntersectionReport:
+def zero_intersection_conditions(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> ZeroIntersectionReport:
     """Evaluate all three conditions (exact; needs a rational spectral radius)."""
     if P.mode != RATIONAL:
         raise InvalidInput("zero-intersection conditions run in rational mode only")
     rho = spectral_radius(P, tol)
     if not isinstance(rho, Fraction):
-        raise InvalidInput(
-            "zero-intersection conditions need an exact rational spectral radius"
-        )
-    cond_a = rho_in_sigma1(P.transpose(), tol)
-    cond_b = _generalized_null_is_eigen(P, rho) and _basic_closure_no_lower_dval(P, rho, tol)
+        raise InvalidInput("zero-intersection conditions need an exact rational spectral radius")
+    tax = taxonomy(P, tol)
+    # the classes with access to a basic class form an initial set, so a class
+    # there is distinguished in their principal submatrix iff it is in P
+    closure = tax.analysis.accessors_mask(sum(1 << c for c, flag in enumerate(tax.basic) if flag))
+    cond_a = _rho_attained(tax, transpose=True)
+    cond_b = _generalized_null_is_eigen(P, rho) and all(
+        tax.radius_sign(c, rho) == 0 for c, flag in enumerate(tax.distinguished) if flag and closure >> c & 1
+    )
     cond_c = len(solvable_face_probe(P, rho, tol)) == 0
     return ZeroIntersectionReport(cond_a, cond_b, cond_c)
 
@@ -231,17 +242,6 @@ def _generalized_null_is_eigen(P: NonnegMatrix, rho: Fraction) -> bool:
     return all(
         sum(row[j - 1] * v for j, v in zip(face, vec)) == 0 for vec in basis for row in shift
     )
-
-
-def _basic_closure_no_lower_dval(P: NonnegMatrix, rho: Fraction, tol: Tolerance) -> bool:
-    """The principal submatrix on classes with access to a basic class must
-    have no distinguished eigenvalue other than rho."""
-    tax = taxonomy(P, tol)
-    j_verts = sorted(tax.accessor_vertices(c for c, flag in enumerate(tax.basic) if flag))
-    if not j_verts:
-        return True
-    sub_tax = taxonomy(P.submatrix(j_verts), tol)
-    return all(sub_tax.radius_sign(c, rho) == 0 for c in sub_tax.eigen_classes)
 
 
 @dataclass(frozen=True)
@@ -291,16 +291,9 @@ def power_limit_exists(
         raise InvalidInput("power limit needs a positive local spectral radius")
     dec = oracle.decompose_generalized(P, x, tol)
     rho_f = float(rho_x)
-    exists = True
-    for comp in dec.present():
-        if abs(comp.eigenvalue) < rho_f - tol.eig_tol * max(1.0, rho_f):
-            continue
-        is_rho = (
-            abs(comp.eigenvalue.imag) <= tol.eig_tol * max(1.0, rho_f)
-            and abs(comp.eigenvalue.real - rho_f) <= tol.eig_tol * max(1.0, rho_f)
-        )
-        if not is_rho or comp.order > 1:
-            exists = False
+    # every component on or above the circle must be rho_x itself, of order one
+    places = [(comp.relative_to(rho_f, tol), comp.order) for comp in dec.present()]
+    exists = all(is_rho and order <= 1 for (sign, is_rho), order in places if sign >= 0)
     return PowerLimitReport(exists, _orbit_evidence(P, x, rho_f, tol))
 
 

@@ -84,7 +84,8 @@ def minimal_solution(
     idx = sorted(smallest_initial_superset(taxonomy(P, tol).analysis, support(b)))
     # exact rows of lambda*I - P; in float mode the solve rounds each entry
     # to the nearest float, which is the correctly rounded float lam - e
-    mrows = oracle.shifted_image_rows(P.submatrix(idx), lam, sign=-1)
+    principal = [[P.rows[i - 1][j - 1] for j in idx] for i in idx]
+    mrows = oracle.shifted_image_rows(principal, lam, sign=-1)
     sol = solve_linear(mrows, [b.entries[i - 1] for i in idx], P.mode)
     if sol is None:
         raise NumericFailure("principal subsystem unexpectedly singular")
@@ -328,7 +329,7 @@ def _transpose_generalized_basis(P: NonnegMatrix, mu: Fraction) -> tuple:
     asks for the same basis at several shifts."""
 
     def build():
-        t_rows = [list(r) for r in P.transpose().rows]
+        t_rows = [list(r) for r in zip(*P.rows)]
         basis, _ = oracle._integer_rows(oracle.generalized_nullspace_exact(t_rows, mu))
         return tuple(map(tuple, basis))
 

@@ -542,6 +542,14 @@ class EigComponent:
     order: int  # 0 when the component vanishes
     norm: float
 
+    def relative_to(self, rho_x: float, tol: Tolerance) -> tuple:
+        """(sign of |mu| - rho_x, is mu rho_x itself) for the eigenvalue mu, each
+        within eig_tol*max(1, rho_x): the one peripheral rule of the float lane."""
+        band = tol.eig_tol * max(1.0, rho_x)
+        mu = self.eigenvalue
+        gap = abs(mu) - rho_x
+        return (gap > band) - (gap < -band), abs(mu.imag) <= band and abs(mu.real - rho_x) <= band
+
 
 @dataclass(frozen=True)
 class GeneralizedDecomposition:

@@ -42,6 +42,10 @@ def docs(tmp_path_factory):
         "x12.json": {"entries": [1, 2]},
         "half.json": {"entries": [["1/2"]]},
         "nilpotent.json": {"entries": [[0, 1], [0, 0]]},
+        # one class with constant row sums 1 but column sums 1/2 and 3/2
+        "stochastic.json": {"entries": [[0, 1], ["1/2", "1/2"]]},
+        # one class of radius sqrt(2), an irrational
+        "root2.json": {"entries": [[0, 2], [1, 0]]},
         # two radius-2 classes, {2, 3} with access to {4, 5}: rho = 2 is
         # defective, and float eigenvalues split it by about 1e-8
         "peak.json": {
@@ -212,6 +216,21 @@ class TestCwAndAlt:
             "sup_omega1": 2,
         }
 
+    def test_set_extrema_print_the_radii_analyze_prints(self, capsys, docs):
+        # sup_omega1 is the radius of the one class as P's record holds it,
+        # exactly 1, not a power iteration on the transpose's block
+        code, out, err = run_cli(capsys, ["cw", docs["stochastic.json"]])
+        assert code == 0 and err == ""
+        assert '"sup_omega1": 1}' in out
+        assert json.loads(out) == {
+            "inf_sigma": 1,
+            "inf_sigma1": 1,
+            "inf_sigma1_attained": True,
+            "sup_omega": 1,
+            "sup_omega1": 1,
+        }
+        assert run_json(capsys, ["analyze", docs["stochastic.json"]])["taxonomy"]["radii"] == [1]
+
     def test_alternating_length(self, capsys, docs):
         doc = run_json(
             capsys, ["alt", "--shift", "1", "--x", docs["e2.json"], docs["U.json"]]
@@ -304,6 +323,22 @@ class TestCheck:
         )
         assert code == 2
         assert "rational mode only" in err
+
+    @pytest.mark.parametrize(
+        "prop,mode,matrix,message",
+        [
+            ("cor4.20", "float", "U.json", "this check runs in rational mode only"),
+            ("cor4.8-gap", "float", "U.json", "this check runs in rational mode only"),
+            ("thm4.13", "rational", "root2.json", "this check needs an exact rational spectral radius"),
+            ("cor4.20", "rational", "root2.json", "this check needs an exact rational spectral radius"),
+            ("thm5.10", "rational", "root2.json", "this check needs an exact rational spectral radius"),
+            # thm5.10 asks for the exact radius only, which float mode never has
+            ("thm5.10", "float", "U.json", "this check needs an exact rational spectral radius"),
+        ],
+    )
+    def test_preconditions(self, capsys, docs, prop, mode, matrix, message):
+        code, out, err = run_cli(capsys, ["--mode", mode, "check", "--property", prop, docs[matrix]])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_unknown_property_is_a_usage_error(self, capsys, docs, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width

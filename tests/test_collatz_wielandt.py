@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from coneq.core import (
 )
 from coneq.classes import condense, smallest_initial_superset
 from coneq.collatz_wielandt import (
+    _generalized_null_is_eigen,
     boundary_report,
     cw_numbers,
     cw_sets,
@@ -33,7 +35,7 @@ from coneq.spectral import (
 )
 from coneq import oracle
 
-from fuzz import fuzz_matrix, fuzz_vector, rng
+from fuzz import fuzz_matrix, fuzz_vector, irregular, rng
 
 
 def mat(rows, mode=RATIONAL):
@@ -124,6 +126,25 @@ class TestSets:
             F(1),
         )
         assert not rep.inf_sigma1_attained
+
+    def test_every_extremum_is_a_radius_of_the_record(self):
+        # each field is a class radius as P's own record holds it, in value
+        # and type (Fraction or float), and sup_omega1 is the least radius
+        # of a distinguished_transpose class; no record of P^T is consulted
+        rnd = rng(97)
+        floats = 0
+        for _ in range(60):
+            P = fuzz_matrix(rnd)
+            for M in (P, irregular(rnd, P), P.to_float()):
+                tax = taxonomy(M)
+                held = [(r, type(r)) for r in tax.radii]
+                rep = cw_sets(M)
+                for value in (rep.sup_omega, rep.inf_sigma, rep.sup_omega1, rep.inf_sigma1):
+                    assert (value, type(value)) in held, (M, rep)
+                least = min(r for r, flag in zip(tax.radii, tax.distinguished_transpose) if flag)
+                assert (rep.sup_omega1, type(rep.sup_omega1)) == (least, type(least))
+                floats += isinstance(rep.sup_omega1, float)
+        assert floats >= 60
 
     def test_serialization(self):
         assert to_json(cw_sets(T)) == {
@@ -281,6 +302,36 @@ class TestZeroIntersection:
             assert rep.a == rep.b == rep.c
             trues += rep.a
         assert 0 < trues < 30
+
+
+def _reference_conditions_a_b(P):
+    """Conditions a and b as they read before they came off P's record:
+    a on the record of P^T, b on the record of the principal submatrix on
+    the classes with access to a basic class."""
+    rho = spectral_radius(P)
+    tax = taxonomy(P)
+    j_verts = sorted(tax.accessor_vertices(c for c, flag in enumerate(tax.basic) if flag))
+    closure = True
+    if j_verts:
+        sub_tax = taxonomy(P.submatrix(j_verts))
+        closure = all(sub_tax.radius_sign(c, rho) == 0 for c in sub_tax.eigen_classes)
+    return rho_in_sigma1(P.transpose()), _generalized_null_is_eigen(P, rho) and closure
+
+
+def test_zero_intersection_matches_the_transpose_and_submatrix_records():
+    rnd = rng(98)
+    verdicts = Counter()
+    compared = 0
+    while compared < 300:
+        P = fuzz_matrix(rnd, n_max=6)
+        for M in (P, irregular(rnd, P)):
+            if not isinstance(spectral_radius(M), Fraction):
+                continue  # the conditions need an exact rational radius
+            rep = zero_intersection_conditions(M)
+            assert (rep.a, rep.b) == _reference_conditions_a_b(M), M
+            verdicts.update((name, getattr(rep, name)) for name in "abc")
+            compared += 1
+    assert min(verdicts[(name, flag)] for name in "abc" for flag in (True, False)) >= 40, verdicts
 
 
 class TestBoundary:

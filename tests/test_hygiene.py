@@ -3,10 +3,11 @@ no private module-level name goes unused by the package, no public def or
 class is dead (each is exported, read by a package module or traced by the
 benchmark), the float eigen pass has one caller, only the structure
 record's builder condenses and classifies, only that record compares a
-shift with a radius, a shift is read in one place, the shifted product has
-one implementation, every LP reaches the simplex through solve_lp and has
-its rows scaled by one helper, every import sits at module level, and numpy
-is bound once, lazily, in core."""
+shift with a radius, no module builds a transpose or a submatrix, one
+helper reads the float lane's peripheral band, a shift is read in one
+place, the shifted product has one implementation, every LP reaches the
+simplex through solve_lp and has its rows scaled by one helper, every
+import sits at module level, and numpy is bound once, lazily, in core."""
 
 import ast
 import inspect
@@ -167,6 +168,29 @@ def test_the_structure_record_decides_radius_comparisons():
     ]
     assert len(methods) >= 7
     assert not [f.__name__ for f in methods if "tol" in inspect.signature(f).parameters]
+
+
+def test_no_module_builds_a_transpose_or_a_submatrix():
+    # every question about P^T or a principal block of P is answered from
+    # P's own structure record or P's rows, so no second matrix is built
+    sites = _call_sites(["transpose", "submatrix"])
+    assert sites == {"transpose": [], "submatrix": []}, sites
+
+
+def test_one_peripheral_band():
+    # the power limit and the gamma deduction place each component against
+    # rho_x through EigComponent.relative_to, the one reader of that band
+    readers = {
+        name
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "eig_tol"
+    }
+    assert not readers & {"collatz_wielandt.py", "alternating.py"}, readers
+    assert _innermost_call_sites("relative_to") == {
+        ("collatz_wielandt.py", "power_limit_exists"),
+        ("alternating.py", "_gamma_deduction"),
+    }
 
 
 def test_one_sturm_counter():

@@ -10,7 +10,7 @@ import pytest
 
 from coneq import oracle
 from coneq.core import RATIONAL, ConeVector, InvalidInput, NonnegMatrix, NumericFailure
-from coneq.eq_type1 import solvable1, solve1
+from coneq.eq_type1 import solvability_conditions, solvable1, solve1
 from coneq.eq_type2 import solvable2
 
 
@@ -82,3 +82,14 @@ def test_block_entry_below_the_float_range():
     P = mat([[0, Fraction(1, 10**400)], [1, 0]])
     lam = Fraction(1)
     assert solvable1(P, lam, e1(2)) == lp_feasible(P, lam, e1(2), -1)  # the LP: True
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="(h) conditions e and i count a radius just below the shift as one at the shift",
+)
+def test_h_radius_just_below_the_shift():
+    P = mat([[Fraction(1999999999, 10**9)]])
+    lam = Fraction(2)
+    rep = solvability_conditions(P, lam, e1(1))
+    assert rep.e == lp_feasible(P, lam, e1(1), -1)  # the LP: True

@@ -13,6 +13,7 @@ from coneq.alternating import alternating_bound_report
 from coneq.collatz_wielandt import _generalized_null_is_eigen, power_limit_exists
 from coneq.eq_type2 import solvable_face_probe
 from coneq.oracle import (
+    EigComponent,
     LPProblem,
     charpoly_exact,
     count_real_roots_in,
@@ -1191,6 +1192,21 @@ class TestDenseEigen:
             total = np.sum([np.array(c.component) for c in d.components], axis=0)
             assert_allclose(total.real, x.to_numpy(), atol=1e-7)
             assert_allclose(total.imag, np.zeros(P.n), atol=1e-7)
+
+    def test_a_component_placed_against_the_local_radius(self):
+        # the band is eig_tol*max(1, rho_x); "mu is rho_x" reads |Re mu - rho_x|,
+        # so a float zero just below 0 is rho_x = 0 itself
+        def place(mu, rho_x):
+            return EigComponent(complex(mu), 1, (), 1, 1.0).relative_to(rho_x, DEFAULT_TOL)
+
+        assert place(-5.5e-17, 0.0) == (0, True)
+        assert place(2 + 1e-9, 2.0) == (0, True)
+        assert place(-2, 2.0) == (0, False)
+        assert place(2j, 2.0) == (0, False)
+        assert place(1.5, 2.0) == (-1, False)
+        assert place(2 + 1e-7, 2.0) == (1, False)
+        assert place(2 - 3e-8, 2.0) == (-1, False)
+        assert place(1e3 + 5e-6, 1e3) == (0, True)  # the band scales with rho_x
 
     def test_krylov_restriction_radius(self):
         assert krylov_local_rho(S, ConeVector.unit(2, 1)) == 1.0

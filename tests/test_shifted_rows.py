@@ -36,10 +36,11 @@ THIRD = Fraction(1, 3)
 
 
 def _minimal_solution_rows(sub, lam_s, mode):
-    """eq_type1.minimal_solution: lambda*I - P on the principal subsystem."""
+    """eq_type1.minimal_solution: lambda*I - P on the principal subsystem,
+    given by its rows."""
     return [
-        [(lam_s if i == j else zero(mode)) - sub.rows[i][j] for j in range(sub.n)]
-        for i in range(sub.n)
+        [(lam_s if i == j else zero(mode)) - sub[i][j] for j in range(len(sub))]
+        for i in range(len(sub))
     ]
 
 
