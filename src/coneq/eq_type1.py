@@ -195,7 +195,8 @@ _POWER_CEILING = 1e150
 
 
 def _capped_product(x, y):
-    return np.minimum(x @ y, _POWER_CEILING)
+    out = x @ y
+    return np.minimum(out, _POWER_CEILING, out=out)
 
 
 def _doubling_powers(a, horizon):
@@ -242,7 +243,7 @@ def _condition_c(P, lam, b, tol):
     step[:n, :n] = a
     step[n:, :n] = step[n:, n:] = np.eye(n)
     bv = b.to_numpy()
-    scale = max(1.0, float(np.max(bv)))
+    scale = max(1.0, *bv.tolist())
     start = np.zeros(2 * n)
     start[:n] = bv / float(lam)
     horizon = tol.power_iters
@@ -255,10 +256,11 @@ def _condition_c(P, lam, b, tol):
                 if m + k > horizon:
                     break
                 term = a @ term
-                total = total + term
-            if float(total.max()) > 1e12 * scale:
+                total += term
+            top = max(total.tolist())
+            if top > 1e12 * scale:
                 return False
-            if float(term.max()) > tol.eq_tol * max(1.0, float(total.max())):
+            if max(term.tolist()) > tol.eq_tol * max(1.0, top):
                 break
         else:
             return True
@@ -274,9 +276,9 @@ def _condition_d(P, lam, b, tol):
     exceeds 1e12*scale, None when neither happens by the horizon.
     """
     bv = b.to_numpy()
-    scale = max(1.0, float(np.max(bv)))
+    scale = max(1.0, *bv.tolist())
     for _, power in _doubling_powers(P.to_numpy() / float(lam), tol.power_iters):
-        nrm = float((power @ bv).max())
+        nrm = max((power @ bv).tolist())
         if nrm <= tol.eq_tol * scale:
             return True
         if nrm > 1e12 * scale:

@@ -17,19 +17,25 @@ signed solve and the exact nullspaces share the LP's fraction-free integer
 pivot in one Gauss-Jordan kernel.  Exact matrix algebra runs on integer
 rows over one common denominator (_integer_rows) with one product
 (_matmul): the matrix powers, and one Faddeev-LeVerrier pass for each
-characteristic polynomial, determinant and adjugate.  The float-lane
-helpers (eig_all, decompose_generalized, krylov_local_rho) are deliberately
-independent of the combinatorial modules so the two routes can disagree
-loudly in tests if one of them is wrong.
+characteristic polynomial, determinant and adjugate.  The rows of
++-(P - lam*I) come from one builder, shifted_image_rows, as integer rows
+over their own denominators: a matrix keeps its integer form in its memo
+from its first shifted build, so a shift rewrites only the diagonal, and
+the LP, the face question and the integer algebra read those integers as
+they are.  The float-lane helpers (eig_all, decompose_generalized,
+krylov_local_rho) are deliberately independent of the combinatorial
+modules so the two routes can disagree loudly in tests if one of them is
+wrong.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import (
     DEFAULT_TOL,
@@ -77,7 +83,8 @@ class LPProblem:
             raise InvalidInput("LP row length mismatch")
         n_eq = len(eq_rows)
         own = [k >= n_eq and rhs <= 0 for k, (_, rhs) in enumerate(rows)]
-        rows = [(tuple(row[:n]), row[n]) for row in _integer_rows([[*c, rhs] for c, rhs in rows], own)[0]]
+        scaled, _ = _integer_rows([coeffs for coeffs, _ in rows], own, [rhs for _, rhs in rows])
+        rows = [(tuple(row[:n]), row[n]) for row in scaled]
         scale = 1
         if objective is not None:
             if len(objective) != n:
@@ -250,7 +257,7 @@ def max_support(forms, eq_rows=()) -> frozenset:
     if not m:
         return frozenset()
     n = len(forms[0])
-    scaled, _ = _integer_rows([*([*row, -1] for row in forms), *eq_rows], [True] * m)
+    scaled, _ = _integer_rows([*forms, *eq_rows], [True] * m, [-1] * m)
 
     def t(i, v):  # v in the column of t_i
         return (*[0] * i, v, *[0] * (m - 1 - i))
@@ -264,20 +271,81 @@ def max_support(forms, eq_rows=()) -> frozenset:
     return frozenset(i + 1 for i, t in enumerate(res.witness[n:]) if t)
 
 
-def shifted_image_rows(P, lam: Scalar, sign: int = 1):
-    """Rows of sign*(P - lam*I), sign = +-1, as exact Fractions, for a
-    NonnegMatrix P or a square sequence of its rows; floats are read as their
-    binary value.  The one builder of shifted rows: the shift touches the
-    diagonal only, and zero entries are shared, not computed."""
-    lam = exact_fraction(lam)
+class _ScaledRow(Sequence):
+    """One exact row of a shifted build: the integer row ints over its own
+    positive denominator scale, the lcm of its entries' denominators.  Read
+    entry by entry it is the rational row ints[j] / scale; _integer_rows
+    takes ints and scale as they are."""
+
+    __slots__ = ("ints", "scale")
+
+    def __init__(self, ints, scale):
+        self.ints, self.scale = ints, scale
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def __getitem__(self, j):
+        e = self.ints[j]
+        return Fraction(e, self.scale) if e else _ZERO
+
+    def __iter__(self):
+        q = self.scale
+        return (Fraction(e, q) if e else _ZERO for e in self.ints)
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def _integer_form(rows) -> tuple:
+    """The part of every shifted build of a square matrix that depends on
+    the matrix alone, from _integer_rows: per row i, (t, c, T_ii, L), where
+    L is the common denominator of row i and T is L times the row (the
+    appended 1 reads back as L), c is the gcd of L and T's entries off the
+    diagonal, and t is those entries divided by c, with 0 on the diagonal."""
+    n = len(rows)
+    form = []
+    for i, T in enumerate(_integer_rows(rows, [True] * n, [1] * n)[0]):
+        L = T.pop()
+        d, T[i] = T[i], 0
+        c = math.gcd(L, *T)
+        form.append(([e // c for e in T], c, d, L))
+    return tuple(form)
+
+
+def shifted_image_rows(P, lam: Scalar, sign: int = 1) -> list:
+    """Rows of sign*(P - lam*I), sign = +-1, for a NonnegMatrix P or a square
+    sequence of its rows: the one builder of shifted rows.
+
+    The rows are exact, floats read as their binary value: each is a
+    _ScaledRow, the row times its own common denominator.  They come from
+    P's integer form (_integer_form), kept on a NonnegMatrix from its first
+    shifted build, and lam = p/q from _integer_rows.  Row i of q*L*(P - lam*I)
+    is q*T with q*T_ii - p*L on the diagonal, and g = gcd(q*c, q*T_ii - p*L)
+    is the gcd of its entries and q*L, so dividing by g leaves the row over
+    its own denominator q*L/g: a shift costs one gcd per row and one
+    product per entry.  Given rows and a float shift (the float lane's own
+    eliminations), the rows are floats: each entry is the correctly rounded
+    float of its exact value, and no zero is negative."""
+    if isinstance(lam, float) and not isinstance(P, NonnegMatrix):
+        rows = [[(lam if i == j else 0.0) - e for j, e in enumerate(row)] for i, row in enumerate(P)]
+        return rows if sign < 0 else [[0.0 - e for e in row] for row in rows]
+    if isinstance(P, NonnegMatrix):
+        form = P.memoized("integer form", lambda: _integer_form(P.rows))
+    else:
+        form = _integer_form(P)
+    ((p,),), q = _integer_rows([[lam]])
     rows = []
-    for i, row in enumerate(getattr(P, "rows", P)):
-        if sign > 0:
-            out = [exact_fraction(e) if e else _ZERO for e in row]
-        else:
-            out = [-exact_fraction(e) if e else _ZERO for e in row]
-        out[i] = sign * (exact_fraction(row[i]) - lam)
-        rows.append(out)
+    for i, (t, c, d, L) in enumerate(form):
+        diagonal = q * d - p * L
+        g = math.gcd(q * c, diagonal)
+        factor = sign * (q * c // g)
+        row = [e * factor for e in t]
+        row[i] = sign * (diagonal // g)
+        rows.append(_ScaledRow(row, q * L // g))
     return rows
 
 
@@ -285,18 +353,29 @@ def shifted_image_rows(P, lam: Scalar, sign: int = 1):
 # exact dense helpers
 
 
-def _integer_rows(rows, own=()) -> tuple:
+def _integer_rows(rows, own=(), last=()) -> tuple:
     """(T, L): the rational rows scaled to integer rows T, the one pass from
-    rationals to integers.  Row k with a true own[k] is scaled by its own
-    denominator; the other rows share their one common denominator L.
-    Ints are taken as they are, floats keep their binary-exact value."""
-    rows = [[(e, 1) if type(e) is int else exact_fraction(e).as_integer_ratio() for e in row] for row in rows]
-    own = [*own, *[False] * (len(rows) - len(own))]
-    shared = math.lcm(*(q for row, mine in zip(rows, own) if not mine for _, q in row))
+    rationals to integers.  Row k is rows[k] followed by last[k], when last
+    has a k-th entry.  Row k with a true own[k] is scaled by its own
+    denominator; the other rows share their one common denominator L.  Ints
+    are taken as they are, floats keep their binary-exact value, and a
+    _ScaledRow is integer over its scale already."""
+    split = []
+    for k, row in enumerate(rows):
+        if type(row) is _ScaledRow:
+            head, q, rest = row.ints, row.scale, last[k:k + 1]
+        else:
+            head, q, rest = [], 1, [*row, *last[k:k + 1]]
+        pairs = [(e, 1) if type(e) is int else exact_fraction(e).as_integer_ratio() for e in rest]
+        split.append((head, q, pairs, math.lcm(q, *[d for _, d in pairs]) if pairs else q))
+    own = [*own, *[False] * (len(split) - len(own))]
+    shared = math.lcm(*[den for (*_, den), mine in zip(split, own) if not mine])
     out = []
-    for row, mine in zip(rows, own):
-        scale = math.lcm(*(q for _, q in row)) if mine else shared
-        out.append([p * (scale // q) for p, q in row])
+    for (head, q, pairs, den), mine in zip(split, own):
+        scale = den if mine else shared
+        factor = scale // q
+        row = head if factor == 1 else [e * factor for e in head]
+        out.append(row + [p * (scale // d) for p, d in pairs] if pairs else row)
     return out, shared
 
 
@@ -386,7 +465,7 @@ def generalized_nullspace_exact(mat_rows, mu: Fraction) -> list:
     for (M - mu*I)^n itself.
     """
     n = len(mat_rows)
-    base, _ = _integer_rows(shifted_image_rows(mat_rows, mu))
+    base, _ = _integer_rows(shifted_image_rows(mat_rows, exact_fraction(mu)))
     power = base
     basis = nullspace_exact(power)
     for _ in range(1, n):

@@ -32,6 +32,77 @@ from coneq import eq_type1, oracle
 from fuzz import fuzz_matrix, fuzz_vector, irregular, lambda_sweep, rng
 
 
+# eq_type1's iterative checks c and d as they were, with one numpy reduction
+# per checkpoint scalar and each capped product a new array
+
+
+def _reduction_capped_product(x, y):
+    return np.minimum(x @ y, 1e150)
+
+
+def _reduction_doubling_powers(a, horizon):
+    squares = []
+    m = 1
+    while m <= horizon:
+        yield m, a
+        squares.append(a)
+        m *= 2
+        if m <= horizon:
+            a = _reduction_capped_product(a, a)
+    if horizon > m // 2:
+        picked = [sq for k, sq in enumerate(squares) if horizon >> k & 1]
+        last = picked[0]
+        for sq in picked[1:]:
+            last = _reduction_capped_product(last, sq)
+        yield horizon, last
+
+
+def _reduction_condition_c(P, lam, b, tol):
+    n = P.n
+    a = P.to_numpy() / float(lam)
+    step = np.zeros((2 * n, 2 * n))  # [[a, 0], [I, I]]
+    step[:n, :n] = a
+    step[n:, :n] = step[n:, n:] = np.eye(n)
+    bv = b.to_numpy()
+    scale = max(1.0, float(np.max(bv)))
+    start = np.zeros(2 * n)
+    start[:n] = bv / float(lam)
+    horizon = tol.power_iters
+    for m, power in _reduction_doubling_powers(step, max(1, horizon - 2)):
+        pair = power @ start
+        term = pair[:n]
+        total = pair[n:] + term
+        for k in range(3):  # the terms m, m+1, m+2
+            if k:
+                if m + k > horizon:
+                    break
+                term = a @ term
+                total = total + term
+            if float(total.max()) > 1e12 * scale:
+                return False
+            if float(term.max()) > tol.eq_tol * max(1.0, float(total.max())):
+                break
+        else:
+            return True
+    return None
+
+
+def _reduction_condition_d(P, lam, b, tol):
+    bv = b.to_numpy()
+    scale = max(1.0, float(np.max(bv)))
+    for _, power in _reduction_doubling_powers(P.to_numpy() / float(lam), tol.power_iters):
+        nrm = float((power @ bv).max())
+        if nrm <= tol.eq_tol * scale:
+            return True
+        if nrm > 1e12 * scale:
+            return False
+    return None
+
+
+def _reduction_c_d(P, lam, b, tol):
+    return _reduction_condition_c(P, lam, b, tol), _reduction_condition_d(P, lam, b, tol)
+
+
 def mat(rows, mode=RATIONAL):
     return NonnegMatrix.make(rows, mode)
 
@@ -318,6 +389,40 @@ class TestConditionBattery:
                 eq_type1._condition_d(Z, F(1), vec(1, 0), short),
             )
             assert got == _term_by_term_c_d(Z, F(1), vec(1, 0), short), horizon
+
+    def test_iterative_checks_match_their_numpy_reduction_form(self):
+        # c and d read each checkpoint's maximum off a Python list, and cap
+        # the squares in place; every product, its order and the cap are
+        # those of the numpy-reduction form kept below, so every float they
+        # compare is the same and so is every verdict
+        rnd = rng(2304)
+        matrices = [mat([[F(99, 100), 0], [0, 100]]), mat([[F(99, 100), 0], [0, 100]], FLOAT)]
+        for _ in range(25):
+            P = fuzz_matrix(rnd, n_max=6)
+            Q = irregular(rnd, P)
+            matrices += [P, Q, P.to_float()]
+        verdicts = Counter()
+        for P in matrices:
+            b = fuzz_vector(rnd, P.n)
+            if P.mode == FLOAT:
+                b = b.to_float()
+            for r in set(class_radii(P)):
+                for lam in (r - F(1, 50), r, r + F(1, 50), r + F(1, 3)):
+                    lam = float(lam) if P.mode == FLOAT or isinstance(r, float) else lam
+                    if lam <= 0:
+                        continue
+                    for horizon in (1, 2, 3, 1000, DEFAULT_TOL.power_iters):
+                        tol = Tolerance(power_iters=horizon)
+                        got = (
+                            eq_type1._condition_c(P, lam, b, tol),
+                            eq_type1._condition_d(P, lam, b, tol),
+                        )
+                        assert got == _reduction_c_d(P, lam, b, tol), (P.rows, lam, b.entries, horizon)
+                        verdicts[got] += 1
+        # the capped case and every verdict of both checks are reached
+        assert _reduction_c_d(matrices[0], F(1), vec(1, 0), DEFAULT_TOL) == (True, True)
+        assert {v for pair in verdicts for v in pair} == {True, False, None}, verdicts
+        assert sum(verdicts.values()) >= 1000, verdicts
 
     def test_rejects_zero_rhs(self):
         with assert_raises(InvalidInput):
