@@ -122,8 +122,10 @@ def _cmd_analyze(P: NonnegMatrix, tol) -> dict:
 
 
 def _sample_vectors(P: NonnegMatrix) -> list:
+    """The unit vectors and the all-ones vector: nonzero, so none when n = 0."""
     vecs = [ConeVector.unit(P.n, i, P.mode) for i in range(1, P.n + 1)]
-    vecs.append(ConeVector.make([one(P.mode)] * P.n, P.mode))
+    if P.n:
+        vecs.append(ConeVector.make([one(P.mode)] * P.n, P.mode))
     return vecs
 
 
@@ -141,63 +143,64 @@ def _shift_sweep(P: NonnegMatrix, tol, offsets) -> list:
     return out
 
 
-def _is_zero(v, tol) -> bool:
-    # exact in the rational lane, tolerance-based for floats
-    return v == 0 if isinstance(v, Fraction) else scalars_equal(v, 0.0, tol)
+def _sampled_report(counterexamples) -> dict:
+    """A sampled suite's report from each case's counterexample (None for a
+    good case): every case is judged, and the first counterexample kept."""
+    found = list(counterexamples)
+    bad = next((c for c in found if c is not None), None)
+    return {"pass": bad is None, "cases": len(found), "counterexample": bad}
+
+
+def _solves_type2(P: NonnegMatrix, lam, x: ConeVector, b: ConeVector, tol) -> bool:
+    """(P - lambda*I)x = b: exact in the rational lane, tolerance-based for floats."""
+    resid = vec_sub(P.shifted_apply(x.entries, lam, 1), b.entries)
+    return all(r == 0 if isinstance(r, Fraction) else scalars_equal(r, 0.0, tol) for r in resid)
 
 
 def _check_type1_battery(P: NonnegMatrix, tol) -> dict:
+    def judge(lam, b):
+        rep = eq_type1.solvability_conditions(P, lam, b, tol)
+        rows = oracle.shifted_image_rows(P, lam, sign=-1)  # lambda*I - P
+        lp = oracle.feasible_nonneg_solution(rows, b.entries).feasible
+        if not rep.consistent or any(v != lp for v in (rep.b, rep.g, rep.h, rep.j)):
+            return {"lambda": lam, "b": b, "battery": rep, "lp": lp}
+        return None
+
     offsets = (Fraction(-1, 3), Fraction(1, 3))
-    cases = 0
-    bad = None
-    for lam in _shift_sweep(P, tol, offsets):
-        for b in _sample_vectors(P):
-            rep = eq_type1.solvability_conditions(P, lam, b, tol)
-            rows = oracle.shifted_image_rows(P, lam, sign=-1)  # lambda*I - P
-            lp = oracle.feasible_nonneg_solution(rows, b.entries).feasible
-            cases += 1
-            votes = (rep.b, rep.g, rep.h, rep.j)
-            if not rep.consistent or any(v != lp for v in votes):
-                bad = bad or {"lambda": lam, "b": b, "battery": rep, "lp": lp}
-    return {"pass": bad is None, "cases": cases, "counterexample": bad}
+    return _sampled_report(judge(lam, b) for lam in _shift_sweep(P, tol, offsets) for b in _sample_vectors(P))
 
 
 def _check_above_regime(P: NonnegMatrix, tol) -> dict:
-    cases = 0
-    bad = None
     sweep = _shift_sweep(P, tol, (Fraction(1, 3),))
     rho = spectral.spectral_radius(P, tol)
     sweep.append(rho + (Fraction(1) if isinstance(rho, Fraction) else 1.0))
     tax = spectral.taxonomy(P, tol)
-    for lam in sweep:
-        for b in _sample_vectors(P):
-            if tax.local_sign(support(b), lam) >= 0:
-                continue
-            comb = eq_type2.combinatorial_solvable_above(P, lam, b, tol)
-            rows = oracle.shifted_image_rows(P, lam, sign=1)  # P - lambda*I
-            lp = oracle.feasible_nonneg_solution(rows, b.entries).feasible
-            cases += 1
-            issue = None
-            if comb != lp:
-                issue = "combinatorial test disagrees with the LP"
-            elif comb:
-                x = eq_type2.solve2_above(P, lam, b, tol)
-                resid = vec_sub(P.shifted_apply(x.entries, lam, 1), b.entries)
-                pair = spectral.spectral_pair(P, x, tol)
-                if not all(_is_zero(r, tol) for r in resid):
-                    issue = "constructed solution has a nonzero residual"
-                elif not (tax.local_sign(support(x), lam) == 0 and pair.order == 1):
-                    issue = "constructed solution has the wrong spectral pair"
-            if issue is not None:
-                bad = bad or {"lambda": lam, "b": b, "issue": issue}
-    return {"pass": bad is None, "cases": cases, "counterexample": bad}
+
+    def judge(lam, b):
+        comb = eq_type2.combinatorial_solvable_above(P, lam, b, tol)
+        rows = oracle.shifted_image_rows(P, lam, sign=1)  # P - lambda*I
+        lp = oracle.feasible_nonneg_solution(rows, b.entries).feasible
+        issue = None
+        if comb != lp:
+            issue = "combinatorial test disagrees with the LP"
+        elif comb:
+            x = eq_type2.solve2_above(P, lam, b, tol)
+            pair = spectral.spectral_pair(P, x, tol)
+            if not _solves_type2(P, lam, x, b, tol):
+                issue = "constructed solution has a nonzero residual"
+            elif not (tax.local_sign(support(x), lam) == 0 and pair.order == 1):
+                issue = "constructed solution has the wrong spectral pair"
+        return None if issue is None else {"lambda": lam, "b": b, "issue": issue}
+
+    return _sampled_report(
+        judge(lam, b) for lam in sweep for b in _sample_vectors(P) if tax.local_sign(support(b), lam) < 0
+    )
 
 
 def _verify_tracedown(P: NonnegMatrix, analysis, rho, c: int, tol):
     """Residual and support pattern of one trace-down witness; None if good."""
     x, b = eq_type2.tracedown_witness(P, c, tol)
-    resid = vec_sub(P.shifted_apply(x.entries, rho, 1), b.entries)
-    if not all(_is_zero(r, tol) for r in resid):
+    if not _solves_type2(P, rho, x, b, tol):
         return "residual"
     for d in range(analysis.class_count):
         verts = analysis.classes[d]
@@ -281,35 +284,25 @@ def _check_zero_intersection(P: NonnegMatrix, tol) -> dict:
 
 
 def _check_alternating_bounds(P: NonnegMatrix, tol) -> dict:
-    cases = 0
-    bad = None
-    for x in _sample_vectors(P):
+    def judge(x):
         rep = alternating.alternating_bound_report(P, x, tol)
-        cases += 1
-        ok = (
-            rep.m_observed <= rep.ord <= rep.nu
-            and rep.gamma_deduction is not False
-        )
-        if not ok:
-            bad = bad or {"x": x, "report": rep}
-    return {"pass": bad is None, "cases": cases, "counterexample": bad}
+        ok = rep.m_observed <= rep.ord <= rep.nu and rep.gamma_deduction is not False
+        return None if ok else {"x": x, "report": rep}
+
+    return _sampled_report(judge(x) for x in _sample_vectors(P))
 
 
 def _check_membership_gap(P: NonnegMatrix, tol) -> dict:
-    cases = 0
-    gap = 0
-    bad = None
-    for lam in spectral.distinguished_eigenvalues(P, tol):
-        if not isinstance(lam, Fraction) or lam <= 0:
-            continue
-        for b in _sample_vectors(P):
-            rep = eq_type2.image_membership(P, lam, b, tol)
-            cases += 1
-            if rep.in_s2 and not rep.in_s3:
-                bad = bad or {"lambda": lam, "b": b}
-            if rep.in_s3 and not rep.in_s2:
-                gap += 1
-    return {"pass": bad is None, "cases": cases, "gap_examples": gap, "counterexample": bad}
+    cases = [
+        (lam, b, eq_type2.image_membership(P, lam, b, tol))
+        for lam in spectral.distinguished_eigenvalues(P, tol)
+        if isinstance(lam, Fraction) and lam > 0
+        for b in _sample_vectors(P)
+    ]
+    report = _sampled_report(
+        {"lambda": lam, "b": b} if rep.in_s2 and not rep.in_s3 else None for lam, b, rep in cases
+    )
+    return {**report, "gap_examples": sum(rep.in_s3 and not rep.in_s2 for _, _, rep in cases)}
 
 
 def _guarded(suite, *, rational_mode: bool = False, exact_rho: bool = False):
@@ -357,15 +350,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="classes, taxonomy, spectrum and faces")
     p.add_argument("matrix")
 
-    p = sub.add_parser("solve1", help="decide/construct x >= 0 with (lambda*I-P)x = b")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--b", dest="b", required=True)
-    p.add_argument("matrix")
-
-    p = sub.add_parser("solve2", help="decide/construct x >= 0 with (P-lambda*I)x = b")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--b", dest="b", required=True)
-    p.add_argument("matrix")
+    for verb, operator in (("solve1", "lambda*I-P"), ("solve2", "P-lambda*I")):
+        p = sub.add_parser(verb, help=f"decide/construct x >= 0 with ({operator})x = b")
+        p.add_argument("--lambda", dest="lam", required=True)
+        p.add_argument("--b", dest="b", required=True)
+        p.add_argument("matrix")
 
     p = sub.add_parser("cw", help="Collatz-Wielandt numbers (with --x) or set extrema")
     p.add_argument("--x", dest="x")
@@ -395,14 +384,9 @@ def _dispatch(args):
     P = _matrix_from_path(args.matrix, mode)
     if args.verb == "analyze":
         return _cmd_analyze(P, tol)
-    if args.verb == "solve1":
-        lam = as_scalar(args.lam, mode)
-        b = _vector_from_path(args.b, mode, P.n)
-        return eq_type1.solve1(P, lam, b, tol)
-    if args.verb == "solve2":
-        lam = as_scalar(args.lam, mode)
-        b = _vector_from_path(args.b, mode, P.n)
-        return eq_type2.solvable2(P, lam, b, tol)
+    if args.verb in ("solve1", "solve2"):
+        solve = eq_type1.solve1 if args.verb == "solve1" else eq_type2.solvable2
+        return solve(P, as_scalar(args.lam, mode), _vector_from_path(args.b, mode, P.n), tol)
     if args.verb == "cw":
         if args.x is not None:
             x = _vector_from_path(args.x, mode, P.n)

@@ -55,8 +55,11 @@ from .spectral import (
 
 def combinatorial_solvable_above(P, lam, b, tol=DEFAULT_TOL) -> bool:
     """The access test for the regime lambda > rho_b: lambda distinguished and
-    every class meeting supp(b) reaches a lambda-distinguished class."""
+    every class meeting supp(b) reaches a lambda-distinguished class.  b = 0
+    passes at every shift, since x = 0 solves."""
     lam = _check_inputs(P, lam, b)
+    if b.is_zero():
+        return True
     tax = taxonomy(P, tol)
     dist = tax.classes_at(lam, tax.distinguished)
     return bool(dist) and support(b) <= tax.accessor_vertices(dist)

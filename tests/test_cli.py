@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,9 +13,9 @@ import pytest
 from pytest import raises as assert_raises
 
 import coneq
-from coneq import cli, oracle, spectral
+from coneq import cli, eq_type1, eq_type2, oracle, spectral
 from coneq.cli import main
-from coneq.core import DEFAULT_TOL, to_json
+from coneq.core import DEFAULT_TOL, ConeVector, NumericFailure, to_json
 
 from fuzz import fuzz_irreducible, fuzz_matrix, rng
 
@@ -46,6 +47,16 @@ def docs(tmp_path_factory):
         "stochastic.json": {"entries": [[0, 1], ["1/2", "1/2"]]},
         # one class of radius sqrt(2), an irrational
         "root2.json": {"entries": [[0, 2], [1, 0]]},
+        # one class of radius the golden ratio, an irrational
+        "golden.json": {"entries": [[1, 1], [1, 0]]},
+        "zero1.json": {"entries": [[0]]},
+        "empty.json": {"entries": []},
+        # two radius-2 classes, neither with access to the other
+        "D2.json": {"entries": [[2, 0], [0, 2]]},
+        # {2} (radius 1) has access to {1}, distinguished at 4/3 = 1 + 1/3
+        "above.json": {"entries": [["4/3", 0], [1, 1]]},
+        # at the eigenvalue 2, e1 + e3 lies in S3 but not in S2 (a Cor. 4.8 gap)
+        "gap.json": {"entries": [[2, 0, 0], [0, 2, 0], [2, 0, 2]]},
         # two radius-2 classes, {2, 3} with access to {4, 5}: rho = 2 is
         # defective, and float eigenvalues split it by about 1e-8
         "peak.json": {
@@ -64,6 +75,9 @@ def docs(tmp_path_factory):
     paths["badn_vector.json"] = _write(root, "badn_vector.json", {"entries": [1, 0, 0], "n": 5})
     paths["bool.json"] = _write(root, "bool.json", {"entries": [[1, True], [0, 1]]})
     paths["neg.json"] = _write(root, "neg.json", {"entries": [[1, -1], [0, 1]]})
+    paths["list.json"] = _write(root, "list.json", [[1]])
+    paths["entries3.json"] = _write(root, "entries3.json", {"entries": 3})
+    paths["flat.json"] = _write(root, "flat.json", {"entries": [1, 2]})
     broken = root / "broken.json"
     broken.write_text("not json")
     paths["broken.json"] = str(broken)
@@ -96,6 +110,28 @@ class TestDocumentPlumbing:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "name,message",
+        [
+            ("list.json", "matrix document must be a JSON object"),
+            ("entries3.json", "'entries' must be a list"),
+            ("flat.json", "'entries' must be a list of rows"),
+        ],
+    )
+    def test_malformed_matrix_documents(self, capsys, docs, name, message):
+        code, out, err = run_cli(capsys, ["analyze", docs[name]])
+        assert (code, out, err) == (2, "", f"error: {docs[name]}: {message}\n")
+
+    def test_numeric_failure_exits_3(self, capsys, docs, monkeypatch):
+        def fail(*args):
+            raise NumericFailure("forced")
+
+        monkeypatch.setattr(eq_type1, "solve1", fail)
+        code, out, err = run_cli(
+            capsys, ["solve1", "--lambda", "1", "--b", docs["e3.json"], docs["D3.json"]]
+        )
+        assert (code, out, err) == (3, "", "numeric failure: forced\n")
 
     def test_unknown_key_named_in_message(self, capsys, docs):
         _, _, err = run_cli(capsys, ["analyze", docs["badkey.json"]])
@@ -310,6 +346,41 @@ class TestCheck:
             {"counterexample": None, "pass": True, "samples": ["1/8", "1/4", "3/8"]},
         ),
         ("cor4.20", "nilpotent.json", {"counterexample": None, "pass": True, "samples": []}),
+        # the matrices TestForcedFailures forces to fail pass unforced
+        ("cor4.2", "above.json", {"cases": 7, "counterexample": None, "pass": True}),
+        (
+            "thm4.13",
+            "D2.json",
+            {
+                "issues": [],
+                "necessary_face": [],
+                "pass": True,
+                "probe": [],
+                "tracedown_witnesses": 2,
+            },
+        ),
+        # radius 0: the shift 0 - 1/3 is skipped, 1/3 meets e1 and the ones
+        ("thm3.1", "zero1.json", {"cases": 2, "counterexample": None, "pass": True}),
+        # the one distinguished eigenvalue is irrational, so no case runs
+        (
+            "cor4.8-gap",
+            "golden.json",
+            {"cases": 0, "counterexample": None, "gap_examples": 0, "pass": True},
+        ),
+        (
+            "cor4.8-gap",
+            "gap.json",
+            {"cases": 4, "counterexample": None, "gap_examples": 1, "pass": True},
+        ),
+        # the 0x0 matrix has no nonzero vector to sample
+        ("thm3.1", "empty.json", {"cases": 0, "counterexample": None, "pass": True}),
+        ("cor4.2", "empty.json", {"cases": 0, "counterexample": None, "pass": True}),
+        ("cor6.4", "empty.json", {"cases": 0, "counterexample": None, "pass": True}),
+        (
+            "cor4.8-gap",
+            "empty.json",
+            {"cases": 0, "counterexample": None, "gap_examples": 0, "pass": True},
+        ),
     ]
 
     @pytest.mark.parametrize("prop,matrix,expected", CASES)
@@ -358,6 +429,104 @@ class TestCheck:
         with assert_raises(SystemExit) as exc:
             main(["solve1", "--lambda", "1", docs["D3.json"]])
         assert exc.value.code == 2
+
+
+def _doubled_solution(real):
+    return lambda P, lam, b, tol: ConeVector.make([e + e for e in real(P, lam, b, tol).entries], P.mode)
+
+
+def _fixed_witness(x, b):
+    return lambda real: lambda P, c, tol: (ConeVector.make(x, P.mode), ConeVector.make(b, P.mode))
+
+
+def _tracedown_failure(c, problem):
+    return f"trace-down witness for class {c}: {problem}"
+
+
+class TestForcedFailures:
+    # (mode, property, matrix, (module, name, fake), exact payload): a decider
+    # the suite trusts is made to lie, and the suite must name the lie
+    CASES = [
+        *[
+            (
+                mode,
+                "cor4.2",
+                "above.json",
+                (module, name, fake),
+                {
+                    "cases": 7,
+                    "counterexample": {"b": b, "issue": issue, "lambda": lam},
+                    "pass": False,
+                },
+            )
+            for mode, b, lam in (
+                ("rational", [0, 1], "4/3"),
+                ("float", [0.0, 1.0], 1.3333333333333333),
+            )
+            for module, name, fake, issue in (
+                (eq_type2, "solve2_above", _doubled_solution, "constructed solution has a nonzero residual"),
+                (
+                    spectral,
+                    "spectral_pair",
+                    lambda real: lambda *args: replace(real(*args), order=2),
+                    "constructed solution has the wrong spectral pair",
+                ),
+            )
+        ],
+        *[
+            (
+                "rational",
+                "thm4.13",
+                "T.json",
+                (eq_type2, "tracedown_witness", _fixed_witness(x, b)),
+                {
+                    "issues": [_tracedown_failure(1, problem)],
+                    "necessary_face": [2],
+                    "pass": False,
+                    "probe": [2],
+                    "tracedown_witnesses": 1,
+                },
+            )
+            for x, b, problem in (
+                ([1, 1], [0, 1], "residual"),
+                ([0, 0], [0, 0], "x not positive on an accessor class"),
+                ([1, 1], [0, 0], "b support breaks the strict-access pattern"),
+            )
+        ],
+        (
+            "rational",
+            "thm4.13",
+            "D2.json",
+            (eq_type2, "tracedown_witness", _fixed_witness([1, 1], [0, 0])),
+            {
+                "issues": [_tracedown_failure(c, "support leaks outside the accessors") for c in (0, 1)],
+                "necessary_face": [],
+                "pass": False,
+                "probe": [],
+                "tracedown_witnesses": 2,
+            },
+        ),
+        (
+            "rational",
+            "thm4.13",
+            "T.json",
+            (eq_type2, "solvable_face_probe", lambda real: lambda *args: frozenset()),
+            {
+                "issues": ["probe closure differs from the necessary face"],
+                "necessary_face": [2],
+                "pass": False,
+                "probe": [],
+                "tracedown_witnesses": 1,
+            },
+        ),
+    ]
+
+    @pytest.mark.parametrize("mode,prop,matrix,forced,expected", CASES)
+    def test_forced_failure_reports(self, capsys, docs, monkeypatch, mode, prop, matrix, forced, expected):
+        module, name, fake = forced
+        monkeypatch.setattr(module, name, fake(getattr(module, name)))
+        doc = run_json(capsys, ["--mode", mode, "check", "--property", prop, docs[matrix]])
+        assert doc == expected
 
 
 def _window_samples_reference(P):

@@ -18,6 +18,7 @@ from coneq.core import (
 from coneq.classes import condense
 from coneq.spectral import spectral_pair, spectral_radius, taxonomy
 from coneq.eq_type2 import (
+    combinatorial_solvable_above,
     image_membership,
     necessary_face,
     resolvent_sign,
@@ -179,6 +180,18 @@ class TestDecision:
     def test_zero_right_hand_side(self):
         rep = solvable2(T, F(2), ConeVector.zero_vector(2, RATIONAL))
         assert rep.solvable and rep.x.entries == (F(0), F(0))
+
+    def test_the_access_test_passes_a_zero_right_hand_side(self):
+        # x = 0 solves (P - lambda*I)x = 0 at every shift, as the LP says
+        P = mat([[0, 1], [0, F(1, 2)]])
+        for lam in (F(1, 2), F(1), F(3)):
+            lp = oracle.feasible_nonneg_solution(oracle.shifted_image_rows(P, lam), [F(0), F(0)])
+            assert lp.feasible
+            assert combinatorial_solvable_above(P, lam, ConeVector.zero_vector(2, RATIONAL)) is True
+            assert solvable2(P, lam, ConeVector.zero_vector(2, RATIONAL)).solvable
+        empty = mat([])
+        assert oracle.feasible_nonneg_solution(oracle.shifted_image_rows(empty, F(1)), []).feasible
+        assert combinatorial_solvable_above(empty, F(1), ConeVector.make([])) is True
 
     def test_shift_must_be_positive(self):
         for lam in (F(0), F(-1), 0):

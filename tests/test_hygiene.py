@@ -3,11 +3,12 @@ no private module-level name goes unused by the package, no public def or
 class is dead (each is exported, read by a package module or traced by the
 benchmark), the float eigen pass has one caller, only the structure
 record's builder condenses and classifies, only that record compares a
-shift with a radius, no module builds a transpose or a submatrix, one
-helper reads the float lane's peripheral band, a shift is read in one
-place, the shifted product has one implementation, every LP reaches the
-simplex through solve_lp and has its rows scaled by one helper, every
-import sits at module level, and numpy is bound once, lazily, in core."""
+shift with a radius, one runner builds the CLI's sampled reports, no
+module builds a transpose or a submatrix, one helper reads the float
+lane's peripheral band, a shift is read in one place, the shifted product
+has one implementation, every LP reaches the simplex through solve_lp and
+has its rows scaled by one helper, every import sits at module level, and
+numpy is bound once, lazily, in core."""
 
 import ast
 import inspect
@@ -153,7 +154,7 @@ def test_the_structure_record_decides_radius_comparisons():
     # which keeps its tolerance: outside classes.py and core.py the scalar
     # comparisons serve only the CLI's shift deduplication and residual test
     names = ["scalars_equal", "scalar_lt", "scalar_le", "lex_leq"]
-    allowed = {("cli.py", "_shift_sweep"), ("cli.py", "_is_zero")}
+    allowed = {("cli.py", "_shift_sweep"), ("cli.py", "_solves_type2")}
     stray = [
         (name, site)
         for name, sites in _call_sites(names).items()
@@ -168,6 +169,24 @@ def test_the_structure_record_decides_radius_comparisons():
     ]
     assert len(methods) >= 7
     assert not [f.__name__ for f in methods if "tol" in inspect.signature(f).parameters]
+
+
+def test_one_sampled_report_builder():
+    # the CLI's sampled suites judge their cases through cli._sampled_report,
+    # the one place a {"pass", "cases", "counterexample"} report is built
+    builders = {
+        top.name
+        for top in _trees()["cli.py"].body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Dict) and any(isinstance(k, ast.Constant) and k.value == "cases" for k in node.keys)
+    }
+    assert builders == {"_sampled_report"}, builders
+    assert _innermost_call_sites("_sampled_report") == {
+        ("cli.py", "_check_type1_battery"),
+        ("cli.py", "_check_above_regime"),
+        ("cli.py", "_check_alternating_bounds"),
+        ("cli.py", "_check_membership_gap"),
+    }
 
 
 def test_no_module_builds_a_transpose_or_a_submatrix():
