@@ -280,10 +280,16 @@ class ClassTaxonomy:
         """Indices of the classes all of whose accessors have radius < lam
         (<= lam when not strict): the largest initial set of classes below
         lam."""
-        cut = 0 if strict else 1
-        above = sum(1 << c for c in range(len(self.radii)) if self.radius_sign(c, lam) >= cut)
-        blocked = self.analysis.reached_mask(above)
+        signs = [self.radius_sign(c, lam) for c in range(len(self.radii))]
+        blocked = self.blocked_mask(signs, 0 if strict else 1)
         return tuple(c for c in range(len(self.radii)) if not blocked >> c & 1)
+
+    def blocked_mask(self, signs, cut: int = 0) -> int:
+        """The classes some class c with signs[c] >= cut has access to, as a
+        bitmask, where signs[c] is the sign of c's radius minus lam (see
+        radius_sign): the complement of the largest initial set of classes
+        below lam (strictly when cut = 0, at most lam when cut = 1)."""
+        return self.analysis.reached_mask(sum(1 << c for c, s in enumerate(signs) if s >= cut))
 
 
 def classify(

@@ -122,9 +122,9 @@ def _cmd_analyze(P: NonnegMatrix, tol) -> dict:
 
 
 def _sample_vectors(P: NonnegMatrix) -> list:
-    """The unit vectors and the all-ones vector: nonzero, so none when n = 0."""
+    """The unit vectors and, when n > 1, the all-ones vector: distinct and nonzero."""
     vecs = [ConeVector.unit(P.n, i, P.mode) for i in range(1, P.n + 1)]
-    if P.n:
+    if P.n > 1:
         vecs.append(ConeVector.make([one(P.mode)] * P.n, P.mode))
     return vecs
 
@@ -222,7 +222,8 @@ def _check_face_at_rho(P: NonnegMatrix, tol) -> dict:
     probe = eq_type2.solvable_face_probe(P, rho, tol)
     tax = spectral.taxonomy(P, tol)
     closure = smallest_initial_superset(tax.analysis, probe)
-    necessary = eq_type2.necessary_face(P, rho, tol)
+    # the 0x0 matrix has no class, so no distinguished eigenvalue; its face is empty
+    necessary = eq_type2.necessary_face(P, rho, tol) if P.n else frozenset()
     issues = []
     if closure != necessary:
         issues.append("probe closure differs from the necessary face")

@@ -231,7 +231,8 @@ def _generalized_null_is_eigen(P: NonnegMatrix, rho: Fraction) -> bool:
 
     One maximal-support LP gives the support F of that cone C; a point of C
     positive on F makes span(C) = N((rho*I - P)^n) restricted to F, so the
-    answer is whether rho*I - P vanishes on an exact basis of that space."""
+    answer is whether rho*I - P vanishes on an exact basis of that space,
+    tested on each row's integers (the row times its positive scale)."""
     n = P.n
     shift = oracle.shifted_image_rows(P, rho, sign=-1)  # rho*I - P
     powered = oracle.matrix_power_exact(shift, n)
@@ -240,7 +241,7 @@ def _generalized_null_is_eigen(P: NonnegMatrix, rho: Fraction) -> bool:
         return True
     basis = oracle.nullspace_exact([[row[j - 1] for j in face] for row in powered])
     return all(
-        sum(row[j - 1] * v for j, v in zip(face, vec)) == 0 for vec in basis for row in shift
+        sum(row.ints[j - 1] * v for j, v in zip(face, vec)) == 0 for vec in basis for row in shift
     )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Optional
 
 from . import oracle
@@ -60,15 +61,12 @@ def solvable1(P: NonnegMatrix, lam: Scalar, b: ConeVector, tol: Tolerance = DEFA
     return taxonomy(P, tol).local_sign(support(b), lam) < 0
 
 
-def _unsolvable_witness(P, lam, b, tol):
-    """A distinguished class with radius >= lambda from which supp(b) is
-    reachable; exists whenever the equation is unsolvable."""
-    tax = taxonomy(P, tol)
-    bmask = tax.analysis.classes_meeting(support(b))
-    for c in range(len(tax.radii)):
-        if tax.distinguished[c] and tax.radius_sign(c, lam) >= 0 and tax.analysis.reach[c] & bmask:
-            return c
-    return None
+def _witness(tax, sign, bmask) -> Optional[int]:
+    """A distinguished class c of radius >= lambda (sign(c) >= 0) with
+    access to a class in bmask (those meeting supp(b)); exists whenever the
+    equation is unsolvable.  sign is asked about distinguished classes only."""
+    reach, flags = tax.analysis.reach, tax.distinguished
+    return next((c for c in range(len(flags)) if flags[c] and sign(c) >= 0 and reach[c] & bmask), None)
 
 
 def minimal_solution(
@@ -117,7 +115,7 @@ def solve1(P: NonnegMatrix, lam: Scalar, b: ConeVector, tol: Tolerance = DEFAULT
     rho_b = zero(P.mode) if c_b is None else tax.radii[c_b]
     freedom = tax.classes_at(lam, tax.distinguished)
     if tax.radius_sign(c_b, lam) >= 0:
-        witness = _unsolvable_witness(P, lam, b, tol)
+        witness = _witness(tax, lambda c: tax.radius_sign(c, lam), tax.analysis.classes_meeting(support(b)))
         return SolveReport1(
             False, rho_b, None, None, freedom, "h", None, witness
         )
@@ -166,14 +164,15 @@ def solvable_set(P: NonnegMatrix, lam: Scalar, tol: Tolerance = DEFAULT_TOL) -> 
 class ConditionReport:
     """Nine equivalent solvability tests for (lambda*I - P)x = b, b != 0.
 
-    b, g, h are exact combinatorial facts; c, d are iterative float checks
-    and may be None (indeterminate): they follow the powers of P/lambda by
-    repeated squaring up to a horizon of tol.power_iters terms, and abstain
-    when neither bound is reached by then; e, i use the float generalized
-    eigenvectors of P^T, computed once per matrix and tolerance and kept on
-    the matrix; f, j are exact whenever every needed eigenvalue is an exact
-    rational (from exact bases kept on the matrix per eigenvalue), and use
-    the same float eigenvectors otherwise.
+    b, g, h are exact combinatorial facts, and b, h and the exact f, j read
+    one comparison of each class radius with lambda; c, d are iterative
+    float checks and may be None (indeterminate): they follow the powers of
+    P/lambda by repeated squaring up to a horizon of tol.power_iters terms,
+    and abstain when neither bound is reached by then; e, i use the float
+    generalized eigenvectors of P^T, kept on the matrix per tolerance with
+    a flag per row for a real distinguished eigenvalue; f, j are exact
+    whenever every needed eigenvalue is an exact rational (from exact bases
+    kept on the matrix per eigenvalue), and use those float rows otherwise.
     All decided verdicts must agree -- `consistent` records that.
     """
 
@@ -293,32 +292,30 @@ def _peripheral_float(P, b, lam, tax) -> tuple:
     The rows of the spectral projector at mu span the generalized
     eigenvectors z of P^T at mu, so b has a component there iff some
     z^T b != 0 (e), and i asks |z|.b = 0, over every mu with |mu| >= lambda;
-    f and j ask the same at the real distinguished mu >= lambda only.
+    f and j ask the same at the real distinguished mu >= lambda only, from
+    a flag per row that depends on P and tol alone and is kept on P.
     """
     tol = tax.tol
     table, scale = oracle._eigenspaces(P, tol, transpose=True)[:2]
+    mus = table[:, 0]
+    flags = P.memoized(("transpose distinguished rows", tol), lambda: np.array(
+        [abs(mu.imag) <= tol.eig_tol * scale and tax.is_distinguished_eigenvalue(float(mu.real)) for mu in mus],
+        dtype=bool,
+    ))
     lam_f = float(lam)
     floor = lam_f - tol.eig_tol * max(1.0, lam_f)
-    bound = 1e-7 * max(1.0, float(b.inf_norm()))
-    rows = table[np.abs(table[:, 0]) >= floor]
-    z = rows[:, 1:]
     bv = b.to_numpy()
-    component = np.abs(z @ bv) > bound
-    overlap = np.abs(z) @ bv > bound
-    distinguished = np.array(
-        [
-            abs(mu.imag) <= tol.eig_tol * scale
-            and mu.real >= floor
-            and tax.is_distinguished_eigenvalue(float(mu.real))
-            for mu in rows[:, 0]
-        ],
-        dtype=bool,
-    )
+    bound = 1e-7 * max(1.0, *bv.tolist())  # float(max(b)): rounding to float is monotone
+    peripheral = np.abs(mus) >= floor
+    z = table[peripheral, 1:]
+    component = (np.abs(z @ bv) > bound).tolist()
+    overlap = (np.abs(z) @ bv > bound).tolist()
+    distinguished = (flags[peripheral] & (mus[peripheral].real >= floor)).tolist()
     return (
-        not component.any(),
-        not component[distinguished].any(),
-        not overlap.any(),
-        not overlap[distinguished].any(),
+        not any(component),
+        not any(compress(component, distinguished)),
+        not any(overlap),
+        not any(compress(overlap, distinguished)),
     )
 
 
@@ -338,15 +335,14 @@ def _transpose_generalized_basis(P: NonnegMatrix, mu: Fraction) -> tuple:
     return P.memoized(("transpose_generalized_basis", mu), build)
 
 
-def _orthogonal_exact(P, b, lam, tax) -> Optional[tuple]:
+def _orthogonal_exact(P, b, tax, signs) -> Optional[tuple]:
     """Exact form of the distinguished-orthogonality condition, when every
     distinguished eigenvalue >= lambda is an exact rational; None otherwise.
     Returns (f_verdict, j_verdict)."""
-    relevant = [tax.radii[c] for c in tax.eigen_classes if tax.radius_sign(c, lam) >= 0]
+    relevant = [tax.radii[c] for c in tax.eigen_classes if signs[c] >= 0]
     if not all(isinstance(v, Fraction) for v in relevant) or P.mode != RATIONAL:
         return None
-    f_ok = True
-    j_ok = True
+    f_ok = j_ok = True
     for mu in relevant:
         for z in _transpose_generalized_basis(P, mu):
             pairs = [(zi, bi) for zi, bi in zip(z, b.entries) if zi != 0 and bi != 0]
@@ -364,16 +360,19 @@ def solvability_conditions(
     lam = _check_inputs(P, lam, b)
     if b.is_zero():
         raise InvalidInput("the condition battery requires b != 0")
-    cond_g = solvable1(P, lam, b, tol)
-    cond_h = _unsolvable_witness(P, lam, b, tol) is None
-    cond_b = support(b) <= solvable_set(P, lam, tol)
+    tax = taxonomy(P, tol)
+    supp = support(b)
+    bmask = tax.analysis.classes_meeting(supp)
+    signs = [tax.radius_sign(c, lam) for c in range(len(tax.radii))]
+    cond_b = not bmask & tax.blocked_mask(signs)
     cond_c = _condition_c(P, lam, b, tol)
     cond_d = _condition_d(P, lam, b, tol)
-    tax = taxonomy(P, tol)
     cond_e, cond_f, cond_i, cond_j = _peripheral_float(P, b, lam, tax)
-    exact_fj = _orthogonal_exact(P, b, lam, tax)
+    exact_fj = _orthogonal_exact(P, b, tax, signs)
     if exact_fj is not None:
         cond_f, cond_j = exact_fj
+    cond_g = tax.local_sign(supp, lam) < 0
+    cond_h = _witness(tax, signs.__getitem__, bmask) is None
     decided = [cond_b, cond_e, cond_f, cond_g, cond_h, cond_i, cond_j]
     decided += [c for c in (cond_c, cond_d) if c is not None]
     consistent = len(set(decided)) == 1

@@ -270,7 +270,8 @@ def image_membership(
     in_s1 = tax.local_sign(support(b), lam) <= 0 and oracle.feasible_nonneg_solution(rows, b.entries).feasible
     # x supported inside j_verts: the LP on those columns alone
     cols = sorted(j_verts)
-    in_s2 = oracle.feasible_nonneg_solution([[row[j - 1] for j in cols] for row in rows], b.entries).feasible
+    picked = [oracle._ScaledRow([row.ints[j - 1] for j in cols], row.scale) for row in rows]
+    in_s2 = oracle.feasible_nonneg_solution(picked, b.entries).feasible
     m_lam = max_distinguished_order(P, lam, tol)
     order_b = spectral_pair(P, b, tol).order
     # (rho_b, order_b) <= (lambda, m_lam - 1) lexicographically

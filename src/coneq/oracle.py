@@ -129,13 +129,11 @@ def _pivot(tableau, d, row, col) -> int:
 def _simplex_min(tableau, basis, d, cost):
     """Minimize the integer cost.x over the tableau rows (Bland's rule).
     Returns (status, optimum times d or None, d, pivots); mutates tableau
-    and basis.  The reduced-cost row (times d) is pivoted as a last row."""
+    and basis.  The reduced-cost row (times d) is built in one pass over
+    the columns and pivoted as a last row."""
     m = len(tableau)
-    z = [c * d for c in cost] + [0]
-    for r, c in enumerate(basis):
-        if cost[c]:
-            z = [e - cost[c] * t for e, t in zip(z, tableau[r])]
-    tableau.append(z)
+    costed = [row if cost[c] == 1 else [cost[c] * e for e in row] for c, row in zip(basis, tableau) if cost[c]]
+    tableau.append([c * d - t for c, t in zip([*cost, 0], map(sum, zip(*costed, [0] * (len(cost) + 1))))])
     pivots = 0
     while True:
         z = tableau[m]
@@ -241,7 +239,7 @@ def feasible_nonneg_solution(mat_rows: Sequence[Sequence[Fraction]], rhs: Sequen
     if len(rhs) != len(mat_rows):
         raise InvalidInput("LP right-hand side length mismatch")
     n = len(mat_rows[0]) if mat_rows else 0
-    return lp_feasible(LPProblem.build(n, eq_rows=list(zip(mat_rows, rhs))))
+    return solve_lp(LPProblem.build(n, eq_rows=list(zip(mat_rows, rhs))))  # no objective: phase one
 
 
 def max_support(forms, eq_rows=()) -> frozenset:
@@ -272,10 +270,9 @@ def max_support(forms, eq_rows=()) -> frozenset:
 
 
 class _ScaledRow(Sequence):
-    """One exact row of a shifted build: the integer row ints over its own
-    positive denominator scale, the lcm of its entries' denominators.  Read
-    entry by entry it is the rational row ints[j] / scale; _integer_rows
-    takes ints and scale as they are."""
+    """An exact row of a shifted build, or a column pick of one: the integer
+    row ints over a positive common denominator scale, read entry by entry
+    as ints[j] / scale; _integer_rows takes ints and scale as they are."""
 
     __slots__ = ("ints", "scale")
 
@@ -323,7 +320,7 @@ def shifted_image_rows(P, lam: Scalar, sign: int = 1) -> list:
     The rows are exact, floats read as their binary value: each is a
     _ScaledRow, the row times its own common denominator.  They come from
     P's integer form (_integer_form), kept on a NonnegMatrix from its first
-    shifted build, and lam = p/q from _integer_rows.  Row i of q*L*(P - lam*I)
+    shifted build, and lam = p/q in lowest terms.  Row i of q*L*(P - lam*I)
     is q*T with q*T_ii - p*L on the diagonal, and g = gcd(q*c, q*T_ii - p*L)
     is the gcd of its entries and q*L, so dividing by g leaves the row over
     its own denominator q*L/g: a shift costs one gcd per row and one
@@ -337,7 +334,7 @@ def shifted_image_rows(P, lam: Scalar, sign: int = 1) -> list:
         form = P.memoized("integer form", lambda: _integer_form(P.rows))
     else:
         form = _integer_form(P)
-    ((p,),), q = _integer_rows([[lam]])
+    p, q = exact_fraction(lam).as_integer_ratio()
     rows = []
     for i, (t, c, d, L) in enumerate(form):
         diagonal = q * d - p * L

@@ -359,8 +359,9 @@ class TestCheck:
                 "tracedown_witnesses": 2,
             },
         ),
-        # radius 0: the shift 0 - 1/3 is skipped, 1/3 meets e1 and the ones
-        ("thm3.1", "zero1.json", {"cases": 2, "counterexample": None, "pass": True}),
+        # radius 0: the shift 0 - 1/3 is skipped, and 1/3 meets e1 alone,
+        # which is the all-ones vector at n = 1
+        ("thm3.1", "zero1.json", {"cases": 1, "counterexample": None, "pass": True}),
         # the one distinguished eigenvalue is irrational, so no case runs
         (
             "cor4.8-gap",
@@ -380,6 +381,12 @@ class TestCheck:
             "cor4.8-gap",
             "empty.json",
             {"cases": 0, "counterexample": None, "gap_examples": 0, "pass": True},
+        ),
+        # the 0x0 matrix has no class, so its necessary face is empty
+        (
+            "thm4.13",
+            "empty.json",
+            {"issues": [], "necessary_face": [], "pass": True, "probe": [], "tracedown_witnesses": 0},
         ),
     ]
 

@@ -722,3 +722,214 @@ def test_never_solvable_on_both_sides_of_the_shift():
             assert not (one and other)
             cases += 1
     assert cases >= 150
+
+
+# the battery as it was, with b, g and h each reading lambda and comparing
+# the class radii with it again, and a Python loop that decided per case and
+# per peripheral row of the eigen table of P^T whether its eigenvalue is a
+# distinguished one
+
+
+def _row_loop_peripheral_float(P, b, lam, tax) -> tuple:
+    tol = tax.tol
+    table, scale = oracle._eigenspaces(P, tol, transpose=True)[:2]
+    lam_f = float(lam)
+    floor = lam_f - tol.eig_tol * max(1.0, lam_f)
+    bound = 1e-7 * max(1.0, float(b.inf_norm()))
+    rows = table[np.abs(table[:, 0]) >= floor]
+    z = rows[:, 1:]
+    bv = b.to_numpy()
+    component = np.abs(z @ bv) > bound
+    overlap = np.abs(z) @ bv > bound
+    distinguished = np.array(
+        [
+            abs(mu.imag) <= tol.eig_tol * scale
+            and mu.real >= floor
+            and tax.is_distinguished_eigenvalue(float(mu.real))
+            for mu in rows[:, 0]
+        ],
+        dtype=bool,
+    )
+    return (
+        not component.any(),
+        not component[distinguished].any(),
+        not overlap.any(),
+        not overlap[distinguished].any(),
+    )
+
+
+def _two_pass_battery(P, lam, b, tol=DEFAULT_TOL) -> tuple:
+    """(report, exact, witness, solvable set): the battery's report as it
+    was, whether f and j took the exact lane, the first distinguished class
+    of radius >= lambda with access to supp(b) (solve1's witness) and the
+    solvable set."""
+    lam = eq_type1._check_inputs(P, lam, b)
+    tax = taxonomy(P, tol)
+    cond_g = tax.local_sign(support(b), lam) < 0
+    bmask = tax.analysis.classes_meeting(support(b))
+    witness = next(
+        (
+            c
+            for c in range(len(tax.radii))
+            if tax.distinguished[c] and tax.radius_sign(c, lam) >= 0 and tax.analysis.reach[c] & bmask
+        ),
+        None,
+    )
+    cond_h = witness is None
+    solvable = frozenset(v for c in tax.initial_below(lam) for v in tax.analysis.classes[c])
+    cond_b = support(b) <= solvable
+    cond_c = eq_type1._condition_c(P, lam, b, tol)
+    cond_d = eq_type1._condition_d(P, lam, b, tol)
+    cond_e, cond_f, cond_i, cond_j = _row_loop_peripheral_float(P, b, lam, tax)
+    relevant = [tax.radii[c] for c in tax.eigen_classes if tax.radius_sign(c, lam) >= 0]
+    exact = all(isinstance(v, Fraction) for v in relevant) and P.mode == RATIONAL
+    if exact:
+        cond_f = cond_j = True
+        for mu in relevant:
+            for z in eq_type1._transpose_generalized_basis(P, mu):
+                pairs = [(zi, bi) for zi, bi in zip(z, b.entries) if zi != 0 and bi != 0]
+                if pairs:
+                    cond_j = False
+                    if sum(zi * bi for zi, bi in pairs) != 0:
+                        cond_f = False
+    decided = [cond_b, cond_e, cond_f, cond_g, cond_h, cond_i, cond_j]
+    decided += [c for c in (cond_c, cond_d) if c is not None]
+    report = eq_type1.ConditionReport(
+        cond_b, cond_c, cond_d, cond_e, cond_f, cond_g, cond_h, cond_i, cond_j, len(set(decided)) == 1
+    )
+    return report, exact, witness, solvable
+
+
+def _near_radius_shifts(M) -> list:
+    """Each class radius of M, the radius +- 1e-12 and +- 1e-9, and the
+    radius + 1e-8 (eig_tol), where the peripheral floor of a shift below 1
+    falls on the radius itself, as Fractions for a rational radius and as
+    floats otherwise."""
+    out = []
+    for r in taxonomy(M).radii:
+        for d in (0, F(-1, 10**12), F(1, 10**12), F(-1, 10**9), F(1, 10**9), F(1, 10**8)):
+            out.append(r + (d if isinstance(r, Fraction) else float(d)))
+    return out
+
+
+def test_one_pass_battery_matches_the_two_pass_reference():
+    # every vote and `consistent` on fuzzed matrices, their irregular twins
+    # (float radii) and float twins, at the sweep shifts, at each radius and
+    # within 1e-12, 1e-9 and 1e-8 of it, where a sign read once must still
+    # be the sign each condition read for itself
+    rnd = rng(2707)
+    seen = Counter()
+    for _ in range(30):
+        P = fuzz_matrix(rnd)
+        for M in (P, irregular(rnd, P), P.to_float()):
+            for lam in lambda_sweep(M) + _near_radius_shifts(M):
+                if lam <= 0:
+                    continue
+                b = fuzz_vector(rnd, M.n)
+                if M.mode == FLOAT:
+                    b = b.to_float()
+                want, exact, witness, solvable = _two_pass_battery(M, lam, b)
+                got = solvability_conditions(M, lam, b)
+                assert got == want, (M.rows, lam, b.entries)
+                # solve1's witness and solvable_set read the battery's helpers
+                tax = taxonomy(M)
+                bmask = tax.analysis.classes_meeting(support(b))
+                lam_in = eq_type1._check_inputs(M, lam)
+                assert eq_type1._witness(tax, lambda c: tax.radius_sign(c, lam_in), bmask) == witness
+                assert solvable_set(M, lam) == solvable, (M.rows, lam)
+                seen["witness", witness is None] += 1
+                seen["exact" if exact else "float", "f", got.f] += 1
+                seen["exact" if exact else "float", "j", got.j] += 1
+                seen["b", got.b] += 1
+    # the zero eigenvalue of this float matrix's transpose may round to a
+    # tiny negative number; at lambda = 1e-8 the peripheral floor is 0, so
+    # that row is peripheral, and f and j must still drop it below the floor
+    Z = mat(
+        [[0, 1, 0, 0, 0, 1], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, F(1, 2), F(1, 2), 0, 1, F(1, 2)],
+         [0, 0, 0, 0, F(3, 4), F(3, 4)], [0, 0, 0, 0, F(3, 4), F(3, 4)]],
+        FLOAT,
+    )
+    for i in range(1, 7):
+        b = ConeVector.unit(6, i, FLOAT)
+        assert solvability_conditions(Z, 1e-8, b) == _two_pass_battery(Z, 1e-8, b)[0], i
+    # both lanes of f and j give both verdicts, and so does b
+    for lane in ("exact", "float"):
+        for cond in "fj":
+            assert min(seen[lane, cond, True], seen[lane, cond, False]) >= 20, seen
+    assert min(seen["b", True], seen["b", False], seen["witness", False]) >= 100, seen
+
+
+def _count_record_calls(monkeypatch) -> Counter:
+    calls = Counter()
+    for name in ("radius_sign", "is_distinguished_eigenvalue"):
+        orig = getattr(ClassTaxonomy, name)
+
+        def counted(self, *args, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(ClassTaxonomy, name, counted)
+    return calls
+
+
+def test_the_battery_compares_each_class_radius_with_the_shift_once(monkeypatch):
+    # on a matrix whose kept records are built, one battery call makes one
+    # radius comparison per class (b, h and the exact f and j share them)
+    # and the one of g's local radius
+    rnd = rng(2708)
+    cases = 0
+    for _ in range(20):
+        P = fuzz_matrix(rnd)
+        for M in (P, irregular(rnd, P), P.to_float()):
+            tax = taxonomy(M)
+            for lam in lambda_sweep(M) + list(tax.radii):
+                if lam <= 0:
+                    continue
+                b = fuzz_vector(rnd, M.n)
+                if M.mode == FLOAT:
+                    b = b.to_float()
+                solvability_conditions(M, lam, b)
+                calls = _count_record_calls(monkeypatch)
+                solvability_conditions(M, lam, b)
+                monkeypatch.undo()
+                assert calls == {"radius_sign": len(tax.radii) + 1}, (M.rows, lam, calls)
+                cases += 1
+    assert cases >= 150
+
+
+def test_the_distinguished_row_flags_are_kept_on_the_matrix(monkeypatch):
+    # the first battery call on a matrix asks, per eigen row of P^T, whether
+    # its eigenvalue is a distinguished one; a second call, at any shift,
+    # reads the flags kept on the matrix and asks nothing
+    rnd = rng(2709)
+    calls = _count_record_calls(monkeypatch)
+    first = 0
+    flags = Counter()
+    for _ in range(20):
+        P = fuzz_matrix(rnd)
+        for M in (P, irregular(rnd, P), P.to_float()):
+            tax = taxonomy(M)
+            shifts = [lam for lam in lambda_sweep(M) + list(tax.radii) if lam > 0]
+            b = fuzz_vector(rnd, M.n)
+            if M.mode == FLOAT:
+                b = b.to_float()
+            calls.clear()
+            eq_type1._peripheral_float(M, b, shifts[0], tax)
+            first += calls["is_distinguished_eigenvalue"]
+            # the kept flag of each row: its eigenvalue is real within
+            # eig_tol*scale and a distinguished eigenvalue
+            table, scale = oracle._eigenspaces(M, DEFAULT_TOL, transpose=True)[:2]
+            kept = M.memoized(("transpose distinguished rows", DEFAULT_TOL), lambda: None)
+            want = [
+                bool(abs(mu.imag) <= DEFAULT_TOL.eig_tol * scale)
+                and any(scalars_equal(float(mu.real), v, DEFAULT_TOL) for v in distinguished_eigenvalues(M))
+                for mu in table[:, 0]
+            ]
+            assert kept.tolist() == want, M.rows
+            flags[True] += sum(want)
+            flags[False] += len(want) - sum(want)
+            for lam in shifts:
+                calls.clear()
+                eq_type1._peripheral_float(M, b, lam, tax)
+                assert calls["is_distinguished_eigenvalue"] == 0, (M.rows, lam)
+    assert first >= 60 and min(flags.values()) >= 60, (first, flags)

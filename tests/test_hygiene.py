@@ -265,10 +265,14 @@ def test_one_simplex_entry_and_one_row_scaling():
     # every LP is pivoted through solve_lp, the traced entry, and only
     # oracle._integer_rows turns rational rows into integer ones: no other
     # code takes a common denominator or reads a numerator or denominator
-    # (but core.format_scalar, which prints a Fraction)
+    # (but core.format_scalar, which prints a Fraction, and
+    # oracle.shifted_image_rows, which reads its one shift as p/q)
     assert _innermost_call_sites("_simplex_min") == {("oracle.py", "solve_lp")}
-    for name in ("lcm", "as_integer_ratio"):
-        assert _innermost_call_sites(name) == {("oracle.py", "_integer_rows")}, name
+    assert _innermost_call_sites("lcm") == {("oracle.py", "_integer_rows")}
+    assert _innermost_call_sites("as_integer_ratio") == {
+        ("oracle.py", "_integer_rows"),
+        ("oracle.py", "shifted_image_rows"),
+    }
     readers = {
         (name, top.name)
         for name, tree in _trees().items()

@@ -1,7 +1,8 @@
 """Reproducers of the open defects on rational input (ROADMAP "Open
-defects").  Each test asserts the verdict of the exact LP, the ground truth,
-so each is a strict xfail: it starts to pass, and so fails the suite, when
-its defect is fixed, and the mark must then come off."""
+defects").  Each test asserts the ground truth, the verdict of the exact LP
+(for (i), the limit the exact annihilator gives), so each is a strict
+xfail: it starts to pass, and so fails the suite, when its defect is fixed,
+and the mark must then come off."""
 
 import math
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from coneq import oracle
+from coneq.collatz_wielandt import power_limit_exists
 from coneq.core import RATIONAL, ConeVector, InvalidInput, NonnegMatrix, NumericFailure
 from coneq.eq_type1 import solvability_conditions, solvable1, solve1
 from coneq.eq_type2 import solvable2
@@ -93,3 +95,15 @@ def test_h_radius_just_below_the_shift():
     lam = Fraction(2)
     rep = solvability_conditions(P, lam, e1(1))
     assert rep.e == lp_feasible(P, lam, e1(1), -1)  # the LP: True
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="(i) power_limit_exists merges an eigenvalue within eig_tol of rho_x into rho_x",
+)
+def test_i_power_limit_beside_an_eigenvalue_1e_9_below_rho_x():
+    # (P/rho_x)^k e2 tends to (10^9, 0): the annihilator of e2 is
+    # (t - 1)(t - 1 + 10^-9), so rho_x = 1 is a simple root and the other
+    # root lies inside the circle
+    P = mat([[1, 1], [0, 1 - Fraction(1, 10**9)]])
+    assert power_limit_exists(P, ConeVector.unit(2, 2, RATIONAL)).exists
