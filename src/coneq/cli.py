@@ -294,16 +294,21 @@ def _check_alternating_bounds(P: NonnegMatrix, tol) -> dict:
 
 
 def _check_membership_gap(P: NonnegMatrix, tol) -> dict:
+    """Each exact positive distinguished eigenvalue against each sampled b;
+    the irrational ones (carried as floats) are counted as skipped."""
+    eigenvalues = spectral.distinguished_eigenvalues(P, tol)
+    exact = [lam for lam in eigenvalues if isinstance(lam, Fraction)]
     cases = [
         (lam, b, eq_type2.image_membership(P, lam, b, tol))
-        for lam in spectral.distinguished_eigenvalues(P, tol)
-        if isinstance(lam, Fraction) and lam > 0
+        for lam in exact
+        if lam > 0
         for b in _sample_vectors(P)
     ]
     report = _sampled_report(
         {"lambda": lam, "b": b} if rep.in_s2 and not rep.in_s3 else None for lam, b, rep in cases
     )
-    return {**report, "gap_examples": sum(rep.in_s3 and not rep.in_s2 for _, _, rep in cases)}
+    gaps = sum(rep.in_s3 and not rep.in_s2 for _, _, rep in cases)
+    return {**report, "gap_examples": gaps, "skipped_irrational": len(eigenvalues) - len(exact)}
 
 
 def _guarded(suite, *, rational_mode: bool = False, exact_rho: bool = False):

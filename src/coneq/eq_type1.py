@@ -166,9 +166,10 @@ class ConditionReport:
 
     b, g, h are exact combinatorial facts, and b, h and the exact f, j read
     one comparison of each class radius with lambda; c, d are iterative
-    float checks and may be None (indeterminate): they follow the powers of
-    P/lambda by repeated squaring up to a horizon of tol.power_iters terms,
-    and abstain when neither bound is reached by then; e, i use the float
+    float checks and may be None (indeterminate): one pass squares P/lambda
+    up to a horizon of tol.power_iters terms, carries c's partial sums as a
+    vector beside b, and abstains when neither bound is reached by then; b
+    is read as floats once for c, d, e, f, i and j; e, i use the float
     generalized eigenvectors of P^T, kept on the matrix per tolerance with
     a flag per row for a real distinguished eigenvalue; f, j are exact
     whenever every needed eigenvalue is an exact rational (from exact bases
@@ -188,106 +189,99 @@ class ConditionReport:
     consistent: bool
 
 
-# cap on the entries of the squared powers; the square of a capped n x n
-# matrix stays finite for n below 1e8
+# cap on the entries of the squares and partial sums; the product of two
+# capped n x n arrays stays finite for n below 1e8
 _POWER_CEILING = 1e150
 
 
-def _capped_product(x, y):
-    out = x @ y
-    return np.minimum(out, _POWER_CEILING, out=out)
+def _conditions_c_d(P, lam, bv, tol) -> tuple:
+    """Conditions c and d, each three-valued, from one walk over the powers
+    of a = P/lambda.
 
+    tol.power_iters is a horizon counted in terms, reached by squaring a.
+    At each checkpoint m = 1, 2, 4, ... one product of a^m with the columns
+    b, b' = b/lambda and S_m b' (S_m = a^0 + ... + a^(m-1)) gives
+    - d's iterate a^m b: True once it is within eq_tol*scale, False once it
+      exceeds 1e12*scale;
+    - c's term a^m b' and partial sum S_(m+1) b': False once a partial sum
+      exceeds 1e12*scale, True once the terms m, m+1 and m+2 are all within
+      eq_tol of it;
+    - the next sum S_2m b' = S_m b' + a^m S_m b', kept while c is open.
+    d's last checkpoint is the horizon and c's is horizon - 2; one that is
+    no power of two is reached through the squares its binary digits pick.
+    A check still open there abstains (None).
 
-def _doubling_powers(a, horizon):
-    """Yield (m, a^m) for a nonnegative a at m = 1, 2, 4, ... <= horizon,
-    each power the square of the one before, and last at m = horizon itself,
-    the product of the squares its binary digits pick.
-
-    Every entry is capped at _POWER_CEILING, or a class that b never
-    reaches could overflow to inf, and inf * 0 is NaN.  The matrices are
+    Every square and sum is capped at _POWER_CEILING, or a class that b
+    never reaches could overflow to inf, and inf * 0 is NaN.  They are
     nonnegative, so an entry at the cap stands for one at least that large,
-    far past any bound the iterative checks compare with.
+    far past any bound the checks compare with.
     """
-    squares = []
-    m = 1
-    while m <= horizon:
-        yield m, a
-        squares.append(a)
-        m *= 2
-        if m <= horizon:
-            a = _capped_product(a, a)
-    if horizon > m // 2:
-        picked = [sq for k, sq in enumerate(squares) if horizon >> k & 1]
-        last = picked[0]
-        for sq in picked[1:]:
-            last = _capped_product(last, sq)
-        yield horizon, last
-
-
-def _condition_c(P, lam, b, tol):
-    """Does the resolvent series sum_m (P/lambda)^m b / lambda converge?
-    Three-valued.
-
-    tol.power_iters is a horizon counted in terms, reached by squaring: the
-    pair (term m, sum of terms 0 .. m-1) is the m-th power of one step
-    matrix applied to (b/lambda, 0), inspected at the checkpoints of
-    _doubling_powers up to horizon - 2.  False once a partial sum exceeds
-    1e12*scale; True once the terms m, m+1 and m+2 from a checkpoint m on
-    are all within eq_tol of the partial sum; None when no window of three
-    terms up to the horizon settles it.
-    """
-    n = P.n
-    a = P.to_numpy() / float(lam)
-    step = np.zeros((2 * n, 2 * n))  # [[a, 0], [I, I]]
-    step[:n, :n] = a
-    step[n:, :n] = step[n:, n:] = np.eye(n)
-    bv = b.to_numpy()
+    lam_f = float(lam)
+    a = P.to_numpy() / lam_f
     scale = max(1.0, *bv.tolist())
-    start = np.zeros(2 * n)
-    start[:n] = bv / float(lam)
     horizon = tol.power_iters
-    for m, power in _doubling_powers(step, max(1, horizon - 2)):
-        pair = power @ start
-        term = pair[:n]
-        total = pair[n:] + term
+    c_last = max(1, horizon - 2)
+    cols = np.empty((P.n, 3))
+    cols[:, 0] = bv
+    cols[:, 1] = cols[:, 2] = bv / lam_f
+    partial = cols[:, 2]  # S_m b', summed in place
+
+    def cap(v):
+        return np.minimum(v, _POWER_CEILING, out=v)
+
+    def c_at(m, term, total):
         for k in range(3):  # the terms m, m+1, m+2
             if k:
                 if m + k > horizon:
-                    break
+                    return None
                 term = a @ term
                 total += term
             top = max(total.tolist())
             if top > 1e12 * scale:
                 return False
             if max(term.tolist()) > tol.eq_tol * max(1.0, top):
-                break
-        else:
-            return True
-    return None
+                return None
+        return True
+
+    def d_at(iterate):
+        nrm = max(iterate.tolist())
+        return True if nrm <= tol.eq_tol * scale else False if nrm > 1e12 * scale else None
+
+    squares, sums = [], []
+    c = d = None
+    m, power = 1, a
+    while (d is None and m <= horizon) or (c is None and m <= c_last):
+        if squares:
+            power = cap(power @ power)
+        squares.append(power)
+        out = power @ cols
+        if d is None:
+            d = d_at(out[:, 0])
+        if c is None and m <= c_last:
+            sums.append(partial.copy())
+            c = c_at(m, out[:, 1], partial + out[:, 1])
+            cap(np.add(partial, out[:, 2], out=partial))
+        m *= 2
+    if d is None and horizon & (horizon - 1):
+        picked = [sq for k, sq in enumerate(squares) if horizon >> k & 1]
+        last = picked[0]
+        for sq in picked[1:]:
+            last = cap(last @ sq)
+        d = d_at(last @ bv)
+    if c is None and c_last & (c_last - 1):
+        s, t = np.zeros(P.n), cols[:, 1]
+        for k, (sq, sk) in enumerate(zip(squares, sums)):
+            if c_last >> k & 1:  # s = S_p b' and t = a^p b' for the bits p taken
+                s = cap(sk + sq @ s)
+                t = cap(sq @ t)
+        c = c_at(c_last, t, s + t)
+    return c, d
 
 
-def _condition_d(P, lam, b, tol):
-    """Does (P/lambda)^m b tend to zero?  Three-valued.
-
-    tol.power_iters is a horizon counted in terms, reached by squaring: the
-    iterate is inspected at the checkpoints of _doubling_powers, the last
-    one at the horizon.  True once it is within eq_tol*scale, False once it
-    exceeds 1e12*scale, None when neither happens by the horizon.
-    """
-    bv = b.to_numpy()
-    scale = max(1.0, *bv.tolist())
-    for _, power in _doubling_powers(P.to_numpy() / float(lam), tol.power_iters):
-        nrm = max((power @ bv).tolist())
-        if nrm <= tol.eq_tol * scale:
-            return True
-        if nrm > 1e12 * scale:
-            return False
-    return None
-
-
-def _peripheral_float(P, b, lam, tax) -> tuple:
-    """Float conditions (e, f, i, j) from the generalized eigenvectors z of
-    P^T, which oracle._eigenspaces computes once per matrix and tolerance.
+def _peripheral_float(P, bv, lam, tax) -> tuple:
+    """Float conditions (e, f, i, j) for b (bv, as floats) from the
+    generalized eigenvectors z of P^T, which oracle._eigenspaces computes
+    once per matrix and tolerance.
 
     The rows of the spectral projector at mu span the generalized
     eigenvectors z of P^T at mu, so b has a component there iff some
@@ -304,7 +298,6 @@ def _peripheral_float(P, b, lam, tax) -> tuple:
     ))
     lam_f = float(lam)
     floor = lam_f - tol.eig_tol * max(1.0, lam_f)
-    bv = b.to_numpy()
     bound = 1e-7 * max(1.0, *bv.tolist())  # float(max(b)): rounding to float is monotone
     peripheral = np.abs(mus) >= floor
     z = table[peripheral, 1:]
@@ -365,9 +358,9 @@ def solvability_conditions(
     bmask = tax.analysis.classes_meeting(supp)
     signs = [tax.radius_sign(c, lam) for c in range(len(tax.radii))]
     cond_b = not bmask & tax.blocked_mask(signs)
-    cond_c = _condition_c(P, lam, b, tol)
-    cond_d = _condition_d(P, lam, b, tol)
-    cond_e, cond_f, cond_i, cond_j = _peripheral_float(P, b, lam, tax)
+    bv = b.to_numpy()  # b as floats, once for c, d, e, f, i and j
+    cond_c, cond_d = _conditions_c_d(P, lam, bv, tol)
+    cond_e, cond_f, cond_i, cond_j = _peripheral_float(P, bv, lam, tax)
     exact_fj = _orthogonal_exact(P, b, tax, signs)
     if exact_fj is not None:
         cond_f, cond_j = exact_fj

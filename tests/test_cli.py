@@ -332,7 +332,7 @@ class TestCheck:
         (
             "cor4.8-gap",
             "U.json",
-            {"cases": 3, "counterexample": None, "gap_examples": 0, "pass": True},
+            {"cases": 3, "counterexample": None, "gap_examples": 0, "pass": True, "skipped_irrational": 0},
         ),
         (
             "cor4.20",
@@ -362,16 +362,17 @@ class TestCheck:
         # radius 0: the shift 0 - 1/3 is skipped, and 1/3 meets e1 alone,
         # which is the all-ones vector at n = 1
         ("thm3.1", "zero1.json", {"cases": 1, "counterexample": None, "pass": True}),
-        # the one distinguished eigenvalue is irrational, so no case runs
+        # the one distinguished eigenvalue is irrational, so no case runs and
+        # the report counts it as skipped
         (
             "cor4.8-gap",
             "golden.json",
-            {"cases": 0, "counterexample": None, "gap_examples": 0, "pass": True},
+            {"cases": 0, "counterexample": None, "gap_examples": 0, "pass": True, "skipped_irrational": 1},
         ),
         (
             "cor4.8-gap",
             "gap.json",
-            {"cases": 4, "counterexample": None, "gap_examples": 1, "pass": True},
+            {"cases": 4, "counterexample": None, "gap_examples": 1, "pass": True, "skipped_irrational": 0},
         ),
         # the 0x0 matrix has no nonzero vector to sample
         ("thm3.1", "empty.json", {"cases": 0, "counterexample": None, "pass": True}),
@@ -380,7 +381,7 @@ class TestCheck:
         (
             "cor4.8-gap",
             "empty.json",
-            {"cases": 0, "counterexample": None, "gap_examples": 0, "pass": True},
+            {"cases": 0, "counterexample": None, "gap_examples": 0, "pass": True, "skipped_irrational": 0},
         ),
         # the 0x0 matrix has no class, so its necessary face is empty
         (

@@ -32,8 +32,11 @@ from coneq import eq_type1, oracle
 from fuzz import fuzz_matrix, fuzz_vector, irregular, lambda_sweep, rng
 
 
-# eq_type1's iterative checks c and d as they were, with one numpy reduction
-# per checkpoint scalar and each capped product a new array
+# eq_type1's iterative checks c and d as they were before one pass took
+# both: each squared its own matrix (c a 2n x 2n step matrix carrying the
+# partial sum, d the n x n P/lambda), with one numpy reduction per
+# checkpoint scalar and each capped product a new array; `reached` counts,
+# per check, the cases that got to a last checkpoint off a power of two
 
 
 def _reduction_capped_product(x, y):
@@ -57,7 +60,7 @@ def _reduction_doubling_powers(a, horizon):
         yield horizon, last
 
 
-def _reduction_condition_c(P, lam, b, tol):
+def _reduction_condition_c(P, lam, b, tol, reached):
     n = P.n
     a = P.to_numpy() / float(lam)
     step = np.zeros((2 * n, 2 * n))  # [[a, 0], [I, I]]
@@ -69,6 +72,7 @@ def _reduction_condition_c(P, lam, b, tol):
     start[:n] = bv / float(lam)
     horizon = tol.power_iters
     for m, power in _reduction_doubling_powers(step, max(1, horizon - 2)):
+        reached["c"] += m & (m - 1) != 0
         pair = power @ start
         term = pair[:n]
         total = pair[n:] + term
@@ -87,10 +91,11 @@ def _reduction_condition_c(P, lam, b, tol):
     return None
 
 
-def _reduction_condition_d(P, lam, b, tol):
+def _reduction_condition_d(P, lam, b, tol, reached):
     bv = b.to_numpy()
     scale = max(1.0, float(np.max(bv)))
-    for _, power in _reduction_doubling_powers(P.to_numpy() / float(lam), tol.power_iters):
+    for m, power in _reduction_doubling_powers(P.to_numpy() / float(lam), tol.power_iters):
+        reached["d"] += m & (m - 1) != 0
         nrm = float((power @ bv).max())
         if nrm <= tol.eq_tol * scale:
             return True
@@ -99,8 +104,8 @@ def _reduction_condition_d(P, lam, b, tol):
     return None
 
 
-def _reduction_c_d(P, lam, b, tol):
-    return _reduction_condition_c(P, lam, b, tol), _reduction_condition_d(P, lam, b, tol)
+def _reduction_c_d(P, lam, b, tol, reached):
+    return _reduction_condition_c(P, lam, b, tol, reached), _reduction_condition_d(P, lam, b, tol, reached)
 
 
 def mat(rows, mode=RATIONAL):
@@ -372,10 +377,7 @@ class TestConditionBattery:
                     if lam <= 0:
                         continue
                     want = _term_by_term_c_d(P, lam, b, tol)
-                    got = (
-                        eq_type1._condition_c(P, lam, b, tol),
-                        eq_type1._condition_d(P, lam, b, tol),
-                    )
+                    got = eq_type1._conditions_c_d(P, lam, b.to_numpy(), tol)
                     assert got == want, (P.rows, lam, b.entries)
                     cases += 1
                     undecided += None in want
@@ -384,25 +386,23 @@ class TestConditionBattery:
         Z = NonnegMatrix.zero_matrix(2, RATIONAL)
         for horizon in (1, 2, 3):
             short = Tolerance(power_iters=horizon)
-            got = (
-                eq_type1._condition_c(Z, F(1), vec(1, 0), short),
-                eq_type1._condition_d(Z, F(1), vec(1, 0), short),
-            )
+            got = eq_type1._conditions_c_d(Z, F(1), vec(1, 0).to_numpy(), short)
             assert got == _term_by_term_c_d(Z, F(1), vec(1, 0), short), horizon
 
     def test_iterative_checks_match_their_numpy_reduction_form(self):
-        # c and d read each checkpoint's maximum off a Python list, and cap
-        # the squares in place; every product, its order and the cap are
-        # those of the numpy-reduction form kept below, so every float they
-        # compare is the same and so is every verdict
+        # one pass squares P/lambda alone and carries c's partial sums as a
+        # vector, where the reduction form kept above squared a 2n x 2n step
+        # matrix for c and P/lambda again for d; c's sums come from another
+        # recurrence, so its floats may differ in the last digits, but every
+        # verdict of both checks must be the same
         rnd = rng(2304)
-        matrices = [mat([[F(99, 100), 0], [0, 100]]), mat([[F(99, 100), 0], [0, 100]], FLOAT)]
+        capped = [mat([[F(99, 100), 0], [0, 100]]), mat([[F(99, 100), 0], [0, 100]], FLOAT)]
+        matrices = [(M, "capped") for M in capped] + [(NonnegMatrix.zero_matrix(2, RATIONAL), "zero")]
         for _ in range(25):
             P = fuzz_matrix(rnd, n_max=6)
-            Q = irregular(rnd, P)
-            matrices += [P, Q, P.to_float()]
-        verdicts = Counter()
-        for P in matrices:
+            matrices += [(P, "rational"), (irregular(rnd, P), "irregular"), (P.to_float(), "float")]
+        verdicts, kinds, reached = Counter(), Counter(), Counter()
+        for P, kind in matrices:
             b = fuzz_vector(rnd, P.n)
             if P.mode == FLOAT:
                 b = b.to_float()
@@ -411,18 +411,26 @@ class TestConditionBattery:
                     lam = float(lam) if P.mode == FLOAT or isinstance(r, float) else lam
                     if lam <= 0:
                         continue
-                    for horizon in (1, 2, 3, 1000, DEFAULT_TOL.power_iters):
+                    # c's last checkpoints are 1, 1, 1, 998, 9997 and 9998
+                    # (horizon - 2, at least 1), and d's the horizons
+                    for horizon in (1, 2, 3, 1000, 9999, DEFAULT_TOL.power_iters):
                         tol = Tolerance(power_iters=horizon)
-                        got = (
-                            eq_type1._condition_c(P, lam, b, tol),
-                            eq_type1._condition_d(P, lam, b, tol),
-                        )
-                        assert got == _reduction_c_d(P, lam, b, tol), (P.rows, lam, b.entries, horizon)
+                        got = eq_type1._conditions_c_d(P, lam, b.to_numpy(), tol)
+                        want = _reduction_c_d(P, lam, b, tol, reached)
+                        assert got == want, (P.rows, lam, b.entries, horizon)
                         verdicts[got] += 1
-        # the capped case and every verdict of both checks are reached
-        assert _reduction_c_d(matrices[0], F(1), vec(1, 0), DEFAULT_TOL) == (True, True)
+                        kinds[kind] += 1
+        # the capped case gives both verdicts in both modes
+        for M in capped:
+            assert eq_type1._conditions_c_d(M, F(1), np.array([1.0, 0.0]), DEFAULT_TOL) == (True, True)
+        # every verdict of both checks, each check decided while the other
+        # abstains, each last checkpoint off a power of two, and every kind
+        # of matrix are reached
         assert {v for pair in verdicts for v in pair} == {True, False, None}, verdicts
-        assert sum(verdicts.values()) >= 1000, verdicts
+        assert any(c is not None and d is None for c, d in verdicts), verdicts
+        assert any(c is None and d is not None for c, d in verdicts), verdicts
+        assert min(reached["c"], reached["d"]) >= 300, reached
+        assert min(kinds["rational"], kinds["irregular"], kinds["float"]) >= 1000, kinds
 
     def test_rejects_zero_rhs(self):
         with assert_raises(InvalidInput):
@@ -649,7 +657,7 @@ def test_kept_eigenvectors_match_the_per_case_eigen_pass():
                         queries.append((tol, dvals, lam, b))
             rnd.shuffle(queries)
             for tol, dvals, lam, b in queries:
-                got = eq_type1._peripheral_float(M, b, lam, taxonomy(M, tol))
+                got = eq_type1._peripheral_float(M, b.to_numpy(), lam, taxonomy(M, tol))
                 assert got == _ref_peripheral_float(M, b, lam, tol, dvals), (M.rows, lam, b.entries, tol)
                 verdicts[tol is DEFAULT_TOL, got] += 1
             if M.mode == RATIONAL:
@@ -678,7 +686,7 @@ def test_support_overlap_matches_its_reference():
     # clustered eigenvalue); verdicts must not move
     verdicts = Counter()
     for M, b, lam, dvals in _peripheral_cases(72, 60):
-        _, _, got_i, got_j = eq_type1._peripheral_float(M, b, lam, taxonomy(M))
+        _, _, got_i, got_j = eq_type1._peripheral_float(M, b.to_numpy(), lam, taxonomy(M))
         for only, got in ((False, got_i), (True, got_j)):
             want = _ref_support_overlap_float(M, b, lam, DEFAULT_TOL, only, dvals)
             assert got == want, (M.rows, lam, b.entries, only)
@@ -692,7 +700,7 @@ def test_peripheral_components_match_the_decomposition_reference():
     # move
     verdicts = Counter()
     for M, b, lam, dvals in _peripheral_cases(74, 60):
-        got_e, got_f, _, _ = eq_type1._peripheral_float(M, b, lam, taxonomy(M))
+        got_e, got_f, _, _ = eq_type1._peripheral_float(M, b.to_numpy(), lam, taxonomy(M))
         assert got_e == _ref_peripheral_components(M, b, lam, DEFAULT_TOL), (M.rows, lam, b.entries)
         want_f = _ref_peripheral_distinguished_float(M, b, lam, DEFAULT_TOL, dvals)
         assert got_f == want_f, (M.rows, lam, b.entries)
@@ -778,8 +786,7 @@ def _two_pass_battery(P, lam, b, tol=DEFAULT_TOL) -> tuple:
     cond_h = witness is None
     solvable = frozenset(v for c in tax.initial_below(lam) for v in tax.analysis.classes[c])
     cond_b = support(b) <= solvable
-    cond_c = eq_type1._condition_c(P, lam, b, tol)
-    cond_d = eq_type1._condition_d(P, lam, b, tol)
+    cond_c, cond_d = _reduction_c_d(P, lam, b, tol, Counter())
     cond_e, cond_f, cond_i, cond_j = _row_loop_peripheral_float(P, b, lam, tax)
     relevant = [tax.radii[c] for c in tax.eigen_classes if tax.radius_sign(c, lam) >= 0]
     exact = all(isinstance(v, Fraction) for v in relevant) and P.mode == RATIONAL
@@ -860,22 +867,31 @@ def test_one_pass_battery_matches_the_two_pass_reference():
 
 
 def _count_record_calls(monkeypatch) -> Counter:
+    """Count the structure record's two comparisons, the reads of a vector
+    as floats and the passes over the powers of P/lambda."""
     calls = Counter()
-    for name in ("radius_sign", "is_distinguished_eigenvalue"):
-        orig = getattr(ClassTaxonomy, name)
+    for owner, name in (
+        (ClassTaxonomy, "radius_sign"),
+        (ClassTaxonomy, "is_distinguished_eigenvalue"),
+        (ConeVector, "to_numpy"),
+        (eq_type1, "_conditions_c_d"),
+    ):
+        orig = getattr(owner, name)
 
-        def counted(self, *args, _orig=orig, _name=name):
+        def counted(*args, _orig=orig, _name=name):
             calls[_name] += 1
-            return _orig(self, *args)
+            return _orig(*args)
 
-        monkeypatch.setattr(ClassTaxonomy, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 
 def test_the_battery_compares_each_class_radius_with_the_shift_once(monkeypatch):
     # on a matrix whose kept records are built, one battery call makes one
     # radius comparison per class (b, h and the exact f and j share them)
-    # and the one of g's local radius
+    # and the one of g's local radius; it also reads b as floats once, for
+    # c, d, e, f, i and j alike, and one pass over the powers of P/lambda
+    # gives both c and d
     rnd = rng(2708)
     cases = 0
     for _ in range(20):
@@ -892,7 +908,8 @@ def test_the_battery_compares_each_class_radius_with_the_shift_once(monkeypatch)
                 calls = _count_record_calls(monkeypatch)
                 solvability_conditions(M, lam, b)
                 monkeypatch.undo()
-                assert calls == {"radius_sign": len(tax.radii) + 1}, (M.rows, lam, calls)
+                want = {"radius_sign": len(tax.radii) + 1, "to_numpy": 1, "_conditions_c_d": 1}
+                assert calls == want, (M.rows, lam, calls)
                 cases += 1
     assert cases >= 150
 
@@ -914,7 +931,7 @@ def test_the_distinguished_row_flags_are_kept_on_the_matrix(monkeypatch):
             if M.mode == FLOAT:
                 b = b.to_float()
             calls.clear()
-            eq_type1._peripheral_float(M, b, shifts[0], tax)
+            eq_type1._peripheral_float(M, b.to_numpy(), shifts[0], tax)
             first += calls["is_distinguished_eigenvalue"]
             # the kept flag of each row: its eigenvalue is real within
             # eig_tol*scale and a distinguished eigenvalue
@@ -930,6 +947,6 @@ def test_the_distinguished_row_flags_are_kept_on_the_matrix(monkeypatch):
             flags[False] += len(want) - sum(want)
             for lam in shifts:
                 calls.clear()
-                eq_type1._peripheral_float(M, b, lam, tax)
+                eq_type1._peripheral_float(M, b.to_numpy(), lam, tax)
                 assert calls["is_distinguished_eigenvalue"] == 0, (M.rows, lam)
     assert first >= 60 and min(flags.values()) >= 60, (first, flags)

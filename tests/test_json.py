@@ -235,7 +235,7 @@ GOLDEN_CLI = {
         '{"cases": 3, "counterexample": {"report": {"gamma_deduction": false, "m_observed": 1, "nu": 1, "ord": 1}, "x": [1.0, 0.0]}, "pass": false}'
     ),
     ('cor4.8-gap', 'rational'): (
-        '{"cases": 6, "counterexample": {"b": [1, 0], "lambda": 1}, "gap_examples": 0, "pass": false}'
+        '{"cases": 6, "counterexample": {"b": [1, 0], "lambda": 1}, "gap_examples": 0, "pass": false, "skipped_irrational": 0}'
     ),
 }
 
