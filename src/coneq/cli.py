@@ -2,7 +2,7 @@
 
 Verbs: analyze, solve1, solve2, cw, alt, check.  Exit codes: 0 = command
 completed (an "unsolvable" verdict is a completed command), 2 = bad input,
-3 = numeric failure.
+3 = numeric failure (a value outside the float range included).
 """
 
 import argparse
@@ -249,14 +249,8 @@ def _check_window_below_rho(P: NonnegMatrix, tol) -> dict:
         return {"pass": True, "samples": [], "counterexample": None}
     tax = spectral.taxonomy(P, tol)
     expected = tax.accessor_vertices(c for c, flag in enumerate(tax.basic) if flag)
-    # one Sturm counter: the roots above t less those above rho are the
-    # eigenvalues in (t, rho]
-    roots_above = oracle.sturm_counter(oracle.charpoly_exact(P))
-    top = roots_above(rho)[0]
-    t = max(rho - 1, Fraction(0))
-    while roots_above(t)[0] - top > 1:
-        t = (t + rho) / 2
-    # (t, rho] holds no eigenvalue but rho, so every shift in it is certified
+    # (t, rho] holds no eigenvalue but rho, the largest, so every shift in it is certified
+    t, _ = next(oracle.root_brackets(oracle.charpoly_exact(P), 1, max(rho - 1, 0), rho))
     samples = []
     bad = None
     for k in (1, 2, 3):
@@ -417,6 +411,9 @@ def main(argv=None) -> int:
         return 2
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:
+        print(f"numeric failure: a value lies outside the float range ({exc})", file=sys.stderr)
         return 3
     print(json.dumps(to_json(payload), sort_keys=True))
     return 0

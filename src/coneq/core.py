@@ -176,7 +176,11 @@ def scalars_equal(a: Scalar, b: Scalar, tol: Tolerance = DEFAULT_TOL) -> bool:
     # the type test is the fast path: isinstance against an ABC is slow
     if (type(a) is Fraction or isinstance(a, Rational)) and (type(b) is Fraction or isinstance(b, Rational)):
         return a == b
-    fa, fb = float(a), float(b)
+    try:
+        fa, fb = float(a), float(b)
+    except OverflowError:  # a rational beyond the float range: the same rule, exactly
+        fa, fb = Fraction(a), Fraction(b)
+        return abs(fa - fb) <= Fraction(tol.eig_tol) * max(1, abs(fa), abs(fb))
     return abs(fa - fb) <= tol.eig_tol * max(1.0, abs(fa), abs(fb))
 
 

@@ -222,27 +222,12 @@ def subcritical_window(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> float:
     """Largest real eigenvalue strictly below the spectral radius (float),
     -inf when there is none.  Exact in both modes, float input read as its
     binary value: rho is the largest real root of the characteristic
-    polynomial (Perron-Frobenius), and Sturm bisection isolates the next
-    distinct real root below it."""
-    coeffs = oracle.charpoly_exact(P)
-    roots_above = oracle.sturm_counter(coeffs)
-    # every root lies in (-bound, bound) (Cauchy's bound; the polynomial is
-    # monic), and a power of two keeps every midpoint dyadic, so a dyadic
-    # root is met exactly and any other root has a unique nearest float
-    bound = Fraction(2 ** math.ceil(1 + max(map(abs, coeffs))).bit_length())
-    if roots_above(-bound)[0] < 2:
-        return -math.inf
-    lo, hi = -bound, bound  # the root sought lies in (lo, hi]
-    while float(lo) != float(hi):
-        mid = (lo + hi) / 2
-        above, is_root = roots_above(mid)
-        if above >= 2:
-            lo = mid
-        elif above == 1 and is_root:
-            return float(mid)
-        else:
-            hi = mid
-    return float(hi)
+    polynomial (Perron-Frobenius), and oracle.root_brackets narrows the next
+    distinct real root below it until both ends round to one float."""
+    for lo, hi in oracle.root_brackets(oracle.charpoly_exact(P), 2):
+        if float(lo) == float(hi):
+            return float(hi)
+    return -math.inf
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Independent ground-truth machinery: exact rational LP feasibility, dense
 eigendecomposition, generalized eigencomponents, a Krylov estimate of the
-local spectral radius, and exact characteristic-polynomial root counting.
+local spectral radius, and exact characteristic-polynomial root counting:
+one Sturm chain per polynomial, which root_brackets alone bisects on to
+isolate a real root.
 
 The LP solver is a two-phase tableau simplex with Bland's rule on integer
 rows, pivoted fraction-free (Bareiss), so verdicts are exact and
@@ -565,7 +567,7 @@ def _variations(values) -> int:
     return sum(1 for s, u in zip(signs, signs[1:]) if s != u)
 
 
-def sturm_counter(coeffs):
+def _sturm_counter(coeffs):
     """The exact root counter of a nonzero polynomial: a function of t that
     returns (the number of distinct real roots above t, whether t is a
     root).  The Sturm chain is built once, here; its sign changes at t drop
@@ -583,11 +585,38 @@ def sturm_counter(coeffs):
 
 def count_real_roots_in(coeffs, a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots of the polynomial in the half-open
-    interval (a, b], from its Sturm counter."""
+    interval (a, b], from its Sturm counter.  Only tests read it; it stays
+    because the benchmark's tracer names it."""
     if len(coeffs) < 2:
         return 0
-    roots_above = sturm_counter(coeffs)
+    roots_above = _sturm_counter(coeffs)
     return roots_above(a)[0] - roots_above(b)[0]
+
+
+def root_brackets(coeffs, k: int, lo=None, hi=None):
+    """Bisect on one Sturm counter toward the k-th largest distinct real root
+    of a polynomial: yield the first bracket (lo, hi] that holds it and no
+    other root, then each half that still holds it, and end with (r, r) when
+    a midpoint is the root r.  The default start (-B, B] has B Cauchy's bound
+    rounded up to a power of two, so every midpoint is dyadic."""
+    roots_above = _sturm_counter(coeffs)
+    if lo is None:
+        hi = 2 ** math.ceil(1 + Fraction(max(map(abs, coeffs))) / abs(coeffs[0])).bit_length()
+        lo = -hi
+    lo, hi = Fraction(lo), Fraction(hi)
+    above_lo, above_hi = roots_above(lo)[0], roots_above(hi)[0]
+    while above_lo >= k > above_hi:  # (lo, hi] holds the root
+        if above_lo - above_hi == 1:
+            yield lo, hi
+        mid = (lo + hi) / 2
+        above, is_root = roots_above(mid)
+        if above == k - 1 and is_root:
+            yield mid, mid
+            return
+        if above >= k:
+            lo, above_lo = mid, above
+        else:
+            hi, above_hi = mid, above
 
 
 # ---------------------------------------------------------------------------

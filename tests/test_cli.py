@@ -69,6 +69,12 @@ def docs(tmp_path_factory):
             ]
         },
     }
+    # entries beyond the float range, written as strings so rational mode
+    # reads them exactly: a tiny entry with an irrational radius, a huge
+    # entry beside a radius-2 class, and a huge entry in an irreducible class
+    good["tiny.json"] = {"entries": [["1e-400", 1], [1, 0]]}
+    good["huge.json"] = {"entries": [["1e400", 1], [0, 2]]}
+    good["huge_irreducible.json"] = {"entries": [["1e400", 1], [1, 0]]}
     paths = {name: _write(root, name, payload) for name, payload in good.items()}
     paths["badkey.json"] = _write(root, "badkey.json", {"entries": [[1]], "name": "x"})
     paths["badn.json"] = _write(root, "badn.json", {"entries": [[1, 0], [0, 1]], "n": 3})
@@ -159,6 +165,41 @@ class TestDocumentPlumbing:
         assert doc["taxonomy"]["radii"] == ["1/10"]
         doc = run_json(capsys, ["--mode", "float", "analyze", docs["tenth.json"]])
         assert doc["taxonomy"]["radii"] == [0.1]
+
+
+class TestBeyondFloatRange:
+    """Rational input whose values leave the float range: a verdict where
+    the exact route reaches one, otherwise a numeric failure (exit 3)."""
+
+    def test_shift_beyond_the_float_range_is_compared_exactly(self, capsys, docs):
+        # the float radius 1.0 against lambda = 10^400 in scalars_equal
+        P = cli._matrix_from_path(docs["tiny.json"], "rational")
+        b = ConeVector.unit(2, 1)
+        for verb, sign in (("solve1", -1), ("solve2", 1)):
+            doc = run_json(capsys, [verb, "--lambda", "1e400", "--b", docs["e1.json"], docs["tiny.json"]])
+            lp = oracle.feasible_nonneg_solution(oracle.shifted_image_rows(P, Fraction(10**400), sign), b.entries)
+            assert doc["solvable"] is lp.feasible is (verb == "solve1"), verb
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "--property", prop, "huge.json"] for prop in ("thm3.1", "cor6.4")]
+        + [["check", "--property", prop, "huge_irreducible.json"] for prop in cli.PROPERTY_SUITES]
+        + [
+            ["analyze", "huge_irreducible.json"],
+            ["solve1", "--lambda", "1", "--b", "e1.json", "huge_irreducible.json"],
+            ["solve2", "--lambda", "1", "--b", "e1.json", "huge_irreducible.json"],
+            ["cw", "huge_irreducible.json"],
+            ["cw", "--x", "e1.json", "huge_irreducible.json"],
+        ],
+    )
+    def test_float_overflow_is_a_numeric_failure(self, capsys, docs, argv):
+        code, out, err = run_cli(capsys, [docs.get(a, a) for a in argv])
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure: a value lies outside the float range"), err
+
+    def test_alt_runs_exactly(self, capsys, docs):
+        argv = ["alt", "--shift", "2", "--x", docs["e1.json"], docs["huge_irreducible.json"]]
+        assert run_json(capsys, argv) == {"iterates_checked": 4, "kind": "at_least", "value": 4}
 
 
 class TestSolve1:

@@ -1,4 +1,5 @@
 import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -193,6 +194,13 @@ def test_scalar_comparisons():
     assert scalars_equal(1.0, 1.0 + 1e-12)
     assert scalar_lt(Fraction(1), Fraction(2))
     assert not scalar_lt(1.0, 1.0 + 1e-12)
+    # a rational beyond the float range meets a float under the same rule, exactly
+    huge = Fraction(10**400)
+    assert not scalars_equal(1.0, huge) and not scalars_equal(huge, 1.0)
+    assert scalar_lt(1.0, huge) and not scalar_lt(huge, 1.0)
+    # 2^1024 overflows a float, yet lies within 2^-53 relative of the largest one
+    assert scalars_equal(sys.float_info.max, Fraction(2**1024))
+    assert not scalars_equal(sys.float_info.max, Fraction(2**1025))
 
 
 def test_matrix_validation():

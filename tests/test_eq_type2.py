@@ -523,7 +523,7 @@ class TestSubcriticalWindow:
 
 
 def _subcritical_window_reference(P):
-    """The Sturm bisection as written before oracle.sturm_counter: sign
+    """The Sturm bisection as written before oracle's Sturm counter: sign
     changes of one chain at each midpoint against those at Cauchy's bound,
     the characteristic polynomial evaluated apart."""
     coeffs = oracle.charpoly_exact(P)

@@ -5,10 +5,11 @@ benchmark), the float eigen pass has one caller, only the structure
 record's builder condenses and classifies, only that record compares a
 shift with a radius, one runner builds the CLI's sampled reports, no
 module builds a transpose or a submatrix, one helper reads the float
-lane's peripheral band, a shift is read in one place, the shifted product
-has one implementation, every LP reaches the simplex through solve_lp and
-has its rows scaled by one helper, every import sits at module level, and
-numpy is bound once, lazily, in core."""
+lane's peripheral band, one generator bisects on a Sturm root count, a
+shift is read in one place, the shifted product has one implementation,
+every LP reaches the simplex through solve_lp and has its rows scaled by
+one helper, every import sits at module level, and numpy is bound once,
+lazily, in core."""
 
 import ast
 import inspect
@@ -212,12 +213,38 @@ def test_one_peripheral_band():
     }
 
 
+def _halving_loops() -> list:
+    """(module, top-level def) for each loop of the package that assigns a
+    value halved by `/ 2`: a bisection."""
+    sites = []
+    for name, tree in _trees().items():
+        for top in tree.body:
+            for loop in ast.walk(top):
+                if isinstance(loop, (ast.While, ast.For)) and any(
+                    isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.BinOp)
+                    and isinstance(node.value.op, ast.Div)
+                    and isinstance(node.value.right, ast.Constant)
+                    and node.value.right.value == 2
+                    for node in ast.walk(loop)
+                ):
+                    sites.append((name, getattr(top, "name", None)))
+    return sites
+
+
 def test_one_sturm_counter():
-    # every exact root count goes through oracle.sturm_counter, so the
-    # chain, its sign changes and polynomial values are computed in oracle
+    # every exact root count goes through oracle._sturm_counter, so the
+    # chain, its sign changes and polynomial values are computed in oracle;
+    # root_brackets is the one bisection on a root count, and the counter's
+    # only other caller, count_real_roots_in, runs no loop
     names = ["_sturm_chain", "_variations", "_poly_eval"]
     stray = [(name, site) for name, sites in _call_sites(names).items() for site in sites if site[0] != "oracle.py"]
     assert not stray, stray
+    assert _innermost_call_sites("_sturm_counter") == {
+        ("oracle.py", "root_brackets"),
+        ("oracle.py", "count_real_roots_in"),
+    }
+    assert _halving_loops() == [("oracle.py", "root_brackets")]
 
 
 def test_a_shift_is_read_once():

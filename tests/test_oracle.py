@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -1042,13 +1043,13 @@ class TestCharpoly:
 
     def test_sturm_counter_counts_roots_above_and_spots_roots(self):
         coeffs = charpoly_exact(A)  # roots {1 (double), 2}
-        roots_above = oracle.sturm_counter(coeffs)
+        roots_above = oracle._sturm_counter(coeffs)
         assert roots_above(Fraction(0)) == (2, False)
         assert roots_above(Fraction(1)) == (1, True)
         assert roots_above(Fraction(3, 2)) == (1, False)
         assert roots_above(Fraction(2)) == (0, True)
         assert roots_above(Fraction(3)) == (0, False)
-        assert oracle.sturm_counter([Fraction(5)])(Fraction(0)) == (0, False)  # a constant
+        assert oracle._sturm_counter([Fraction(5)])(Fraction(0)) == (0, False)  # a constant
         # the signs at +infinity are those at a bound above every root
         # (Cauchy's), and t is a root where the polynomial itself vanishes
         rnd = rng(52)
@@ -1061,7 +1062,7 @@ class TestCharpoly:
             def variations(t):
                 return oracle._variations([oracle._poly_eval(p, t) for p in chain])
 
-            roots_above = oracle.sturm_counter(coeffs)
+            roots_above = oracle._sturm_counter(coeffs)
             assert roots_above(bound) == (0, False)
             for t in [Fraction(k, 3) for k in range(-3, 13)] + [Fraction(r) for r in class_radii(P)]:
                 want = (variations(t) - variations(bound), oracle._poly_eval(coeffs, t) == 0)
@@ -1071,6 +1072,89 @@ class TestCharpoly:
         coeffs = charpoly_exact(S)  # roots {-1, 1}
         assert count_real_roots_in(coeffs, Fraction(-2), Fraction(2)) == 2
         assert count_real_roots_in(coeffs, Fraction(0), Fraction(1, 2)) == 0
+
+
+def _polynomials(rnd, rounds):
+    """Characteristic polynomials of fuzzed matrices, their irregular and
+    float twins (binary values read exactly) and irreducible draws."""
+    for _ in range(rounds):
+        P = fuzz_matrix(rnd)
+        for M in (P, irregular(rnd, P), P.to_float(), fuzz_irreducible(rnd)):
+            yield charpoly_exact(M)
+
+
+def _first_brackets(coeffs, k, *start, count=10):
+    """At most count brackets from oracle.root_brackets: all of them when it
+    ends sooner."""
+    return list(islice(oracle.root_brackets(coeffs, k, *start), count))
+
+
+class TestRootBrackets:
+    """oracle.root_brackets against count_real_roots_in, which builds its
+    own Sturm chain on every call."""
+
+    def _assert_holds_kth_alone(self, coeffs, k, lo, hi, top):
+        # (lo, hi] holds one distinct root, and k - 1 roots lie above it
+        if lo == hi:
+            assert oracle._poly_eval(coeffs, lo) == 0
+            assert count_real_roots_in(coeffs, lo, top) == k - 1
+        else:
+            assert lo < hi
+            assert count_real_roots_in(coeffs, lo, hi) == 1
+            assert count_real_roots_in(coeffs, hi, top) == k - 1
+
+    def test_brackets_isolate_the_kth_root_and_halve(self):
+        rnd = rng(61)
+        met = isolated = 0
+        for coeffs in _polynomials(rnd, 12):
+            top = 1 + max(map(abs, coeffs))  # above every root (Cauchy; monic)
+            distinct = count_real_roots_in(coeffs, -top, top)
+            for k in range(1, distinct + 1):
+                gen = oracle.root_brackets(coeffs, k)
+                brackets = list(islice(gen, 8))
+                assert brackets, (coeffs, k)
+                self._assert_holds_kth_alone(coeffs, k, *brackets[0], top)
+                for (lo, hi), (lo2, hi2) in zip(brackets, brackets[1:]):
+                    mid = (lo + hi) / 2
+                    assert (lo2, hi2) in ((lo, mid), (mid, hi), (mid, mid)), (coeffs, k)
+                    self._assert_holds_kth_alone(coeffs, k, lo2, hi2, top)
+                lo, hi = brackets[-1]
+                if lo == hi:  # a root met at a midpoint ends the generator
+                    assert next(gen, None) is None
+                    met += 1
+                else:
+                    isolated += 1
+            for k in (distinct + 1, distinct + 2):
+                assert _first_brackets(coeffs, k) == [], (coeffs, k)
+        assert met >= 50 and isolated >= 40, (met, isolated)
+
+    def test_a_dyadic_root_comes_back_as_itself(self):
+        coeffs = [Fraction(1), Fraction(0), Fraction(-1, 4)]  # t^2 - 1/4, roots +-1/2
+        half = Fraction(1, 2)
+        assert _first_brackets(coeffs, 1) == [(0, 4), (0, 2), (0, 1), (half, half)]
+        assert _first_brackets(coeffs, 2) == [(-4, 0), (-2, 0), (-1, 0), (-half, -half)]
+
+    def test_a_repeated_root_counts_once(self):
+        coeffs = charpoly_exact(A)  # roots {1 (double), 2}
+        assert _first_brackets(coeffs, 1) == [(2, 2)]
+        assert _first_brackets(coeffs, 2) == [(1, 1)]
+        assert _first_brackets(coeffs, 3) == []
+
+    def test_a_given_start_bracket_is_respected(self):
+        coeffs = charpoly_exact(S)  # roots {-1, 1}
+        brackets = _first_brackets(coeffs, 1, 0, 3, count=6)
+        assert brackets[:3] == [(0, 3), (0, Fraction(3, 2)), (Fraction(3, 4), Fraction(3, 2))]
+        assert all(0 <= lo < hi <= 3 for lo, hi in brackets)
+        # a start that misses the k-th root yields nothing
+        assert _first_brackets(coeffs, 1, 2, 3) == []
+        assert _first_brackets(coeffs, 1, Fraction(-1, 2), Fraction(1, 2)) == []
+        assert _first_brackets(coeffs, 2, 0, 3) == []
+        # the start need not isolate: (-3, 3] holds both roots, and k = 2
+        # still gets the lower one alone, within that start
+        assert next(oracle.root_brackets(coeffs, 2, -3, 3)) == (-3, 0)
+        # with hi the largest root, every step keeps hi and halves lo toward it
+        brackets = _first_brackets(coeffs, 1, -3, 1, count=4)
+        assert brackets == [(-1, 1), (0, 1), (Fraction(1, 2), 1), (Fraction(3, 4), 1)]
 
 
 class TestDenseEigen:
