@@ -75,7 +75,10 @@ class Tolerance:
     def __post_init__(self):
         if isinstance(self.power_iters, bool) or not isinstance(self.power_iters, int):
             raise InvalidInput("power_iters must be an int")
-        if not (self.eq_tol > 0 and self.eig_tol > 0 and self.power_iters > 0):  # NaN fails too
+        for tol in (self.eq_tol, self.eig_tol):
+            if isinstance(tol, bool) or not isinstance(tol, Real) or not math.isfinite(tol):
+                raise InvalidInput("eq_tol and eig_tol must be finite real numbers")
+        if not (self.eq_tol > 0 and self.eig_tol > 0 and self.power_iters > 0):
             raise InvalidInput("tolerance fields must be strictly positive")
 
 

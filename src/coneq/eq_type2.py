@@ -46,7 +46,6 @@ from .eq_type1 import _check_inputs, minimal_solution
 from .spectral import (
     _back_substitute,
     class_radii,  # noqa: F401  (bench/test_smoke.py expects this binding)
-    fv_eigenvector,
     max_distinguished_order,
     spectral_pair,
     taxonomy,
@@ -70,9 +69,12 @@ def solve2_above(
 ) -> ConeVector:
     """Construct a nonnegative solution in the regime lambda > rho_b.
 
-    x = alpha*u - x0 where u sums the eigenvectors of the lambda-distinguished
-    classes reachable from supp(b), x0 solves (lambda*I - P)x0 = b minimally,
-    and alpha is the smallest multiple keeping the difference nonnegative.
+    x = alpha*u - x0 where u is one back-substitution over the
+    lambda-distinguished classes reachable from supp(b) (none has access to
+    another, so u is the sum of their eigenvectors, up to rounding on the
+    float lane), x0 solves (lambda*I - P)x0 = b minimally, and alpha is the
+    smallest multiple keeping the difference nonnegative.  u is on the float
+    lane unless every such class has a rational radius; x0 then follows it.
     """
     lam = _check_inputs(P, lam, b)
     if b.is_zero():
@@ -84,22 +86,18 @@ def solve2_above(
         raise InvalidInput("no nonnegative solution exists at this shift")
     dist = tax.classes_at(lam, tax.distinguished)
     relevant = [c for c in dist if support(b) & tax.accessor_vertices((c,))]
-    vecs = [fv_eigenvector(P, c, tol) for c in relevant]
+    u = _back_substitute(P, tax, relevant, tax.radii[relevant[0]])[0]
     x0 = minimal_solution(P, lam, b, tol)
-    if any(v.mode != x0.mode for v in vecs):
-        vecs = [v.to_float() for v in vecs]
+    if u.mode != x0.mode:
         x0 = x0.to_float()
-    mode = x0.mode
-    u = [zero(mode)] * P.n
-    for v in vecs:
-        u = [a + e for a, e in zip(u, v.entries)]
+    mode = u.mode
     alpha = zero(mode)
-    for ui, xi in zip(u, x0.entries):
+    for ui, xi in zip(u.entries, x0.entries):
         if xi != 0:
             ratio = xi / ui  # u is positive wherever x0 is
             if ratio > alpha:
                 alpha = ratio
-    entries = [alpha * ui - xi for ui, xi in zip(u, x0.entries)]
+    entries = [alpha * ui - xi for ui, xi in zip(u.entries, x0.entries)]
     return snap_cone(entries, mode, tol)
 
 
@@ -196,7 +194,8 @@ def tracedown_witness(P: NonnegMatrix, class_index: int, tol: Tolerance = DEFAUL
         raise InvalidInput(
             "witness construction requires a basic class that is final among basic classes"
         )
-    return _back_substitute(P, tax, class_index, tax.rho, share=Fraction(1, 2))
+    basic = [c for c in range(k) if tax.basic[c] and tax.analysis.has_access(c, class_index)]
+    return _back_substitute(P, tax, basic, tax.rho, share=Fraction(1, 2))
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ cross-checked against dense eigendecompositions in the test suite.
 ``taxonomy`` is the one structure record per (matrix, tolerance): classes,
 access, radii, flags and distinguished eigenvalues, kept on the matrix; every
 query reads it, and ``condense`` and ``class_radii`` run only to build one.
-``fv_eigenvector`` and ``eq_type2.tracedown_witness`` share one
-back-substitution over the classes with access to a given class.
+``fv_eigenvector``, ``eq_type2.tracedown_witness`` and
+``eq_type2.solve2_above`` share one back-substitution, handed the classes
+whose Perron vectors it takes and covering the classes with access to them.
 """
 
 from __future__ import annotations
@@ -161,59 +162,54 @@ def distinguished_eigenvalues(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> 
     return taxonomy(P, tol).distinguished_eigenvalues
 
 
-def _back_substitute(P, tax, target, lam, share=0) -> tuple:
+def _back_substitute(P, tax, targets, lam, share=0) -> tuple:
     """(x, b) >= 0 with (P - lam*I)x = b, supported on the classes with
-    access to class `target`.
+    access to one of the classes `targets`, each of radius lam.
 
     Classes are solved downstream first.  Let inflow_c be the sum over the
-    classes d already solved of P_cd x_d.  A class at radius lam (the target
-    first, whose inflow is zero) takes its block's Perron vector, and
-    b_c = inflow_c.  Any other class puts the share `share` of its inflow
-    into b_c and solves (lam*I - B_c)x_c for the rest, by exact elimination
-    in rational mode.  So the result is exact when P is rational, lam is a
-    Fraction and each Perron block is a singleton or has constant row sums
-    (its radius is then a Fraction and its Perron vector the all-ones
-    vector); floats otherwise.
+    classes d already solved of P_cd x_d.  A target takes its block's Perron
+    vector, and b_c = inflow_c.  Any other class puts the share `share` of
+    its inflow into b_c and solves (lam*I - B_c)x_c for the rest, by exact
+    elimination in rational mode.  So the result is exact when P is
+    rational, lam is a Fraction and each target's radius is a Fraction (its
+    block is a singleton or has constant row sums, and its Perron vector is
+    the all-ones vector); floats otherwise.
     """
     an = tax.analysis
-    involved = [c for c in reversed(range(an.class_count)) if an.has_access(c, target)]
-    perron = {c for c in involved if tax.radius_sign(c, lam) == 0}
+    aimed = sum(1 << c for c in targets)
+    involved = an.accessors_mask(aimed)
     exact = P.mode == RATIONAL and isinstance(lam, Fraction) and all(
-        isinstance(tax.radii[c], Fraction) for c in perron
+        isinstance(tax.radii[c], Fraction) for c in targets
     )
     mode = RATIONAL if exact else FLOAT
     work = P if mode == P.mode else P.to_float()
     lam_s, share = (lam, Fraction(share)) if exact else (float(lam), float(share))
     keep = 1 - share
-    x_by_class, b_by_class = {}, {}
-    for c in involved:
+    x = [zero(mode)] * P.n
+    b = [zero(mode)] * P.n
+    solved = []
+    for c in reversed(range(an.class_count)):
+        if not involved >> c & 1:
+            continue
         cls = an.classes[c]
         block = _block(work, cls)
         inflow = [zero(mode) for _ in cls]
-        for d, xd in x_by_class.items():
-            dcls = an.classes[d]
+        for dcls in solved:
             for bi, i in enumerate(cls):
-                inflow[bi] += sum(
-                    work.rows[i - 1][j - 1] * xd[dj]
-                    for dj, j in enumerate(dcls)
-                    if work.rows[i - 1][j - 1] != 0
-                )
-        if c in perron:
-            x_by_class[c] = list(perron_vector_block(block, tax.tol)[1])
-            b_by_class[c] = inflow
-            continue
-        mrows = oracle.shifted_image_rows(block, lam_s, sign=-1)  # lam*I - B_c
-        x_by_class[c] = solve_linear(mrows, [keep * e for e in inflow], mode)
-        if x_by_class[c] is None:
-            raise NumericFailure("singular block during back-substitution")
-        b_by_class[c] = [share * e for e in inflow]
-    x_entries = [zero(mode)] * P.n
-    b_entries = [zero(mode)] * P.n
-    for c, xs in x_by_class.items():
-        for bi, v in enumerate(an.classes[c]):
-            x_entries[v - 1] = xs[bi]
-            b_entries[v - 1] = b_by_class[c][bi]
-    return ConeVector(tuple(x_entries), mode), ConeVector(tuple(b_entries), mode)
+                row = work.rows[i - 1]
+                inflow[bi] += sum(row[j - 1] * x[j - 1] for j in dcls if row[j - 1] != 0)
+        solved.append(cls)
+        if aimed >> c & 1:
+            xs, bs = perron_vector_block(block, tax.tol)[1], inflow
+        else:
+            mrows = oracle.shifted_image_rows(block, lam_s, sign=-1)  # lam*I - B_c
+            xs = solve_linear(mrows, [keep * e for e in inflow], mode)
+            if xs is None:
+                raise NumericFailure("singular block during back-substitution")
+            bs = [share * e for e in inflow]
+        for v, xv, bv in zip(cls, xs, bs):
+            x[v - 1], b[v - 1] = xv, bv
+    return ConeVector(tuple(x), mode), ConeVector(tuple(b), mode)
 
 
 def fv_eigenvector(
@@ -233,7 +229,7 @@ def fv_eigenvector(
         raise InvalidInput(f"class index {class_index} outside 0..{k - 1}")
     if not tax.distinguished[class_index]:
         raise InvalidInput("eigenvector construction requires a distinguished class")
-    return _back_substitute(P, tax, class_index, tax.radii[class_index])[0]
+    return _back_substitute(P, tax, (class_index,), tax.radii[class_index])[0]
 
 
 def _longest_chain(analysis: ClassAnalysis, members: Sequence[int]) -> int:

@@ -178,6 +178,9 @@ def test_tolerance_validation():
     for bad in (
         {"eq_tol": math.nan},
         {"eig_tol": math.nan},
+        {"eig_tol": True},
+        {"eq_tol": math.inf},
+        {"eq_tol": "1e-9"},
         {"power_iters": 2.5},
         {"power_iters": 100.0},
         {"power_iters": True},

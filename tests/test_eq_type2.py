@@ -738,3 +738,108 @@ def test_tracedown_matches_the_reference_back_substitution():
                     )
     assert seen[RATIONAL, False] >= 100 and seen[RATIONAL, True] >= 20
     assert seen[FLOAT, True] >= 100 and seen["basic upstream"] >= 50
+
+
+def _ref_solve2_above(P, lam, b, tol):
+    """eq_type2.solve2_above as it was before one back-substitution built u
+    over every relevant class: one fv_eigenvector per class, summed by hand."""
+    from coneq.core import snap_cone, zero
+    from coneq.eq_type1 import _check_inputs, minimal_solution
+    from coneq.spectral import fv_eigenvector
+
+    lam = _check_inputs(P, lam, b)
+    if b.is_zero():
+        return ConeVector.zero_vector(P.n, P.mode)
+    tax = taxonomy(P, tol)
+    if tax.local_sign(support(b), lam) >= 0:
+        raise InvalidInput("construction requires the shift to exceed the local radius of b")
+    if not combinatorial_solvable_above(P, lam, b, tol):
+        raise InvalidInput("no nonnegative solution exists at this shift")
+    dist = tax.classes_at(lam, tax.distinguished)
+    relevant = [c for c in dist if support(b) & tax.accessor_vertices((c,))]
+    vecs = [fv_eigenvector(P, c, tol) for c in relevant]
+    x0 = minimal_solution(P, lam, b, tol)
+    if any(v.mode != x0.mode for v in vecs):
+        vecs = [v.to_float() for v in vecs]
+        x0 = x0.to_float()
+    mode = x0.mode
+    u = [zero(mode)] * P.n
+    for v in vecs:
+        u = [a + e for a, e in zip(u, v.entries)]
+    alpha = zero(mode)
+    for ui, xi in zip(u, x0.entries):
+        if xi != 0:
+            ratio = xi / ui
+            if ratio > alpha:
+                alpha = ratio
+    entries = [alpha * ui - xi for ui, xi in zip(u, x0.entries)]
+    return snap_cone(entries, mode, tol)
+
+
+def _peaks(rnd):
+    """A fuzzed matrix whose classes on an antichain of the access relation
+    are rescaled to radius 4, above every other class: each is distinguished
+    at 4, and a b upstream of several reaches several of them."""
+    P = fuzz_matrix(rnd, n_max=8)
+    an = condense(P)
+    rows = [list(r) for r in P.rows]
+    peaks = []
+    for c in rnd.sample(range(an.class_count), an.class_count):
+        if any(an.has_access(c, d) or an.has_access(d, c) for d in peaks):
+            continue
+        peaks.append(c)
+        cls = an.classes[c]
+        for i in cls:
+            s = sum(rows[i - 1][j - 1] for j in cls)
+            for j in cls:
+                rows[i - 1][j - 1] = rows[i - 1][j - 1] * 4 / s if s else F(4)
+    return mat(rows)
+
+
+def test_solve2_above_matches_the_per_class_eigenvector_sum():
+    # one back-substitution over every relevant class gives the sum of the
+    # per-class eigenvectors: exactly in rational mode, and to the bit in
+    # float mode unless a class has access to two relevant classes, whose
+    # one solve then rounds apart from the sum of two solves
+    from coneq.core import DEFAULT_TOL
+
+    rnd = rng(1002)
+    seen = Counter()
+    for _ in range(200):
+        P = _peaks(rnd)
+        Q = irregular(rnd, P)
+        vecs = [fuzz_vector(rnd, P.n) for _ in range(2)]
+        for M in (P, Q, P.to_float(), Q.to_float()):
+            tax = taxonomy(M)
+            for lam in sorted({r for r in tax.radii if r > 0}):
+                # b upstream of lam only, so lam exceeds its local radius
+                below = tax.analysis.vertices_of_mask(sum(1 << c for c in tax.initial_below(lam)))
+                for v in vecs:
+                    b = ConeVector.make([e if i in below else 0 for i, e in enumerate(v.entries, 1)], M.mode)
+                    outcome = []
+                    for fn in (solve2_above, _ref_solve2_above):
+                        try:
+                            outcome.append(fn(M, lam, b, DEFAULT_TOL))
+                        except InvalidInput as exc:
+                            outcome.append(str(exc))
+                        except Exception as exc:
+                            outcome.append(type(exc).__name__)
+                    relevant = [
+                        c for c in tax.classes_at(lam, tax.distinguished)
+                        if support(b) & tax.accessor_vertices((c,))
+                    ]
+                    shared = any(
+                        sum(tax.analysis.has_access(d, c) for c in relevant) >= 2
+                        for d in range(tax.analysis.class_count)
+                    )
+                    got, want = outcome
+                    if isinstance(got, ConeVector) and got.mode == FLOAT and shared:
+                        assert isinstance(want, ConeVector) and want.mode == FLOAT
+                        scale = max(abs(e) for e in want.entries)
+                        assert np.allclose(got.entries, want.entries, rtol=0, atol=1e-12 * scale)
+                        seen["float shared"] += 1
+                    else:
+                        assert repr(got) == repr(want), (M.rows, lam, b)
+                    if isinstance(got, ConeVector) and len(relevant) >= 2:
+                        seen[got.mode] += 1
+    assert seen[RATIONAL] >= 50 and seen[FLOAT] >= 50 and seen["float shared"] >= 10, seen

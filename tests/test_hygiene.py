@@ -5,11 +5,11 @@ benchmark), the float eigen pass has one caller, only the structure
 record's builder condenses and classifies, only that record compares a
 shift with a radius, one runner builds the CLI's sampled reports, no
 module builds a transpose or a submatrix, one helper reads the float
-lane's peripheral band, one generator bisects on a Sturm root count, a
-shift is read in one place, the shifted product has one implementation,
-every LP reaches the simplex through solve_lp and has its rows scaled by
-one helper, every import sits at module level, and numpy is bound once,
-lazily, in core."""
+lane's peripheral band, one generator bisects on a Sturm root count, one
+back-substitution is handed its Perron classes, a shift is read in one
+place, the shifted product has one implementation, every LP reaches the
+simplex through solve_lp and has its rows scaled by one helper, every
+import sits at module level, and numpy is bound once, lazily, in core."""
 
 import ast
 import inspect
@@ -245,6 +245,22 @@ def test_one_sturm_counter():
         ("oracle.py", "count_real_roots_in"),
     }
     assert _halving_loops() == [("oracle.py", "root_brackets")]
+
+
+def test_one_back_substitution():
+    # the eigenvectors, the trace-down witnesses and the above-regime
+    # eigenvector sum come from one back-substitution; each caller names the
+    # classes that take Perron vectors, so it compares no radius with lambda
+    assert _innermost_call_sites("_back_substitute") == {
+        ("spectral.py", "fv_eigenvector"),
+        ("eq_type2.py", "tracedown_witness"),
+        ("eq_type2.py", "solve2_above"),
+    }
+    assert ("spectral.py", "_back_substitute") not in _innermost_call_sites("radius_sign")
+    assert _innermost_call_sites("perron_vector_block") == {
+        ("spectral.py", "class_radii"),
+        ("spectral.py", "_back_substitute"),
+    }
 
 
 def test_a_shift_is_read_once():
