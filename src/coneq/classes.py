@@ -18,8 +18,10 @@ distinguished and semi-distinguished flags, the distinguished eigenvalues,
 and the derived initial sets every decision procedure asks for (the
 accessors of a set of classes, the largest initial set below a shift).
 It keeps the tolerance it was built with and decides every comparison of a
-shift with a radius, so no other module compares the two itself.
-``spectral.taxonomy`` builds it once per (matrix, tolerance).
+shift with a radius, so no other module compares the two itself; ``_sign``
+is the one rule for both those comparisons and the comparisons of two radii
+that build the record's flags.  ``spectral.taxonomy`` builds it once per
+(matrix, tolerance).
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from .core import (
     InvalidInput,
     NonnegMatrix,
     Tolerance,
-    scalar_le,
-    scalar_lt,
     scalars_equal,
 )
 
@@ -210,9 +210,10 @@ class ClassTaxonomy:
     eigen_classes  one distinguished class per distinguished eigenvalue (the
                    radii admitting a nonnegative eigenvector), by ascending
                    radius
-    tol            the tolerance the record was built with; radius_sign,
-                   which every query below reads, is the one comparison of a
-                   class radius with a shift
+    tol            the tolerance the record was built with: the flags above
+                   compare two radii, and radius_sign, which every query
+                   below reads, compares a class radius with a shift, both
+                   by the rule _sign under this tolerance
     """
 
     analysis: ClassAnalysis
@@ -238,10 +239,7 @@ class ClassTaxonomy:
         no class, whose radius is the exact 0, compared exactly."""
         if c is None:
             return (lam < 0) - (lam > 0)  # the sign of 0 - lam
-        r = self.radii[c]
-        if scalars_equal(r, lam, self.tol):
-            return 0
-        return -1 if r < lam else 1
+        return _sign(self.radii[c], lam, self.tol)
 
     def classes_at(self, lam, flags: Optional[Sequence[bool]] = None) -> tuple:
         """Indices of the classes whose radius equals lam, among those the
@@ -292,6 +290,14 @@ class ClassTaxonomy:
         return self.analysis.reached_mask(sum(1 << c for c, s in enumerate(signs) if s >= cut))
 
 
+def _sign(r, s, tol: Tolerance) -> int:
+    """Sign of r - s: 0 when they are equal under tol (exactly, when both are
+    rational)."""
+    if scalars_equal(r, s, tol):
+        return 0
+    return -1 if r < s else 1
+
+
 def classify(
     analysis: ClassAnalysis, radii: Sequence, tol: Tolerance = DEFAULT_TOL
 ) -> ClassTaxonomy:
@@ -300,25 +306,26 @@ def classify(
     if len(radii) != k:
         raise InvalidInput("one radius per class required")
     rho = max(radii) if k else 0
-    basic = tuple(scalars_equal(radii[c], rho, tol) for c in range(k))
+    basic = tuple(_sign(radii[c], rho, tol) == 0 for c in range(k))
     final = tuple(analysis.reach[c] == 1 << c for c in range(k))
     initial = tuple(
         all(not analysis.has_access(d, c) for d in range(k) if d != c) for c in range(k)
     )
 
-    def above_others(c, below, transpose=False):  # d has access to c (c to d when transpose)
+    def above_others(c, cut, transpose=False):  # d has access to c (c to d when transpose)
+        # every such d has _sign(radius_d, radius_c) < cut: 0 below, 1 at most
         return all(
-            below(radii[d], radii[c], tol)
+            _sign(radii[d], radii[c], tol) < cut
             for d in range(k)
             if d != c and (analysis.has_access(c, d) if transpose else analysis.has_access(d, c))
         )
 
-    distinguished = tuple(above_others(c, scalar_lt) for c in range(k))
-    distinguished_transpose = tuple(above_others(c, scalar_lt, True) for c in range(k))
-    semi = tuple(above_others(c, scalar_le) for c in range(k))
+    distinguished = tuple(above_others(c, 0) for c in range(k))
+    distinguished_transpose = tuple(above_others(c, 0, True) for c in range(k))
+    semi = tuple(above_others(c, 1) for c in range(k))
     eigen_classes = []
     for c in sorted((c for c in range(k) if distinguished[c]), key=radii.__getitem__):
-        if not eigen_classes or not scalars_equal(radii[eigen_classes[-1]], radii[c], tol):
+        if not eigen_classes or _sign(radii[eigen_classes[-1]], radii[c], tol) != 0:
             eigen_classes.append(c)
     return ClassTaxonomy(
         analysis, tuple(radii), rho, basic, final, initial, distinguished,

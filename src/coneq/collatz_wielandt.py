@@ -34,7 +34,6 @@ from .core import (
     ConeVector,
     InvalidInput,
     NonnegMatrix,
-    NumericFailure,
     Scalar,
     Tolerance,
     np,
@@ -105,29 +104,9 @@ def cw_sets(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> CWSets:
 
 def rho_in_sigma1(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Is there a strictly positive x with Px <= rho*x?  True iff every basic
-    class is final.  Cross-checked against the face formulation: classes with
-    access to a distinguished basic class, together with classes receiving no
-    access from any basic class, must exhaust all classes."""
-    return _rho_attained(taxonomy(P, tol), transpose=False)
-
-
-def _rho_attained(tax, transpose: bool) -> bool:
-    """rho_in_sigma1 on the record's matrix, or on its transpose: the same classes
-    and radii with access reversed, so final reads initial, distinguished reads
-    distinguished_transpose, and the classes a set reaches those with access to it."""
-    an = tax.analysis
-    final, distinguished = tax.final, tax.distinguished
-    reached, accessors = an.reached_mask, an.accessors_mask
-    if transpose:
-        final, distinguished = tax.initial, tax.distinguished_transpose
-        reached, accessors = accessors, reached
-    basic = [c for c, flag in enumerate(tax.basic) if flag]
-    primary = all(final[c] for c in basic)
-    # every class a basic class reaches must have access to a distinguished basic class
-    face = accessors(sum(1 << c for c in basic if distinguished[c]))
-    if primary != ((reached(sum(1 << c for c in basic)) & ~face) == 0):
-        raise NumericFailure("final-class and face routes disagree on attainment")
-    return primary
+    class is final, read off P's record."""
+    tax = taxonomy(P, tol)
+    return all(final for final, basic in zip(tax.final, tax.basic) if basic)
 
 
 def _work_pair(P, x, rho_x):
@@ -218,7 +197,9 @@ def zero_intersection_conditions(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) 
     # the classes with access to a basic class form an initial set, so a class
     # there is distinguished in their principal submatrix iff it is in P
     closure = tax.analysis.accessors_mask(sum(1 << c for c, flag in enumerate(tax.basic) if flag))
-    cond_a = _rho_attained(tax, transpose=True)
+    # rho_in_sigma1 of P^T: the same classes and radii with access reversed,
+    # so every basic class must be initial
+    cond_a = all(initial for initial, basic in zip(tax.initial, tax.basic) if basic)
     cond_b = _generalized_null_is_eigen(P, rho) and all(
         tax.radius_sign(c, rho) == 0 for c, flag in enumerate(tax.distinguished) if flag and closure >> c & 1
     )

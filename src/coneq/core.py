@@ -187,16 +187,6 @@ def scalars_equal(a: Scalar, b: Scalar, tol: Tolerance = DEFAULT_TOL) -> bool:
     return abs(fa - fb) <= tol.eig_tol * max(1.0, abs(fa), abs(fb))
 
 
-def scalar_lt(a: Scalar, b: Scalar, tol: Tolerance = DEFAULT_TOL) -> bool:
-    if scalars_equal(a, b, tol):
-        return False
-    return a < b
-
-
-def scalar_le(a: Scalar, b: Scalar, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return scalars_equal(a, b, tol) or a < b
-
-
 @dataclass(frozen=True, order=False)
 class SpectralPair:
     """(local spectral radius, order); compared lexicographically via lex_leq."""

@@ -6,12 +6,11 @@ import pytest
 from coneq import cli
 from coneq.core import (
     DEFAULT_TOL,
+    FLOAT,
     RATIONAL,
     ConeVector,
     InvalidInput,
     NonnegMatrix,
-    scalar_le,
-    scalar_lt,
     scalars_equal,
     to_json,
 )
@@ -29,6 +28,18 @@ from fuzz import fuzz_matrix, irregular, rng
 
 def mat(rows):
     return NonnegMatrix.make(rows, RATIONAL)
+
+
+def scalar_lt(a, b):
+    """The removed core.scalar_lt: a < b, and not equal under the tolerance."""
+    if scalars_equal(a, b):
+        return False
+    return a < b
+
+
+def scalar_le(a, b):
+    """The removed core.scalar_le: a < b, or equal under the tolerance."""
+    return scalars_equal(a, b) or a < b
 
 
 def _sign(a, lam):
@@ -256,3 +267,40 @@ class TestTaxonomy:
         assert d["distinguished"] == [True, True]
         assert d["distinguished_transpose"] == [False, True]
         assert d["final"] == [False, True]
+
+
+# B has characteristic polynomial t^3 - 4t^2 + 5t - 8, so an irrational
+# radius; C = D B D^-1 has the same radius, which power iteration reads a
+# few ulps apart from B's: 3.218776590093319 for B, 3.218776586613453 for
+# D = diag(1,2,3) and 3.2187765913590507 for D = diag(1,3,2)
+TIED_B = [[1, 2, 0], [0, 1, 3], [1, 0, 2]]
+
+
+def _tied_pair(d, linked, mode):
+    """diag(B, D B D^-1), with entry (1, 4) set to 1 when linked (B's class
+    then has access to C's)."""
+    rows = [[Fraction(0)] * 6 for _ in range(6)]
+    for i in range(3):
+        for j in range(3):
+            rows[i][j] = Fraction(TIED_B[i][j])
+            rows[i + 3][j + 3] = Fraction(d[i] * TIED_B[i][j], d[j])
+    rows[0][3] = Fraction(int(linked))
+    return NonnegMatrix.make(rows, mode)
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("d", [(1, 2, 3), (1, 3, 2)])
+def test_flags_on_radii_tied_under_the_tolerance(d, mode):
+    # the two radii differ as floats, yet the record compares them under its
+    # tolerance: one distinguished eigenvalue, and neither class strictly
+    # above the other
+    t = taxonomy(_tied_pair(d, False, mode))
+    assert t.radii[0] != t.radii[1] and scalars_equal(t.radii[0], t.radii[1])
+    assert len(t.eigen_classes) == 1
+    t = taxonomy(_tied_pair(d, True, mode))
+    assert t.analysis.classes == ((1, 2, 3), (4, 5, 6)) and t.analysis.has_access(0, 1)
+    assert t.basic == (True, True)
+    assert t.distinguished == (True, False)
+    assert t.distinguished_transpose == (False, True)
+    assert t.semi_distinguished == (True, True)
+    assert t.eigen_classes == (0,)

@@ -178,6 +178,39 @@ class TestAttainment:
             prob = oracle.LPProblem.build(n, ge_rows=ge_rows)
             assert rho_in_sigma1(P) == oracle.lp_feasible(prob).feasible
 
+    def test_agrees_with_the_face_route(self):
+        rnd = rng(97)
+        verdicts = Counter()
+        for _ in range(150):
+            P = fuzz_matrix(rnd, n_max=6)
+            for M in (P, irregular(rnd, P)):
+                for N in (M, M.to_float()):
+                    attained = rho_in_sigma1(N)
+                    assert attained == _ref_rho_attained_face_route(taxonomy(N), False), N
+                    verdicts["P", attained] += 1
+                if isinstance(spectral_radius(M), Fraction):
+                    cond_a = zero_intersection_conditions(M).a
+                    assert cond_a == _ref_rho_attained_face_route(taxonomy(M), True), M
+                    verdicts["P^T", cond_a] += 1
+        assert min(verdicts[side, flag] for side in ("P", "P^T") for flag in (True, False)) >= 40, verdicts
+
+
+def _ref_rho_attained_face_route(tax, transpose):
+    """rho_in_sigma1 of the record's matrix, or of its transpose, by the face
+    formulation: every class a basic class reaches has access to a
+    distinguished basic class.  On the transpose the classes and radii are
+    the same with access reversed, so distinguished reads
+    distinguished_transpose, and the classes a set reaches those with access
+    to it."""
+    an = tax.analysis
+    distinguished, reached, accessors = tax.distinguished, an.reached_mask, an.accessors_mask
+    if transpose:
+        distinguished = tax.distinguished_transpose
+        reached, accessors = accessors, reached
+    basic = [c for c, flag in enumerate(tax.basic) if flag]
+    face = accessors(sum(1 << c for c in basic if distinguished[c]))
+    return reached(sum(1 << c for c in basic)) & ~face == 0
+
 
 class TestSubinvariantDecomposition:
     def test_examples(self):

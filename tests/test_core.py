@@ -21,14 +21,13 @@ from coneq.core import (
     format_scalar,
     lex_leq,
     saturate,
-    scalar_lt,
     scalars_equal,
     snap_cone,
     solve_linear,
     support,
     to_json,
 )
-from coneq.classes import condense, smallest_initial_superset
+from coneq.classes import _sign, condense, smallest_initial_superset
 from coneq.eq_type1 import solvability_conditions
 from coneq.spectral import class_radii
 
@@ -195,12 +194,12 @@ def test_scalar_comparisons():
     assert scalars_equal(Fraction(1, 3), Fraction(1, 3))
     assert not scalars_equal(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**12))
     assert scalars_equal(1.0, 1.0 + 1e-12)
-    assert scalar_lt(Fraction(1), Fraction(2))
-    assert not scalar_lt(1.0, 1.0 + 1e-12)
+    assert _sign(Fraction(1), Fraction(2), DEFAULT_TOL) < 0
+    assert _sign(1.0, 1.0 + 1e-12, DEFAULT_TOL) == 0
     # a rational beyond the float range meets a float under the same rule, exactly
     huge = Fraction(10**400)
     assert not scalars_equal(1.0, huge) and not scalars_equal(huge, 1.0)
-    assert scalar_lt(1.0, huge) and not scalar_lt(huge, 1.0)
+    assert _sign(1.0, huge, DEFAULT_TOL) < 0 and _sign(huge, 1.0, DEFAULT_TOL) > 0
     # 2^1024 overflows a float, yet lies within 2^-53 relative of the largest one
     assert scalars_equal(sys.float_info.max, Fraction(2**1024))
     assert not scalars_equal(sys.float_info.max, Fraction(2**1025))

@@ -796,6 +796,30 @@ def _peaks(rnd):
     return mat(rows)
 
 
+def _peak_cases(rounds=200):
+    """(M, tax, lam, b, relevant) over _peaks matrices, their irregular
+    twins and the float twins of both: lam runs over the positive class
+    radii, b is masked to the classes below lam, so lam exceeds its local
+    radius, and relevant lists the distinguished classes at lam that supp(b)
+    reaches."""
+    rnd = rng(1002)
+    for _ in range(rounds):
+        P = _peaks(rnd)
+        Q = irregular(rnd, P)
+        vecs = [fuzz_vector(rnd, P.n) for _ in range(2)]
+        for M in (P, Q, P.to_float(), Q.to_float()):
+            tax = taxonomy(M)
+            for lam in sorted({r for r in tax.radii if r > 0}):
+                below = tax.analysis.vertices_of_mask(sum(1 << c for c in tax.initial_below(lam)))
+                for v in vecs:
+                    b = ConeVector.make([e if i in below else 0 for i, e in enumerate(v.entries, 1)], M.mode)
+                    relevant = [
+                        c for c in tax.classes_at(lam, tax.distinguished)
+                        if support(b) & tax.accessor_vertices((c,))
+                    ]
+                    yield M, tax, lam, b, relevant
+
+
 def test_solve2_above_matches_the_per_class_eigenvector_sum():
     # one back-substitution over every relevant class gives the sum of the
     # per-class eigenvectors: exactly in rational mode, and to the bit in
@@ -803,43 +827,56 @@ def test_solve2_above_matches_the_per_class_eigenvector_sum():
     # one solve then rounds apart from the sum of two solves
     from coneq.core import DEFAULT_TOL
 
-    rnd = rng(1002)
     seen = Counter()
-    for _ in range(200):
-        P = _peaks(rnd)
-        Q = irregular(rnd, P)
-        vecs = [fuzz_vector(rnd, P.n) for _ in range(2)]
-        for M in (P, Q, P.to_float(), Q.to_float()):
-            tax = taxonomy(M)
-            for lam in sorted({r for r in tax.radii if r > 0}):
-                # b upstream of lam only, so lam exceeds its local radius
-                below = tax.analysis.vertices_of_mask(sum(1 << c for c in tax.initial_below(lam)))
-                for v in vecs:
-                    b = ConeVector.make([e if i in below else 0 for i, e in enumerate(v.entries, 1)], M.mode)
-                    outcome = []
-                    for fn in (solve2_above, _ref_solve2_above):
-                        try:
-                            outcome.append(fn(M, lam, b, DEFAULT_TOL))
-                        except InvalidInput as exc:
-                            outcome.append(str(exc))
-                        except Exception as exc:
-                            outcome.append(type(exc).__name__)
-                    relevant = [
-                        c for c in tax.classes_at(lam, tax.distinguished)
-                        if support(b) & tax.accessor_vertices((c,))
-                    ]
-                    shared = any(
-                        sum(tax.analysis.has_access(d, c) for c in relevant) >= 2
-                        for d in range(tax.analysis.class_count)
-                    )
-                    got, want = outcome
-                    if isinstance(got, ConeVector) and got.mode == FLOAT and shared:
-                        assert isinstance(want, ConeVector) and want.mode == FLOAT
-                        scale = max(abs(e) for e in want.entries)
-                        assert np.allclose(got.entries, want.entries, rtol=0, atol=1e-12 * scale)
-                        seen["float shared"] += 1
-                    else:
-                        assert repr(got) == repr(want), (M.rows, lam, b)
-                    if isinstance(got, ConeVector) and len(relevant) >= 2:
-                        seen[got.mode] += 1
+    for M, tax, lam, b, relevant in _peak_cases():
+        outcome = []
+        for fn in (solve2_above, _ref_solve2_above):
+            try:
+                outcome.append(fn(M, lam, b, DEFAULT_TOL))
+            except InvalidInput as exc:
+                outcome.append(str(exc))
+            except Exception as exc:
+                outcome.append(type(exc).__name__)
+        shared = any(
+            sum(tax.analysis.has_access(d, c) for c in relevant) >= 2
+            for d in range(tax.analysis.class_count)
+        )
+        got, want = outcome
+        if isinstance(got, ConeVector) and got.mode == FLOAT and shared:
+            assert isinstance(want, ConeVector) and want.mode == FLOAT
+            scale = max(abs(e) for e in want.entries)
+            assert np.allclose(got.entries, want.entries, rtol=0, atol=1e-12 * scale)
+            seen["float shared"] += 1
+        else:
+            assert repr(got) == repr(want), (M.rows, lam, b)
+        if isinstance(got, ConeVector) and len(relevant) >= 2:
+            seen[got.mode] += 1
     assert seen[RATIONAL] >= 50 and seen[FLOAT] >= 50 and seen["float shared"] >= 10, seen
+
+
+def test_solve2_above_over_several_classes_matches_the_lp_and_the_residual():
+    # the same cases against the ground truth: at a rational shift the
+    # verdict of solvable2 is the exact LP's and a solution has an exact
+    # zero residual and spectral pair (lam, 1); at a float radius an LP lies
+    # inside the tolerance band, so a float solution is held to the float
+    # residual rule of bench/workloads.py
+    seen = Counter()
+    for M, tax, lam, b, relevant in _peak_cases():
+        if b.is_zero() or M.mode == RATIONAL and not isinstance(lam, Fraction):
+            continue  # x = 0, whose pair is (0, 0); an irrational radius is defect (f)
+        report = solvable2(M, lam, b)
+        if M.mode == FLOAT:
+            if report.solvable:
+                img = M.shifted_apply(report.x.entries, lam, 1)
+                scale = max(1.0, *(abs(e) for e in report.x.entries + b.entries)) * max(1.0, lam)
+                assert all(abs(p - e) <= 1e-8 * scale for p, e in zip(img, b.entries)), (M.rows, lam, b)
+                seen["float solved", len(relevant) >= 2] += 1
+            continue
+        rows = oracle.shifted_image_rows(M, lam, sign=1)
+        assert report.solvable == oracle.feasible_nonneg_solution(rows, b.entries).feasible, (M.rows, lam, b)
+        if report.solvable:
+            assert M.shifted_apply(report.x.entries, lam, 1) == b.entries
+            assert (report.spectral_pair_of_x.rho, report.spectral_pair_of_x.order) == (lam, 1)
+        seen["rational", report.solvable, len(relevant) >= 2] += 1
+    several = seen["rational", True, True] + seen["rational", False, True]
+    assert several >= 50 and seen["float solved", True] >= 50, seen

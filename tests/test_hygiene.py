@@ -3,7 +3,8 @@ no private module-level name goes unused by the package, no public def or
 class is dead (each is exported, read by a package module or traced by the
 benchmark), the float eigen pass has one caller, only the structure
 record's builder condenses and classifies, only that record compares a
-shift with a radius, one runner builds the CLI's sampled reports, no
+shift with a radius and it compares radii by one rule, only the record
+reads the classes a set reaches, one runner builds the CLI's sampled reports, no
 module builds a transpose or a submatrix, one helper reads the float
 lane's peripheral band, one generator bisects on a Sturm root count, one
 back-substitution is handed its Perron classes, a shift is read in one
@@ -154,7 +155,7 @@ def test_the_structure_record_decides_radius_comparisons():
     # a shift is compared with a class radius only through ClassTaxonomy,
     # which keeps its tolerance: outside classes.py and core.py the scalar
     # comparisons serve only the CLI's shift deduplication and residual test
-    names = ["scalars_equal", "scalar_lt", "scalar_le", "lex_leq"]
+    names = ["scalars_equal", "lex_leq"]
     allowed = {("cli.py", "_shift_sweep"), ("cli.py", "_solves_type2")}
     stray = [
         (name, site)
@@ -170,6 +171,30 @@ def test_the_structure_record_decides_radius_comparisons():
     ]
     assert len(methods) >= 7
     assert not [f.__name__ for f in methods if "tol" in inspect.signature(f).parameters]
+
+
+def test_one_rule_compares_radii():
+    # classes._sign is the one comparison of two radii, or of a radius and a
+    # shift: in classes.py only it calls scalars_equal, and classify calls no
+    # scalar helper of core but it
+    sites = _innermost_call_sites("scalars_equal")
+    assert {site for site in sites if site[0] == "classes.py"} == {("classes.py", "_sign")}, sites
+    helpers = {node.name for node in _trees()["core.py"].body if isinstance(node, ast.FunctionDef)}
+    classify = next(
+        node for node in _trees()["classes.py"].body if isinstance(node, ast.FunctionDef) and node.name == "classify"
+    )
+    called = {
+        node.func.id
+        for node in ast.walk(classify)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert called & (helpers | {"_sign"}) == {"_sign"}, called
+
+
+def test_only_the_record_reads_the_classes_a_set_reaches():
+    # the complement of an initial set below a shift is the one question
+    # that needs the classes a set reaches; rho-attainment reads final flags
+    assert _innermost_call_sites("reached_mask") == {("classes.py", "ClassTaxonomy.blocked_mask")}
 
 
 def test_one_sampled_report_builder():

@@ -3,17 +3,23 @@ function and names the check that must fail under it; a mutant that
 survives marks a missing check."""
 
 import inspect
+import textwrap
 
 import pytest
 
+import test_classes
+import test_collatz_wielandt
 import test_eq_type2
-from coneq import eq_type2, spectral
+import test_shift_reading
+import test_spectral
+from coneq import classes, collatz_wielandt, eq_type2, spectral
+from coneq.core import RATIONAL
 
 
 def _edited(func, old, new):
     """func recompiled against its own module's globals, with the one source
-    fragment old replaced by new."""
-    source = inspect.getsource(func)
+    fragment old replaced by new (a method is recompiled as a plain def)."""
+    source = textwrap.dedent(inspect.getsource(func))
     assert source.count(old) == 1, old
     code = compile(source.replace(old, new), inspect.getsourcefile(func), "exec")
     namespace = {}
@@ -45,3 +51,62 @@ def test_back_substitution_mutant_is_killed(monkeypatch, mutant, check):
         monkeypatch.setattr(module, "_back_substitute", patched)
     with pytest.raises(AssertionError):
         check()
+
+
+def _exact_sign(monkeypatch):
+    edited = _edited(classes._sign, "if scalars_equal(r, s, tol):", "if r == s:")
+    monkeypatch.setattr(classes, "_sign", edited)
+
+
+def _patch_classify(monkeypatch, old, new):
+    edited = _edited(classes.classify, old, new)
+    # spectral imports the name, so both bindings are patched
+    for module in (classes, spectral):
+        monkeypatch.setattr(module, "classify", edited)
+
+
+def _exact_eigen_dedup(monkeypatch):
+    old = "_sign(radii[eigen_classes[-1]], radii[c], tol) != 0"
+    _patch_classify(monkeypatch, old, "radii[eigen_classes[-1]] != radii[c]")
+
+
+def _exact_above_others(monkeypatch):
+    old = "_sign(radii[d], radii[c], tol) < cut"
+    _patch_classify(monkeypatch, old, "(radii[d] > radii[c]) - (radii[d] < radii[c]) < cut")
+
+
+def _widened_radius_sign(monkeypatch):
+    new = "Tolerance(self.tol.eq_tol, 10 * self.tol.eig_tol, self.tol.power_iters))"
+    edited = _edited(classes.ClassTaxonomy.radius_sign, "self.tol)", new)
+    monkeypatch.setattr(classes.ClassTaxonomy, "radius_sign", edited)
+
+
+def _attainment_on_initial_flags(monkeypatch):
+    edited = _edited(collatz_wielandt.rho_in_sigma1, "tax.final", "tax.initial")
+    # the test module imports the name, so both bindings are patched
+    for module in (collatz_wielandt, test_collatz_wielandt):
+        monkeypatch.setattr(module, "rho_in_sigma1", edited)
+
+
+@pytest.mark.parametrize(
+    "mutant, check",
+    [
+        (_exact_sign, lambda cap: test_spectral.TestTaxonomyMemo().test_each_tolerance_has_its_own_entry()),
+        (_exact_eigen_dedup, lambda cap: test_classes.test_flags_on_radii_tied_under_the_tolerance((1, 2, 3), RATIONAL)),
+        (_exact_above_others, lambda cap: test_classes.test_flags_on_radii_tied_under_the_tolerance((1, 2, 3), RATIONAL)),
+        (
+            _widened_radius_sign,
+            lambda cap: test_shift_reading.test_float_verdicts_agree_with_the_lp_outside_the_tolerance_band(cap, rounds=20),
+        ),
+        (
+            _attainment_on_initial_flags,
+            lambda cap: test_collatz_wielandt.TestAttainment().test_agrees_with_the_positive_subinvariant_lp(),
+        ),
+    ],
+    ids=["exact-sign", "exact-eigen-dedup", "exact-above-others", "widened-radius-sign", "attainment-on-initial"],
+)
+def test_record_mutant_is_killed(monkeypatch, capsys, mutant, check):
+    # records are memoised per matrix, so each check builds its matrices anew
+    mutant(monkeypatch)
+    with pytest.raises(AssertionError):
+        check(capsys)

@@ -4,7 +4,12 @@ number give the same answer, and a rational shift meets a rational radius
 exactly, never under eig_tol.
 
 The matrix [[1999999999/10^9]] has its one radius 2 - 10^-9, within eig_tol
-of the shift 2; (2I - P)x = e1 has the solution x = 10^9."""
+of the shift 2; (2I - P)x = e1 has the solution x = 10^9.
+
+A float radius r meets a shift lam under the tolerance band
+|r - lam| <= eig_tol*max(1, |r|, |lam|).  Outside that band the verdicts of
+solvable1 and solvable2 agree with the exact LP on the binary value of the
+data; inside it they are tolerance-based."""
 
 from fractions import Fraction
 
@@ -12,7 +17,7 @@ import numpy as np
 import pytest
 
 from coneq import oracle
-from coneq.core import RATIONAL, ConeVector, InvalidInput, NonnegMatrix, scalars_equal
+from coneq.core import DEFAULT_TOL, RATIONAL, ConeVector, InvalidInput, NonnegMatrix, scalars_equal
 from coneq.eq_type1 import (
     minimal_solution,
     solvability_conditions,
@@ -21,7 +26,9 @@ from coneq.eq_type1 import (
     solve1,
 )
 from coneq.eq_type2 import combinatorial_solvable_above, necessary_face, solvable2
-from coneq.spectral import eigenvalue_index, max_distinguished_order
+from coneq.spectral import eigenvalue_index, max_distinguished_order, taxonomy
+
+from fuzz import fuzz_matrix, fuzz_vector, irregular, rng
 
 RADIUS = Fraction(1999999999, 10**9)
 P = NonnegMatrix.make([[RADIUS]], RATIONAL)
@@ -86,3 +93,55 @@ def test_a_float_shift_on_a_rational_matrix_is_read_as_its_decimal():
     lam = 0.1 + 1e-12
     assert lp_feasible(Q, lam, E1, -1)
     assert solvable1(Q, lam, E1)
+
+
+def _in_band(radii, lam) -> bool:
+    """Does lam lie within the tolerance band of a float radius, or equal a
+    rational one?"""
+    eig_tol = DEFAULT_TOL.eig_tol
+    return any(
+        r == lam if isinstance(r, Fraction) else abs(r - float(lam)) <= eig_tol * max(1.0, abs(r), abs(float(lam)))
+        for r in radii
+    )
+
+
+def band_agreement(rounds) -> tuple:
+    """(cases outside the band, cases inside it, disagreements outside it)
+    of solvable1 and solvable2 with the exact LP, on irregular fuzz matrices
+    and their float twins.  The shifts are r(1 +- 3e-8) and r(1 +- 1e-6) at
+    each float class radius r of the matrix (every radius of a twin, the
+    irrational ones of a rational matrix), as a Fraction of that float on
+    rational input, on seed 2026.  An exception is a disagreement."""
+    rnd = rng(2026)
+    outside = inside = 0
+    wrong = []
+    for _ in range(rounds):
+        Q = irregular(rnd, fuzz_matrix(rnd, n_max=10))
+        vecs = [fuzz_vector(rnd, Q.n) for _ in range(2)]
+        for M in (Q, Q.to_float()):
+            radii = taxonomy(M).radii
+            floats = {r * (1 + d) for r in radii if isinstance(r, float) for d in (3e-8, -3e-8, 1e-6, -1e-6)}
+            for lam in sorted(floats):
+                lam = Fraction(lam) if M.mode == RATIONAL else lam
+                if _in_band(radii, lam):
+                    inside += 2 * len(vecs)
+                    continue
+                for v in vecs:
+                    b = ConeVector.make(v.entries, M.mode)
+                    for sign, decide in ((-1, solvable1), (1, lambda *a: solvable2(*a).solvable)):
+                        outside += 1
+                        try:
+                            got = decide(M, lam, b)
+                        except Exception as exc:
+                            got = type(exc).__name__
+                        if got != lp_feasible(M, lam, b, sign):
+                            wrong.append((M.mode, sign, lam, M.rows, b.entries, got))
+    return outside, inside, wrong
+
+
+def test_float_verdicts_agree_with_the_lp_outside_the_tolerance_band(capsys, rounds=60):
+    outside, inside, wrong = band_agreement(rounds)
+    assert not wrong, (len(wrong), wrong[:3])
+    assert outside >= 1500, outside
+    with capsys.disabled():
+        print(f"\nband: {outside} cases outside, {inside} inside, no disagreement")
