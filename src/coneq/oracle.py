@@ -6,28 +6,30 @@ isolate a real root.
 
 The LP solver is a two-phase tableau simplex with Bland's rule on integer
 rows, pivoted fraction-free (Bareiss), so verdicts are exact and
-termination is guaranteed.  All variables are nonnegative; >= rows get
-slack variables internally.  A >= row that x = 0 satisfies (right-hand
-side <= 0) starts with its slack basic and is scaled by its own
-denominator; the other rows get artificial columns and share one, and
-phase 1 is skipped when no row needs one.  Each row and slack column is
-the rational one times a positive factor, which keeps every Bland choice
-of the rational tableau from that start.  Each face question (which
-coordinates a cone of nonnegative solutions can make positive) is one
-maximal-support LP, max_support, whose rows all hold at x = 0.  The
-signed solve and the exact nullspaces share the LP's fraction-free integer
-pivot in one Gauss-Jordan kernel.  Exact matrix algebra runs on integer
-rows over one common denominator (_integer_rows) with one product
-(_matmul): the matrix powers, and one Faddeev-LeVerrier pass for each
-characteristic polynomial, determinant and adjugate.  The rows of
-+-(P - lam*I) come from one builder, shifted_image_rows, as integer rows
-over their own denominators: a matrix keeps its integer form in its memo
-from its first shifted build, so a shift rewrites only the diagonal, and
-the LP, the face question and the integer algebra read those integers as
-they are.  The float-lane helpers (eig_all, decompose_generalized,
-krylov_local_rho) are deliberately independent of the combinatorial
-modules so the two routes can disagree loudly in tests if one of them is
-wrong.
+termination is guaranteed.  Each row is kept over its own positive
+denominator, so a pivot leaves alone every row with a zero in its column.
+All variables are nonnegative; >= rows get slack variables internally.  A
+>= row that x = 0 satisfies (right-hand side <= 0) starts with its slack
+basic and is scaled by its own denominator; the other rows get artificial
+columns and share one, and phase 1 is skipped when no row needs one.  Each
+row and slack column starts as the rational one times a positive factor,
+and a pivot keeps each row a positive multiple of the rational one, which
+keeps every Bland choice of the rational tableau from that start.  Each
+face question (which coordinates a cone of nonnegative solutions can make
+positive) is one maximal-support LP, max_support, whose rows all hold at
+x = 0.  The signed solve and the exact nullspaces share the LP's
+fraction-free integer pivot in one Gauss-Jordan kernel.  Exact matrix
+algebra runs on integer rows over one common denominator (_integer_rows)
+with one product (_matmul): the matrix powers, and one Faddeev-LeVerrier
+pass for each characteristic polynomial, determinant and adjugate.  The
+rows of +-(P - lam*I) come from one builder, shifted_image_rows, as
+integer rows over their own denominators: a matrix keeps its integer form
+in its memo from its first shifted build, so a shift rewrites only the
+diagonal, and the LP, the face question and the integer algebra read those
+integers as they are.  The float-lane helpers (eig_all,
+decompose_generalized, krylov_local_rho) are deliberately independent of
+the combinatorial modules so the two routes can disagree loudly in tests
+if one of them is wrong.
 """
 
 from __future__ import annotations
@@ -108,40 +110,56 @@ class LPResult:
         return self.status != "infeasible"
 
 
-def _pivot(tableau, d, row, col) -> int:
-    """Fraction-free pivot on the pivot p = tableau[row][col] of the tableau
-    standing for tableau / d; returns the new d, |p|.  Other rows r become
-    (r*p - r[col]*pivot_row) / d, exactly: each entry is a minor of the
-    integer system.  A negative p flips every row to keep d positive."""
-    prow = tableau[row]
+def _pivot(tableau, dens, d, row, col) -> int:
+    """Fraction-free pivot on column col of the tableau whose row r stands
+    for tableau[r] / dens[r] (each dens[r] > 0), where d is the one common
+    denominator Bareiss elimination would keep; returns the new d, |p|.
+
+    The pivot row is first brought to d, giving the pivot p.  A row r with
+    f = r[col] != 0 becomes (r*p - f*pivot_row) / dens[r] over |p|: that
+    is the Bareiss row, so the division is exact (each entry is a minor of
+    the integer system).  A row with f = 0 keeps its entries and its
+    denominator.  A negative p flips the pivot row, and so every row it
+    recomputes."""
+    prow, q = tableau[row], dens[row]
+    if q != d:
+        prow = [e * d // q for e in prow]
     p = prow[col]
-    for r, cur in enumerate(tableau):
-        if r == row:
-            continue
-        f = cur[col]
-        if f:
-            tableau[r] = [(e * p - f * q) // d for e, q in zip(cur, prow)]
-        elif p != d:
-            tableau[r] = [e * p // d for e in cur]
     if p < 0:
-        tableau[:] = [[-e for e in cur] for cur in tableau]
-    return abs(p)
+        prow, p = [-e for e in prow], -p
+    for r, cur in enumerate(tableau):
+        f = cur[col]
+        if f and r != row:
+            q = dens[r]
+            tableau[r] = [(e * p - f * g) // q for e, g in zip(cur, prow)]
+            dens[r] = p
+    tableau[row], dens[row] = prow, p
+    return p
 
 
-def _simplex_min(tableau, basis, d, cost):
-    """Minimize the integer cost.x over the tableau rows (Bland's rule).
-    Returns (status, optimum times d or None, d, pivots); mutates tableau
-    and basis.  The reduced-cost row (times d) is built in one pass over
-    the columns and pivoted as a last row."""
+def _simplex_min(tableau, dens, basis, d, cost):
+    """Minimize the integer cost.x over the tableau rows, row r standing
+    for tableau[r] / dens[r] (Bland's rule).  A ratio rhs/a and the sign of
+    a reduced cost do not depend on a row's positive scale, so the choices
+    are those of the rational tableau.  Returns (status, optimum times zden
+    or None, zden, d, pivots), where zden is the reduced-cost row's
+    denominator; mutates tableau, dens and basis.  The reduced-cost row is
+    built over d in one pass over the columns (its basic rows brought to d
+    once) and pivoted as a last row."""
     m = len(tableau)
-    costed = [row if cost[c] == 1 else [cost[c] * e for e in row] for c, row in zip(basis, tableau) if cost[c]]
+    costed = [
+        row if cost[c] == 1 and q == d else [cost[c] * e * d // q for e in row]
+        for c, row, q in zip(basis, tableau, dens)
+        if cost[c]
+    ]
     tableau.append([c * d - t for c, t in zip([*cost, 0], map(sum, zip(*costed, [0] * (len(cost) + 1))))])
+    dens.append(d)
     pivots = 0
     while True:
         z = tableau[m]
         enter = next((j for j in range(len(cost)) if z[j] < 0), None)
         if enter is None:
-            return "optimal", -tableau.pop()[-1], d, pivots
+            return "optimal", -tableau.pop()[-1], dens.pop(), d, pivots
         best, num, den = None, 0, 1  # the least ratio rhs/a so far is num/den
         for r in range(m):
             a = tableau[r][enter]
@@ -151,8 +169,9 @@ def _simplex_min(tableau, basis, d, cost):
                     best, num, den = r, tableau[r][-1], a
         if best is None:
             tableau.pop()
-            return "unbounded", None, d, pivots
-        d = _pivot(tableau, d, best, enter)
+            dens.pop()
+            return "unbounded", None, None, d, pivots
+        d = _pivot(tableau, dens, d, best, enter)
         basis[best] = enter
         pivots += 1
 
@@ -190,10 +209,10 @@ def solve_lp(problem: LPProblem) -> LPResult:
             basis.append(art)
             art += 1
         tableau.append(row)
-    d, pivots = 1, 0
+    dens, d, pivots = [1] * m, 1, 0
     if n_art:
         cost = [0] * total + [1] * n_art
-        status, value, d, pivots = _simplex_min(tableau, basis, d, cost)
+        status, value, _, d, pivots = _simplex_min(tableau, dens, basis, d, cost)
         if status != "optimal" or value != 0:
             return LPResult("infeasible", None, None, pivots)
     # drive artificials out of the basis, dropping redundant rows
@@ -203,29 +222,30 @@ def solve_lp(problem: LPProblem) -> LPResult:
             col = next((j for j in range(total) if tableau[r][j] != 0), None)
             if col is None:
                 continue  # redundant zero row
-            d = _pivot(tableau, d, r, col)
+            d = _pivot(tableau, dens, d, r, col)
             basis[r] = col
             pivots += 1
         keep.append(r)
     # freeze artificial columns at zero
     tableau = [tableau[r][:total] + tableau[r][-1:] for r in keep]
     basis = [basis[r] for r in keep]
+    dens = [dens[r] for r in keep]
 
     def extract():
         x = [_ZERO] * n
         for r, c in enumerate(basis):
             if c < n:
-                x[c] = Fraction(tableau[r][-1], d)
+                x[c] = Fraction(tableau[r][-1], dens[r])
         return tuple(x)
 
     if problem.objective is None:
         return LPResult("optimal", extract(), None, pivots)
     sign = -1 if problem.maximize else 1
     cost = [sign * c for c in problem.objective] + [0] * (total - n)
-    status, value, d, more = _simplex_min(tableau, basis, d, cost)
+    status, value, zden, _, more = _simplex_min(tableau, dens, basis, d, cost)
     if status == "unbounded":
         return LPResult("unbounded", None, None, pivots + more)
-    return LPResult("optimal", extract(), sign * Fraction(value, d * problem.objective_scale), pivots + more)
+    return LPResult("optimal", extract(), sign * Fraction(value, zden * problem.objective_scale), pivots + more)
 
 
 def lp_feasible(problem: LPProblem) -> LPResult:
@@ -387,12 +407,13 @@ def _matmul(a, b) -> list:
 def _gauss_jordan(rows, n: int) -> tuple:
     """Fraction-free Gauss-Jordan over the first n columns of the rational
     rows, with the LP's _pivot.  Each row is scaled to integers once (all-int
-    rows are only copied); that changes no row space, so every pivot entry of
-    the integer rows T ends equal to d and T / d is the reduced row echelon
-    form.  Returns (T, pivot columns, d)."""
+    rows are only copied); that changes no row space.  Row i of the integer
+    rows T stands for T[i] / dens[i]; every pivot entry ends equal to its own
+    row's denominator, and those rows are the reduced row echelon form.
+    Returns (T, pivot columns, dens)."""
     T = [list(row) if all(type(e) is int for e in row) else _integer_rows([row])[0][0] for row in rows]
     m = len(T)
-    pivots, d = [], 1
+    pivots, dens, d = [], [1] * m, 1
     for col in range(n):
         r = len(pivots)
         if r == m:
@@ -402,9 +423,10 @@ def _gauss_jordan(rows, n: int) -> tuple:
             continue
         if piv != r:
             T[r], T[piv] = T[piv], T[r]
-        d = _pivot(T, d, r, col)
+            dens[r], dens[piv] = dens[piv], dens[r]
+        d = _pivot(T, dens, d, r, col)
         pivots.append(col)
-    return T, pivots, d
+    return T, pivots, dens
 
 
 def solve_signed(mat_rows, rhs) -> Optional[list]:
@@ -412,25 +434,25 @@ def solve_signed(mat_rows, rhs) -> Optional[list]:
     if the system is inconsistent.  Gauss-Jordan with free variables at 0."""
     m = len(mat_rows)
     n = len(mat_rows[0]) if m else 0
-    T, pivots, d = _gauss_jordan([[*row, rhs[i]] for i, row in enumerate(mat_rows)], n)
+    T, pivots, dens = _gauss_jordan([[*row, rhs[i]] for i, row in enumerate(mat_rows)], n)
     if any(T[k][n] for k in range(len(pivots), m)):
         return None
     x = [Fraction(0)] * n
     for i, col in enumerate(pivots):
-        x[col] = Fraction(T[i][n], d)
+        x[col] = Fraction(T[i][n], dens[i])
     return x
 
 
 def nullspace_exact(mat_rows) -> list:
     """Rational basis of the nullspace of M (list of column vectors)."""
     n = len(mat_rows[0]) if mat_rows else 0
-    T, pivots, d = _gauss_jordan(mat_rows, n)
+    T, pivots, dens = _gauss_jordan(mat_rows, n)
     basis = []
     for fc in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
         for i, col in enumerate(pivots):
-            v[col] = Fraction(-T[i][fc], d)
+            v[col] = Fraction(-T[i][fc], dens[i])
         basis.append(v)
     return basis
 

@@ -351,6 +351,17 @@ def test_one_simplex_entry_and_one_row_scaling():
     assert readers == {("core.py", "format_scalar")}, readers
 
 
+def test_one_pivot_kernel():
+    # the LP's two phases, its artificial drive-out and the exact
+    # eliminations all pivot through oracle._pivot, the one kernel that
+    # keeps each row over its own denominator
+    assert _innermost_call_sites("_pivot") == {
+        ("oracle.py", "_simplex_min"),
+        ("oracle.py", "solve_lp"),
+        ("oracle.py", "_gauss_jordan"),
+    }
+
+
 def test_imports_sit_at_module_level():
     nested = [
         f"{name}: line {node.lineno}"

@@ -10,9 +10,10 @@ import pytest
 import test_classes
 import test_collatz_wielandt
 import test_eq_type2
+import test_oracle
 import test_shift_reading
 import test_spectral
-from coneq import classes, collatz_wielandt, eq_type2, spectral
+from coneq import classes, collatz_wielandt, eq_type2, oracle, spectral
 from coneq.core import RATIONAL
 
 
@@ -110,3 +111,41 @@ def test_record_mutant_is_killed(monkeypatch, capsys, mutant, check):
     mutant(monkeypatch)
     with pytest.raises(AssertionError):
         check(capsys)
+
+
+def _bland_tie_break_reversed(monkeypatch):
+    edited = _edited(oracle._simplex_min, "basis[r] < basis[best]", "basis[r] > basis[best]")
+    monkeypatch.setattr(oracle, "_simplex_min", edited)
+
+
+def _zero_column_rows_relabelled(monkeypatch):
+    # every row the pivot leaves alone is put over the new d, unscaled
+    edited = _edited(oracle._pivot, "tableau[row], dens[row] = prow, p", "tableau[row], dens[:] = prow, [p] * len(dens)")
+    monkeypatch.setattr(oracle, "_pivot", edited)
+
+
+def _max_support_one_short(monkeypatch):
+    edited = _edited(oracle.max_support, "res.witness[n:]", "res.witness[n:-1]")
+    monkeypatch.setattr(oracle, "max_support", edited)
+
+
+@pytest.mark.parametrize(
+    "mutant, check",
+    [
+        (_bland_tie_break_reversed, lambda mp: test_oracle.TestLP().test_matches_the_fraction_simplex(mp)),
+        (
+            _zero_column_rows_relabelled,
+            lambda mp: test_oracle.TestExactLinearAlgebra().test_kernel_matches_the_fraction_gauss_jordan(),
+        ),
+        (
+            _max_support_one_short,
+            lambda mp: test_oracle.TestFaceQuestions().test_face_questions_match_the_per_coordinate_lps(),
+        ),
+    ],
+    ids=["bland-tie-break-reversed", "zero-column-rows-relabelled", "max-support-one-short"],
+)
+def test_lp_mutant_is_killed(monkeypatch, mutant, check):
+    mutant(monkeypatch)
+    # the check undoes its own patches, so it gets a monkeypatch of its own
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(AssertionError):
+        check(mp)

@@ -304,6 +304,25 @@ def _ref_gauss_jordan(a, n, seen):
     return pivots
 
 
+def _ref_eager_pivot(tableau, d, row, col):
+    """oracle._pivot as it was, with one common denominator d for the whole
+    tableau: every other row, those with a zero in the pivot column
+    included, is rewritten over the new d, |p|."""
+    prow = tableau[row]
+    p = prow[col]
+    for r, cur in enumerate(tableau):
+        if r == row:
+            continue
+        f = cur[col]
+        if f:
+            tableau[r] = [(e * p - f * q) // d for e, q in zip(cur, prow)]
+        elif p != d:
+            tableau[r] = [e * p // d for e in cur]
+    if p < 0:
+        tableau[:] = [[-e for e in cur] for cur in tableau]
+    return abs(p)
+
+
 def _ref_solve_signed(mat_rows, rhs, seen):
     m = len(mat_rows)
     n = len(mat_rows[0]) if m else 0
@@ -927,14 +946,67 @@ class TestExactLinearAlgebra:
         assert all(seen[k] >= 50 for k in kinds), seen
 
     def test_kernel_reduces_to_integer_echelon_form(self):
-        # T / d is the reduced row echelon form: every pivot entry is d and
-        # every other entry of a pivot column is 0
+        # row i stands for T[i] / dens[i], and those rows are the reduced row
+        # echelon form: every pivot entry equals its own row's denominator
+        # and every other entry of a pivot column is 0, on a singular system
+        # and on fuzzed ones whose rows end over unequal denominators
         singular = [[0, 2, 4], [Fraction(1, 2), 1, 0], [1, 2, 0]]
-        T_, pivots, d = oracle._gauss_jordan(singular, 3)
-        assert pivots == [0, 1] and d > 0
+        T_, pivots, dens = oracle._gauss_jordan(singular, 3)
+        assert pivots == [0, 1] and min(dens) > 0
         for i, col in enumerate(pivots):
-            assert [row[col] for row in T_] == [d if k == i else 0 for k in range(3)]
-        assert [Fraction(e, d) for e in T_[0]] == [1, 0, -4]
+            assert [row[col] for row in T_] == [dens[i] if k == i else 0 for k in range(3)]
+        assert [Fraction(e, dens[0]) for e in T_[0]] == [1, 0, -4]
+        rnd = rng(98)
+        unequal = 0
+        for _ in range(300):
+            rows, _ = _fuzz_system(rnd, Counter())
+            T_, pivots, dens = oracle._gauss_jordan(rows, len(rows[0]))
+            assert min(dens) > 0
+            for i, col in enumerate(pivots):
+                assert [row[col] for row in T_] == [dens[i] if k == i else 0 for k in range(len(rows))]
+            unequal += len(set(dens[: len(pivots)])) > 1
+        assert unequal >= 25, unequal
+
+    def test_lazy_rows_stand_for_the_eager_bareiss_rows(self):
+        # oracle._pivot against the eager kernel it replaced, on random
+        # pivot sequences (any nonzero entry, negative ones and pivot rows
+        # left stale by earlier pivots included) over fuzzed integer
+        # tableaus: after each pivot every lazy row over its own denominator
+        # is the eager row over d, a row the pivot recomputes is the eager
+        # row itself, and a row with a zero in the pivot column keeps its
+        # entries and denominator, so every lazy row is the eager row of
+        # the pivot that last recomputed it: its entries are minors of the
+        # integer system, as the eager ones are.  They are not bounded by
+        # the eager entries of the same step: once a pivot of rational size
+        # below 1 shrinks d, a row left alone holds more than its eager
+        # rewrite (about 2% of the rows left alone in this fuzz)
+        rnd = rng(99)
+        seen = Counter()
+        for _ in range(400):
+            m, n = rnd.randint(2, 6), rnd.randint(2, 7)
+            eager = [[rnd.choice((0, 0, rnd.randint(-5, 5))) for _ in range(n)] for _ in range(m)]
+            lazy, dens, d, d_eager = [row[:] for row in eager], [1] * m, 1, 1
+            for _ in range(rnd.randint(1, 12)):
+                choices = [(r, c) for r in range(m) for c in range(n) if lazy[r][c]]
+                if not choices:
+                    break
+                row, col = rnd.choice(choices)
+                before, dens_before = [r[:] for r in lazy], dens[:]
+                seen["negative pivot"] += lazy[row][col] < 0
+                seen["stale pivot row"] += dens[row] != d
+                d_eager = _ref_eager_pivot(eager, d_eager, row, col)
+                d = oracle._pivot(lazy, dens, d, row, col)
+                assert d == d_eager > 0
+                for r in range(m):
+                    assert dens[r] > 0
+                    assert all(e * d == g * dens[r] for e, g in zip(lazy[r], eager[r]))
+                    if r == row or before[r][col]:
+                        assert (lazy[r], dens[r]) == (eager[r], d)
+                    else:
+                        assert (lazy[r], dens[r]) == (before[r], dens_before[r])
+                        seen["row left alone"] += 1
+                        seen["left alone over another d"] += dens[r] != d
+        assert min(seen[k] for k in ("negative pivot", "stale pivot row", "left alone over another d")) >= 200, seen
 
     def test_determinants_from_the_characteristic_polynomial(self):
         # det(A) = (-1)^n * c_n, 0 when A is singular; row swaps, negative
