@@ -22,6 +22,12 @@ shift with a radius, so no other module compares the two itself; ``_sign``
 is the one rule for both those comparisons and the comparisons of two radii
 that build the record's flags.  ``spectral.taxonomy`` builds it once per
 (matrix, tolerance).
+
+The one-pass rule: a query computes each fact about (P, lambda, b) once and
+passes it on.  ``classify`` compares each pair of classes with access once;
+``ClassTaxonomy.signs`` compares each class radius it is asked about with a
+shift once, and ``peak_class`` reads the first class of a bitmask in the
+record's order by radius instead of comparing radii per query.
 """
 
 from __future__ import annotations
@@ -68,9 +74,12 @@ class ClassAnalysis:
 
     def classes_meeting(self, vertices: Iterable[int]) -> int:
         """Bitmask of classes containing at least one of the given vertices."""
+        n, vertex_class = self.n, self.vertex_class
         mask = 0
         for v in vertices:
-            mask |= 1 << self.class_of_vertex(v)
+            if not 1 <= v <= n:
+                raise InvalidInput(f"vertex {v} outside 1..{n}")
+            mask |= 1 << vertex_class[v - 1]
         return mask
 
     def accessors_mask(self, target_mask: int) -> int:
@@ -210,6 +219,9 @@ class ClassTaxonomy:
     eigen_classes  one distinguished class per distinguished eigenvalue (the
                    radii admitting a nonnegative eigenvector), by ascending
                    radius
+    by_radius      every class, by descending radius, ties by ascending
+                   index: the first class of a mask in this order is the one
+                   max(key=radii) picks among its classes
     tol            the tolerance the record was built with: the flags above
                    compare two radii, and radius_sign, which every query
                    below reads, compares a class radius with a shift, both
@@ -226,6 +238,7 @@ class ClassTaxonomy:
     distinguished_transpose: tuple
     semi_distinguished: tuple
     eigen_classes: tuple
+    by_radius: tuple
     tol: Tolerance
 
     @property
@@ -241,14 +254,16 @@ class ClassTaxonomy:
             return (lam < 0) - (lam > 0)  # the sign of 0 - lam
         return _sign(self.radii[c], lam, self.tol)
 
+    def signs(self, lam, flags: Optional[Sequence[bool]] = None) -> dict:
+        """radius_sign of each class the flags mark (every class when flags
+        is None), by class index: the one comparison of each of those class
+        radii with lam that a query reads."""
+        return {c: self.radius_sign(c, lam) for c in range(len(self.radii)) if flags is None or flags[c]}
+
     def classes_at(self, lam, flags: Optional[Sequence[bool]] = None) -> tuple:
         """Indices of the classes whose radius equals lam, among those the
         flags mark (all classes when flags is None)."""
-        return tuple(
-            c
-            for c in range(len(self.radii))
-            if (flags is None or flags[c]) and self.radius_sign(c, lam) == 0
-        )
+        return tuple(c for c, s in self.signs(lam, flags).items() if s == 0)
 
     def is_distinguished_eigenvalue(self, lam) -> bool:
         """Does lam equal a distinguished eigenvalue (see radius_sign)?"""
@@ -258,9 +273,11 @@ class ClassTaxonomy:
         """The first class of largest radius among those with access to the
         vertices (None for none): its radius is their local spectral radius."""
         an = self.analysis
-        mask = an.accessors_mask(an.classes_meeting(vertices))
-        members = (c for c in range(len(self.radii)) if mask >> c & 1)
-        return max(members, key=self.radii.__getitem__, default=None)
+        return self.peak_class(an.accessors_mask(an.classes_meeting(vertices)))
+
+    def peak_class(self, mask: int) -> Optional[int]:
+        """The first class of largest radius in the bitmask (None for none)."""
+        return next((c for c in self.by_radius if mask >> c & 1), None)
 
     def local_sign(self, vertices: Iterable[int], lam) -> int:
         """Sign of (local spectral radius of the vertices) - lam."""
@@ -278,16 +295,15 @@ class ClassTaxonomy:
         """Indices of the classes all of whose accessors have radius < lam
         (<= lam when not strict): the largest initial set of classes below
         lam."""
-        signs = [self.radius_sign(c, lam) for c in range(len(self.radii))]
-        blocked = self.blocked_mask(signs, 0 if strict else 1)
+        blocked = self.blocked_mask(self.signs(lam), 0 if strict else 1)
         return tuple(c for c in range(len(self.radii)) if not blocked >> c & 1)
 
-    def blocked_mask(self, signs, cut: int = 0) -> int:
+    def blocked_mask(self, signs: dict, cut: int = 0) -> int:
         """The classes some class c with signs[c] >= cut has access to, as a
-        bitmask, where signs[c] is the sign of c's radius minus lam (see
-        radius_sign): the complement of the largest initial set of classes
-        below lam (strictly when cut = 0, at most lam when cut = 1)."""
-        return self.analysis.reached_mask(sum(1 << c for c, s in enumerate(signs) if s >= cut))
+        bitmask, where signs = self.signs(lam) holds the sign of every class
+        radius minus lam: the complement of the largest initial set of
+        classes below lam (strictly when cut = 0, at most lam when cut = 1)."""
+        return self.analysis.reached_mask(sum(1 << c for c, s in signs.items() if s >= cut))
 
 
 def _sign(r, s, tol: Tolerance) -> int:
@@ -301,33 +317,38 @@ def _sign(r, s, tol: Tolerance) -> int:
 def classify(
     analysis: ClassAnalysis, radii: Sequence, tol: Tolerance = DEFAULT_TOL
 ) -> ClassTaxonomy:
-    """Flag every class given its radius (see spectral.class_radii)."""
+    """Flag every class given its radius (see spectral.class_radii).  Each
+    pair of classes with access, d to c, is compared once, s = _sign(radius_d,
+    radius_c), and the flags are read off bitmasks of the classes failing
+    them: c is not distinguished when s >= 0, nor semi-distinguished when
+    s > 0, and d is not distinguished for the transpose when -s >= 0."""
     k = analysis.class_count
     if len(radii) != k:
         raise InvalidInput("one radius per class required")
     rho = max(radii) if k else 0
-    basic = tuple(_sign(radii[c], rho, tol) == 0 for c in range(k))
-    final = tuple(analysis.reach[c] == 1 << c for c in range(k))
-    initial = tuple(
-        all(not analysis.has_access(d, c) for d in range(k) if d != c) for c in range(k)
-    )
+    reach = analysis.reach
+    not_initial = not_dist = not_dist_t = not_semi = 0
+    for d in range(k):
+        not_initial |= reach[d] & ~(1 << d)
+        for c in range(d + 1, k):  # access goes forward
+            if reach[d] >> c & 1:
+                s = _sign(radii[d], radii[c], tol)
+                not_dist |= (s >= 0) << c
+                not_semi |= (s > 0) << c
+                not_dist_t |= (-s >= 0) << d
 
-    def above_others(c, cut, transpose=False):  # d has access to c (c to d when transpose)
-        # every such d has _sign(radius_d, radius_c) < cut: 0 below, 1 at most
-        return all(
-            _sign(radii[d], radii[c], tol) < cut
-            for d in range(k)
-            if d != c and (analysis.has_access(c, d) if transpose else analysis.has_access(d, c))
-        )
+    def unset(mask):
+        return tuple(not mask >> c & 1 for c in range(k))
 
-    distinguished = tuple(above_others(c, 0) for c in range(k))
-    distinguished_transpose = tuple(above_others(c, 0, True) for c in range(k))
-    semi = tuple(above_others(c, 1) for c in range(k))
+    distinguished = unset(not_dist)
     eigen_classes = []
     for c in sorted((c for c in range(k) if distinguished[c]), key=radii.__getitem__):
         if not eigen_classes or _sign(radii[eigen_classes[-1]], radii[c], tol) != 0:
             eigen_classes.append(c)
+    basic = tuple(_sign(radii[c], rho, tol) == 0 for c in range(k))
+    final = tuple(reach[c] == 1 << c for c in range(k))
+    by_radius = tuple(sorted(range(k), key=radii.__getitem__, reverse=True))
     return ClassTaxonomy(
-        analysis, tuple(radii), rho, basic, final, initial, distinguished,
-        distinguished_transpose, semi, tuple(eigen_classes), tol,
+        analysis, tuple(radii), rho, basic, final, unset(not_initial), distinguished,
+        unset(not_dist_t), unset(not_semi), tuple(eigen_classes), by_radius, tol,
     )

@@ -32,6 +32,12 @@ from .core import (
 # input readers
 
 
+# parse_float/parse_constant keep decimal literals intact so rational mode can
+# read "0.1" as 1/10 rather than the nearest double; json.loads with keywords
+# would build a new decoder on every call
+_DECODER = json.JSONDecoder(parse_float=str, parse_constant=str)
+
+
 def _load_doc(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -39,9 +45,9 @@ def _load_doc(path: str) -> dict:
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
     try:
-        # parse_float/parse_constant keep decimal literals intact so rational
-        # mode can read "0.1" as 1/10 rather than the nearest double
-        return json.loads(text, parse_float=str, parse_constant=str)
+        if text.startswith("\ufeff"):  # json.loads's own check, with its message
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"bad JSON in {path}: {exc}") from exc
 
@@ -91,7 +97,7 @@ def _cmd_analyze(P: NonnegMatrix, tol) -> dict:
         "classes": an.classes,
         "access": [[an.has_access(c, d) for d in range(k)] for c in range(k)],
         # every field of the structure record but the analysis (printed as
-        # classes and access), eigen_classes and tol
+        # classes and access), eigen_classes, by_radius and tol
         "taxonomy": {
             name: getattr(tax, name)
             for name in ("radii", "rho", "basic", "final", "initial", "distinguished",

@@ -22,6 +22,7 @@ import sys
 from dataclasses import dataclass, fields, is_dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import compress
 from numbers import Rational, Real
 from typing import Iterable, Sequence, Union
 
@@ -247,7 +248,7 @@ class ConeVector:
         return len(self.entries)
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not any(self.entries)
 
     def inf_norm(self) -> Scalar:
         if not self.entries:
@@ -264,8 +265,10 @@ class ConeVector:
 
 
 def support(v) -> frozenset:
-    """{i : v_i != 0}, 1-based."""
-    return frozenset(i + 1 for i, e in enumerate(v.entries) if e != 0)
+    """{i : v_i != 0}, 1-based.  An entry is nonzero exactly when it is
+    truthy, for Fractions and floats alike (NaN included), and truthiness
+    skips Fraction.__eq__."""
+    return frozenset(compress(range(1, len(v.entries) + 1), v.entries))
 
 
 def vec_add(a, b) -> tuple:

@@ -7,6 +7,12 @@ solution is supported on the union of classes with access to supp(b) and is
 obtained by a direct solve of the principal subsystem there; it is unique
 unless lambda is a distinguished eigenvalue, in which case the extra freedom
 is exactly the nonnegative eigenvectors at lambda.
+
+The one-pass rule: solve1 reads supp(b), the classes meeting it, their
+accessors, rho_b's class and one sign of radius - lambda per
+semi-distinguished class once (``_query``), and hands them on to the
+private solve ``_minimal_solution``; each public function checks its own
+preconditions.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from itertools import compress
 from typing import Optional
 
 from . import oracle
-from .classes import smallest_initial_superset
 from .core import (
     DEFAULT_TOL,
     FLOAT,
@@ -61,12 +66,29 @@ def solvable1(P: NonnegMatrix, lam: Scalar, b: ConeVector, tol: Tolerance = DEFA
     return taxonomy(P, tol).local_sign(support(b), lam) < 0
 
 
-def _witness(tax, sign, bmask) -> Optional[int]:
-    """A distinguished class c of radius >= lambda (sign(c) >= 0) with
+def _query(tax, lam, b) -> tuple:
+    """What a decider query reads of (P, lambda, b), once: the bitmasks of
+    the classes meeting supp(b) and of their accessors, c_b (the accessor
+    whose radius is rho_b; None for b = 0) and each semi-distinguished
+    class's sign of radius - lambda.  No accessor of c_b has a larger
+    radius, so c_b is semi-distinguished, as every distinguished class is."""
+    an = tax.analysis
+    bmask = an.classes_meeting(support(b))
+    amask = an.accessors_mask(bmask)
+    return bmask, amask, tax.peak_class(amask), tax.signs(lam, tax.semi_distinguished)
+
+
+def _flagged_at(flags, signs) -> tuple:
+    """The classes the flags mark whose radius equals lambda (signs[c] = 0)."""
+    return tuple(c for c, flag in enumerate(flags) if flag and signs[c] == 0)
+
+
+def _witness(tax, signs, bmask) -> Optional[int]:
+    """A distinguished class c of radius >= lambda (signs[c] >= 0) with
     access to a class in bmask (those meeting supp(b)); exists whenever the
-    equation is unsolvable.  sign is asked about distinguished classes only."""
+    equation is unsolvable."""
     reach, flags = tax.analysis.reach, tax.distinguished
-    return next((c for c in range(len(flags)) if flags[c] and sign(c) >= 0 and reach[c] & bmask), None)
+    return next((c for c in range(len(flags)) if flags[c] and signs[c] >= 0 and reach[c] & bmask), None)
 
 
 def minimal_solution(
@@ -75,11 +97,19 @@ def minimal_solution(
     """The minimal nonnegative solution: restricted solve on the smallest
     initial superset of supp(b).  Requires solvability."""
     lam = _check_inputs(P, lam, b)
-    if b.is_zero():
-        return ConeVector.zero_vector(P.n, P.mode)
-    if not solvable1(P, lam, b, tol):
+    tax = taxonomy(P, tol)
+    _, amask, c_b, signs = _query(tax, lam, b)
+    if c_b is not None and signs[c_b] >= 0:
         raise InvalidInput("no nonnegative solution exists at this shift")
-    idx = sorted(smallest_initial_superset(taxonomy(P, tol).analysis, support(b)))
+    return _minimal_solution(P, lam, b, tax, amask)
+
+
+def _minimal_solution(P, lam, b, tax, amask) -> ConeVector:
+    """minimal_solution of a solvable query, handed its record and the
+    bitmask of the classes with access to supp(b)."""
+    if not amask:
+        return ConeVector.zero_vector(P.n, P.mode)
+    idx = sorted(tax.analysis.vertices_of_mask(amask))
     # exact rows of lambda*I - P; in float mode the solve rounds each entry
     # to the nearest float, which is the correctly rounded float lam - e
     principal = [[P.rows[i - 1][j - 1] for j in idx] for i in idx]
@@ -91,7 +121,7 @@ def minimal_solution(
     for k, i in enumerate(idx):
         entries[i - 1] = sol[k]
     if P.mode == FLOAT:
-        entries = [max(0.0, e) if abs(e) <= tol.eq_tol else e for e in entries]
+        entries = [max(0.0, e) if abs(e) <= tax.tol.eq_tol else e for e in entries]
     return ConeVector(tuple(entries), P.mode)
 
 
@@ -111,15 +141,12 @@ def solve1(P: NonnegMatrix, lam: Scalar, b: ConeVector, tol: Tolerance = DEFAULT
     """Decide and, if possible, construct the minimal nonnegative solution."""
     lam = _check_inputs(P, lam, b)
     tax = taxonomy(P, tol)
-    c_b = tax.local_class(support(b))  # one pass gives rho_b and its comparison
+    bmask, amask, c_b, signs = _query(tax, lam, b)
     rho_b = zero(P.mode) if c_b is None else tax.radii[c_b]
-    freedom = tax.classes_at(lam, tax.distinguished)
-    if tax.radius_sign(c_b, lam) >= 0:
-        witness = _witness(tax, lambda c: tax.radius_sign(c, lam), tax.analysis.classes_meeting(support(b)))
-        return SolveReport1(
-            False, rho_b, None, None, freedom, "h", None, witness
-        )
-    x0 = minimal_solution(P, lam, b, tol)
+    freedom = _flagged_at(tax.distinguished, signs)
+    if c_b is not None and signs[c_b] >= 0:
+        return SolveReport1(False, rho_b, None, None, freedom, "h", None, _witness(tax, signs, bmask))
+    x0 = _minimal_solution(P, lam, b, tax, amask)
     residual = _residual_norm(P, lam, x0, b)
     unique = len(freedom) == 0
     return SolveReport1(True, rho_b, x0, unique, freedom, "g", residual)
@@ -356,7 +383,7 @@ def solvability_conditions(
     tax = taxonomy(P, tol)
     supp = support(b)
     bmask = tax.analysis.classes_meeting(supp)
-    signs = [tax.radius_sign(c, lam) for c in range(len(tax.radii))]
+    signs = tax.signs(lam)
     cond_b = not bmask & tax.blocked_mask(signs)
     bv = b.to_numpy()  # b as floats, once for c, d, e, f, i and j
     cond_c, cond_d = _conditions_c_d(P, lam, bv, tol)
@@ -365,7 +392,7 @@ def solvability_conditions(
     if exact_fj is not None:
         cond_f, cond_j = exact_fj
     cond_g = tax.local_sign(supp, lam) < 0
-    cond_h = _witness(tax, signs.__getitem__, bmask) is None
+    cond_h = _witness(tax, signs, bmask) is None
     decided = [cond_b, cond_e, cond_f, cond_g, cond_h, cond_i, cond_j]
     decided += [c for c in (cond_c, cond_d) if c is not None]
     consistent = len(set(decided)) == 1

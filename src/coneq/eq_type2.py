@@ -18,6 +18,12 @@ can be strictly positive (one LP per probe), an explicit certificate pair
 at lambda = rho, the sign structure of the resolvent for irreducible
 matrices near rho, and the largest real eigenvalue below rho bounding that
 window.
+
+The one-pass rule: solvable2 reads supp(b)'s classes, rho_b's class and one
+sign of radius - lambda per semi-distinguished class once
+(``eq_type1._query``); the access test, the above-regime construction
+``_solve2_above`` and the necessary face at rho_b read those; each public
+function checks its own preconditions.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Optional
 
 from . import oracle
@@ -42,7 +50,7 @@ from .core import (
     support,
     zero,
 )
-from .eq_type1 import _check_inputs, minimal_solution
+from .eq_type1 import _check_inputs, _flagged_at, _minimal_solution, _query
 from .spectral import (
     _back_substitute,
     class_radii,  # noqa: F401  (bench/test_smoke.py expects this binding)
@@ -57,11 +65,14 @@ def combinatorial_solvable_above(P, lam, b, tol=DEFAULT_TOL) -> bool:
     every class meeting supp(b) reaches a lambda-distinguished class.  b = 0
     passes at every shift, since x = 0 solves."""
     lam = _check_inputs(P, lam, b)
-    if b.is_zero():
-        return True
     tax = taxonomy(P, tol)
-    dist = tax.classes_at(lam, tax.distinguished)
-    return bool(dist) and support(b) <= tax.accessor_vertices(dist)
+    bmask = tax.analysis.classes_meeting(support(b))
+    return _reaches_all(tax, bmask, tax.classes_at(lam, tax.distinguished))
+
+
+def _reaches_all(tax, bmask, dist) -> bool:
+    """Does every class in bmask have access to one of the classes dist?"""
+    return not bmask & ~tax.analysis.accessors_mask(sum(1 << c for c in dist))
 
 
 def solve2_above(
@@ -80,14 +91,23 @@ def solve2_above(
     if b.is_zero():
         return ConeVector.zero_vector(P.n, P.mode)
     tax = taxonomy(P, tol)
-    if tax.local_sign(support(b), lam) >= 0:
+    bmask, amask, c_b, signs = _query(tax, lam, b)
+    if signs[c_b] >= 0:
         raise InvalidInput("construction requires the shift to exceed the local radius of b")
-    if not combinatorial_solvable_above(P, lam, b, tol):
+    dist = _flagged_at(tax.distinguished, signs)
+    if not _reaches_all(tax, bmask, dist):
         raise InvalidInput("no nonnegative solution exists at this shift")
-    dist = tax.classes_at(lam, tax.distinguished)
-    relevant = [c for c in dist if support(b) & tax.accessor_vertices((c,))]
+    return _solve2_above(P, lam, b, tax, bmask, amask, dist)
+
+
+def _solve2_above(P, lam, b, tax, bmask, amask, dist) -> ConeVector:
+    """solve2_above of a query that passed its tests, handed its record, the
+    bitmasks of the classes meeting supp(b) and of those with access to
+    them, and the lambda-distinguished classes."""
+    an = tax.analysis
+    relevant = [c for c in dist if an.accessors_mask(1 << c) & bmask]
     u = _back_substitute(P, tax, relevant, tax.radii[relevant[0]])[0]
-    x0 = minimal_solution(P, lam, b, tol)
+    x0 = _minimal_solution(P, lam, b, tax, amask)
     if u.mode != x0.mode:
         x0 = x0.to_float()
     mode = u.mode
@@ -98,7 +118,7 @@ def solve2_above(
             if ratio > alpha:
                 alpha = ratio
     entries = [alpha * ui - xi for ui, xi in zip(u.entries, x0.entries)]
-    return snap_cone(entries, mode, tol)
+    return snap_cone(entries, mode, tax.tol)
 
 
 @dataclass(frozen=True)
@@ -120,20 +140,21 @@ def solvable2(
         x = ConeVector.zero_vector(P.n, P.mode)
         return SolveReport2("above", True, zero(P.mode), x, "cor4_2", SpectralPair(zero(P.mode), 0))
     tax = taxonomy(P, tol)
-    c_b = tax.local_class(support(b))
+    bmask, amask, c_b, signs = _query(tax, lam, b)
     rho_b = tax.radii[c_b]
-    sign = tax.radius_sign(c_b, lam)
-    if sign < 0:
-        if combinatorial_solvable_above(P, lam, b, tol):
-            x = solve2_above(P, lam, b, tol)
+    if signs[c_b] < 0:
+        dist = _flagged_at(tax.distinguished, signs)
+        if _reaches_all(tax, bmask, dist):
+            x = _solve2_above(P, lam, b, tax, bmask, amask, dist)
             pair = spectral_pair(P, x, tol)
-            if not (tax.local_sign(support(x), lam) == 0 and pair.order == 1):
+            c_x = tax.local_class(support(x))  # None or semi-distinguished, as c_b
+            if c_x is None or signs[c_x] != 0 or pair.order != 1:
                 raise NumericFailure("constructed solution has the wrong spectral pair")
             return SolveReport2("above", True, rho_b, x, "cor4_2", pair)
         return SolveReport2("above", False, rho_b, None, "cor4_2", None)
-    regime = "at" if sign == 0 else "below"
+    regime = "at" if signs[c_b] == 0 else "below"
     if regime == "at":
-        if not tax.is_distinguished_eigenvalue(lam) or not support(b) <= necessary_face(P, lam, tol):
+        if not any(signs[c] == 0 for c in tax.eigen_classes) or bmask & ~_necessary_mask(tax, signs):
             return SolveReport2("at", False, rho_b, None, "necessary_violated", None)
     res = oracle.feasible_nonneg_solution(oracle.shifted_image_rows(P, lam), b.entries)
     if not res.feasible:
@@ -156,13 +177,15 @@ def necessary_face(P: NonnegMatrix, lam: Scalar, tol: Tolerance = DEFAULT_TOL) -
     tax = taxonomy(P, tol)
     if not tax.is_distinguished_eigenvalue(lam):
         raise InvalidInput("the necessary face is defined at distinguished eigenvalues")
+    return tax.analysis.vertices_of_mask(_necessary_mask(tax, tax.signs(lam, tax.semi_distinguished)))
+
+
+def _necessary_mask(tax, signs) -> int:
+    """necessary_face as a bitmask of classes, given the sign of radius -
+    lambda of each semi-distinguished class."""
+    an = tax.analysis
     # a class strictly above s: an accessor of s other than s itself
-    return frozenset().union(
-        *(
-            tax.accessor_vertices((s,)) - set(tax.analysis.classes[s])
-            for s in tax.classes_at(lam, tax.semi_distinguished)
-        )
-    )
+    return reduce(or_, (an.accessors_mask(1 << s) & ~(1 << s) for s in _flagged_at(tax.semi_distinguished, signs)), 0)
 
 
 def solvable_face_probe(P: NonnegMatrix, lam: Scalar, tol: Tolerance = DEFAULT_TOL) -> frozenset:
@@ -250,15 +273,18 @@ def image_membership(
     if b.is_zero():
         return MembershipReport(True, True, True)
     j_verts = tax.accessor_vertices(tax.classes_at(lam, tax.semi_distinguished))
+    supp = support(b)
+    sign = tax.local_sign(supp, lam)
     rows = oracle.shifted_image_rows(P, lam)
-    in_s1 = tax.local_sign(support(b), lam) <= 0 and oracle.feasible_nonneg_solution(rows, b.entries).feasible
-    # x supported inside j_verts: the LP on those columns alone
+    in_s1 = sign <= 0 and oracle.feasible_nonneg_solution(rows, b.entries).feasible
+    # x >= 0 supported inside j_verts: the LP on those columns alone.  Such
+    # an x is an x >= 0, so it is run only when the LP on all columns is
+    # feasible or was skipped
     cols = sorted(j_verts)
     picked = [oracle._ScaledRow([row.ints[j - 1] for j in cols], row.scale) for row in rows]
-    in_s2 = oracle.feasible_nonneg_solution(picked, b.entries).feasible
+    in_s2 = (in_s1 or sign > 0) and oracle.feasible_nonneg_solution(picked, b.entries).feasible
     m_lam = max_distinguished_order(P, lam, tol)
     order_b = spectral_pair(P, b, tol).order
     # (rho_b, order_b) <= (lambda, m_lam - 1) lexicographically
-    sign = tax.local_sign(support(b), lam)
-    in_s3 = support(b) <= j_verts and (sign < 0 or sign == 0 and order_b <= m_lam - 1)
+    in_s3 = supp <= j_verts and (sign < 0 or sign == 0 and order_b <= m_lam - 1)
     return MembershipReport(in_s1, in_s2, in_s3)

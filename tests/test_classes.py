@@ -14,6 +14,7 @@ from coneq.core import (
     scalars_equal,
     to_json,
 )
+from coneq.classes import _sign as record_sign
 from coneq.classes import (
     classify,
     condense,
@@ -304,3 +305,93 @@ def test_flags_on_radii_tied_under_the_tolerance(d, mode):
     assert t.distinguished_transpose == (False, True)
     assert t.semi_distinguished == (True, True)
     assert t.eigen_classes == (0,)
+
+
+def _tied_fuzz(rnd):
+    """Blocks drawn from B, its two conjugates above (radii tied under the
+    tolerance) and singletons and 2-cycles of row sum 1 or 2 (radii tied
+    exactly), each block given an edge into some later blocks."""
+    blocks = []
+    for _ in range(rnd.randint(2, 5)):
+        kind = rnd.randrange(5)
+        if kind < 3:
+            d = ((1, 1, 1), (1, 2, 3), (1, 3, 2))[kind]
+            blocks.append([[Fraction(d[i] * TIED_B[i][j], d[j]) for j in range(3)] for i in range(3)])
+        else:
+            s = Fraction(rnd.choice((1, 2)))
+            blocks.append([[s]] if kind == 3 else [[0, s], [s, 0]])
+    offsets = [sum(map(len, blocks[:k])) for k in range(len(blocks) + 1)]
+    rows = [[0] * offsets[-1] for _ in range(offsets[-1])]
+    for k, block in enumerate(blocks):
+        for i, row in enumerate(block):
+            rows[offsets[k] + i][offsets[k]:offsets[k + 1]] = row
+        for later in offsets[k + 1:-1]:
+            if rnd.random() < 0.5:
+                rows[offsets[k] + rnd.randrange(len(block))][later] = 1
+    return mat(rows)
+
+
+def _ref_classify(analysis, radii, tol) -> tuple:
+    """The flags basic, final, initial, distinguished, distinguished_transpose
+    and semi_distinguished as classify computed them before it compared each
+    pair of classes once: one pass over the pairs per flag."""
+    k = analysis.class_count
+    rho = max(radii) if k else 0
+
+    def above_others(c, cut, transpose=False):  # d has access to c (c to d when transpose)
+        return all(
+            record_sign(radii[d], radii[c], tol) < cut
+            for d in range(k)
+            if d != c and (analysis.has_access(c, d) if transpose else analysis.has_access(d, c))
+        )
+
+    return (
+        tuple(record_sign(radii[c], rho, tol) == 0 for c in range(k)),
+        tuple(analysis.reach[c] == 1 << c for c in range(k)),
+        tuple(all(not analysis.has_access(d, c) for d in range(k) if d != c) for c in range(k)),
+        tuple(above_others(c, 0) for c in range(k)),
+        tuple(above_others(c, 0, True) for c in range(k)),
+        tuple(above_others(c, 1) for c in range(k)),
+    )
+
+
+def _ref_local_class(tax, vertices):
+    """ClassTaxonomy.local_class as it was before the record kept its classes
+    in order by radius: max by key over the accessor classes."""
+    an = tax.analysis
+    mask = an.accessors_mask(an.classes_meeting(vertices))
+    members = (c for c in range(len(tax.radii)) if mask >> c & 1)
+    return max(members, key=tax.radii.__getitem__, default=None)
+
+
+def test_record_matches_the_three_pass_flags_and_the_max_local_class():
+    # fuzz matrices with radii tied exactly and under the tolerance, their
+    # irregular twins (float radii) and the float twins of both
+    rnd = rng(3301)
+    seen = Counter()
+    for _ in range(40):
+        P = _tied_fuzz(rnd)
+        Q = irregular(rnd, P)
+        for M in (P, Q, P.to_float(), Q.to_float()):
+            tax = taxonomy(M)
+            an, radii = tax.analysis, tax.radii
+            flags = (tax.basic, tax.final, tax.initial, tax.distinguished, tax.distinguished_transpose,
+                     tax.semi_distinguished)
+            assert flags == _ref_classify(an, radii, tax.tol), M.rows
+            seen[M.mode, "tolerance tie"] += any(
+                radii[c] != radii[d] and scalars_equal(radii[c], radii[d])
+                for c in range(len(radii)) for d in range(c)
+            )
+            vertex_sets = [(), *((v,) for v in range(1, M.n + 1)), rnd.sample(range(1, M.n + 1), rnd.randint(1, M.n))]
+            for vs in vertex_sets:
+                c = tax.local_class(vs)
+                assert c == _ref_local_class(tax, vs), (M.rows, vs)
+                if c is None:
+                    continue
+                # no accessor of the local class has a larger radius, so the
+                # class is semi-distinguished: eq_type1._query reads its sign
+                # among theirs
+                assert tax.semi_distinguished[c], (M.rows, vs)
+                mask = an.accessors_mask(an.classes_meeting(vs))
+                seen[M.mode, "exact tie"] += sum(mask >> d & 1 and radii[d] == radii[c] for d in range(len(radii))) > 1
+    assert min(seen[m, t] for m in (RATIONAL, FLOAT) for t in ("tolerance tie", "exact tie")) >= 20, seen

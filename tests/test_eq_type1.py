@@ -842,7 +842,7 @@ def test_one_pass_battery_matches_the_two_pass_reference():
                 tax = taxonomy(M)
                 bmask = tax.analysis.classes_meeting(support(b))
                 lam_in = eq_type1._check_inputs(M, lam)
-                assert eq_type1._witness(tax, lambda c: tax.radius_sign(c, lam_in), bmask) == witness
+                assert eq_type1._witness(tax, tax.signs(lam_in), bmask) == witness
                 assert solvable_set(M, lam) == solvable, (M.rows, lam)
                 seen["witness", witness is None] += 1
                 seen["exact" if exact else "float", "f", got.f] += 1

@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -15,7 +16,8 @@ from coneq.core import (
     support,
     to_json,
 )
-from coneq.classes import condense
+from coneq.classes import ClassTaxonomy, condense
+from coneq.eq_type1 import solve1
 from coneq.spectral import spectral_pair, spectral_radius, taxonomy
 from coneq.eq_type2 import (
     combinatorial_solvable_above,
@@ -818,6 +820,52 @@ def _peak_cases(rounds=200):
                         if support(b) & tax.accessor_vertices((c,))
                     ]
                     yield M, tax, lam, b, relevant
+
+
+def _counted(monkeypatch, fn, M, lam, b):
+    """fn(M, lam, b), and how often it called core.support on b ("supp(b)")
+    and compared each class radius with lam (by class index).  Only the
+    scalar lam itself counts: spectral_pair compares radii with rho_x."""
+    counts = Counter()
+    real_support, real_sign = support, ClassTaxonomy.radius_sign
+
+    def counted_support(v):
+        counts["supp(b)"] += v is b
+        return real_support(v)
+
+    def counted_sign(self, c, shift):
+        counts[c] += shift is lam
+        return real_sign(self, c, shift)
+
+    with monkeypatch.context() as mp:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("coneq.") and getattr(module, "support", None) is real_support:
+                mp.setattr(module, "support", counted_support)
+        mp.setattr(ClassTaxonomy, "radius_sign", counted_sign)
+        out = fn(M, lam, b)
+    return out, counts
+
+
+def test_a_decider_query_reads_each_fact_once(monkeypatch):
+    # one pass per query: a rational solve1, solvable or not, and an
+    # above-regime solvable2 read supp(b) once and compare each class radius
+    # with lambda at most once
+    seen = Counter()
+    for M, tax, lam, b, relevant in _peak_cases(rounds=60):
+        # rational radii only: at a shift tied to an irrational radius, a
+        # rational solvable2 raises on mixed numeric modes
+        if M.mode != RATIONAL or b.is_zero() or not all(isinstance(r, Fraction) for r in tax.radii):
+            continue
+        # fresh shift objects: lam and rho_b are radii of the record
+        lam, rho_b = Fraction(lam), Fraction(tax.radii[tax.local_class(support(b))])
+        queries = [(solve1, lam), (solvable2, lam)] + [(solve1, rho_b)] * (rho_b > 0)
+        for fn, shift in queries:
+            rep, counts = _counted(monkeypatch, fn, M, shift, b)
+            assert counts.pop("supp(b)") == 1, (fn.__name__, M.rows, shift, b)
+            assert 0 < max(counts.values()) == 1, (fn.__name__, M.rows, shift, b, counts)
+            seen[fn.__name__, getattr(rep, "regime", None), rep.solvable] += 1
+    assert seen["solve1", None, False] >= 40 and seen["solve1", None, True] >= 40, seen
+    assert seen["solvable2", "above", True] >= 40 and seen["solvable2", "above", False] >= 5, seen
 
 
 def test_solve2_above_matches_the_per_class_eigenvector_sum():

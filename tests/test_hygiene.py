@@ -279,7 +279,7 @@ def test_one_back_substitution():
     assert _innermost_call_sites("_back_substitute") == {
         ("spectral.py", "fv_eigenvector"),
         ("eq_type2.py", "tracedown_witness"),
-        ("eq_type2.py", "solve2_above"),
+        ("eq_type2.py", "_solve2_above"),
     }
     assert ("spectral.py", "_back_substitute") not in _innermost_call_sites("radius_sign")
     assert _innermost_call_sites("perron_vector_block") == {

@@ -72,8 +72,18 @@ def _exact_eigen_dedup(monkeypatch):
 
 
 def _exact_above_others(monkeypatch):
-    old = "_sign(radii[d], radii[c], tol) < cut"
-    _patch_classify(monkeypatch, old, "(radii[d] > radii[c]) - (radii[d] < radii[c]) < cut")
+    old = "_sign(radii[d], radii[c], tol)"
+    _patch_classify(monkeypatch, old, "(radii[d] > radii[c]) - (radii[d] < radii[c])")
+
+
+def _ties_to_the_higher_index(monkeypatch):
+    # local_class reads the record's order by radius
+    old = "sorted(range(k), key=radii.__getitem__, reverse=True)"
+    _patch_classify(monkeypatch, old, "sorted(reversed(range(k)), key=radii.__getitem__, reverse=True)")
+
+
+def _unnegated_transpose(monkeypatch):
+    _patch_classify(monkeypatch, "(-s >= 0) << d", "(s >= 0) << d")
 
 
 def _widened_radius_sign(monkeypatch):
@@ -95,6 +105,8 @@ def _attainment_on_initial_flags(monkeypatch):
         (_exact_sign, lambda cap: test_spectral.TestTaxonomyMemo().test_each_tolerance_has_its_own_entry()),
         (_exact_eigen_dedup, lambda cap: test_classes.test_flags_on_radii_tied_under_the_tolerance((1, 2, 3), RATIONAL)),
         (_exact_above_others, lambda cap: test_classes.test_flags_on_radii_tied_under_the_tolerance((1, 2, 3), RATIONAL)),
+        (_ties_to_the_higher_index, lambda cap: test_classes.test_record_matches_the_three_pass_flags_and_the_max_local_class()),
+        (_unnegated_transpose, lambda cap: test_classes.test_record_matches_the_three_pass_flags_and_the_max_local_class()),
         (
             _widened_radius_sign,
             lambda cap: test_shift_reading.test_float_verdicts_agree_with_the_lp_outside_the_tolerance_band(cap, rounds=20),
@@ -104,7 +116,10 @@ def _attainment_on_initial_flags(monkeypatch):
             lambda cap: test_collatz_wielandt.TestAttainment().test_agrees_with_the_positive_subinvariant_lp(),
         ),
     ],
-    ids=["exact-sign", "exact-eigen-dedup", "exact-above-others", "widened-radius-sign", "attainment-on-initial"],
+    ids=[
+        "exact-sign", "exact-eigen-dedup", "exact-above-others", "ties-to-the-higher-index", "unnegated-transpose",
+        "widened-radius-sign", "attainment-on-initial",
+    ],
 )
 def test_record_mutant_is_killed(monkeypatch, capsys, mutant, check):
     # records are memoised per matrix, so each check builds its matrices anew
