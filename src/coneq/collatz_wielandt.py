@@ -14,9 +14,8 @@ when every basic class is final).
 The decomposition helpers split a vector with one-sided image comparison
 into an eigenvector part plus a strictly subcritical remainder, and the
 zero-intersection battery checks the three equivalent no-nontrivial-image
-conditions (equivalent over the orthant because it is polyhedral); each of
-its two face questions, the image face and the nonnegative generalized null
-vectors, is one LP.
+conditions (equivalent over the orthant because it is polyhedral): a and b
+are read off P's structure record, and c, the ground truth, is one LP.
 """
 
 from __future__ import annotations
@@ -179,6 +178,8 @@ class ZeroIntersectionReport:
         and the access-closure of the basic classes carries no distinguished
         eigenvalue below rho
     c   no x >= 0 has (P - rho*I)x nonnegative and nonzero
+
+    a and b are read off P's record; c is one LP (the face probe at rho).
     """
 
     a: bool
@@ -194,36 +195,18 @@ def zero_intersection_conditions(P: NonnegMatrix, tol: Tolerance = DEFAULT_TOL) 
     if not isinstance(rho, Fraction):
         raise InvalidInput("zero-intersection conditions need an exact rational spectral radius")
     tax = taxonomy(P, tol)
-    # the classes with access to a basic class form an initial set, so a class
-    # there is distinguished in their principal submatrix iff it is in P
+    # the classes with access to a basic class; their radii are at most rho
     closure = tax.analysis.accessors_mask(sum(1 << c for c, flag in enumerate(tax.basic) if flag))
     # rho_in_sigma1 of P^T: the same classes and radii with access reversed,
     # so every basic class must be initial
     cond_a = all(initial for initial, basic in zip(tax.initial, tax.basic) if basic)
-    cond_b = _generalized_null_is_eigen(P, rho) and all(
-        tax.radius_sign(c, rho) == 0 for c, flag in enumerate(tax.distinguished) if flag and closure >> c & 1
-    )
+    # the largest order of a nonnegative generalized eigenvector at rho is
+    # the longest chain of basic classes (Rothblum's index theorem), so all
+    # of them are eigenvectors iff every basic class is distinguished; and a
+    # class of the closure below rho must not be distinguished
+    cond_b = all(tax.distinguished[c] == tax.basic[c] for c in range(len(tax.radii)) if closure >> c & 1)
     cond_c = len(solvable_face_probe(P, rho, tol)) == 0
     return ZeroIntersectionReport(cond_a, cond_b, cond_c)
-
-
-def _generalized_null_is_eigen(P: NonnegMatrix, rho: Fraction) -> bool:
-    """No x >= 0 with (rho*I - P)^n x = 0 but (rho*I - P)x != 0.
-
-    One maximal-support LP gives the support F of that cone C; a point of C
-    positive on F makes span(C) = N((rho*I - P)^n) restricted to F, so the
-    answer is whether rho*I - P vanishes on an exact basis of that space,
-    tested on each row's integers (the row times its positive scale)."""
-    n = P.n
-    shift = oracle.shifted_image_rows(P, rho, sign=-1)  # rho*I - P
-    powered = oracle.matrix_power_exact(shift, n)
-    face = sorted(oracle.max_support([[int(i == j) for j in range(n)] for i in range(n)], powered))
-    if not face:
-        return True
-    basis = oracle.nullspace_exact([[row[j - 1] for j in face] for row in powered])
-    return all(
-        sum(row.ints[j - 1] * v for j, v in zip(face, vec)) == 0 for vec in basis for row in shift
-    )
 
 
 @dataclass(frozen=True)

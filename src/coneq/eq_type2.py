@@ -279,10 +279,12 @@ def image_membership(
     in_s1 = sign <= 0 and oracle.feasible_nonneg_solution(rows, b.entries).feasible
     # x >= 0 supported inside j_verts: the LP on those columns alone.  Such
     # an x is an x >= 0, so it is run only when the LP on all columns is
-    # feasible or was skipped
+    # feasible; where that LP is skipped (rho_b > lambda) it cannot succeed,
+    # since j_verts is initial, so b = (P - lambda*I)x is supported in it too,
+    # and its classes have radius at most lambda, so rho_b <= lambda
     cols = sorted(j_verts)
     picked = [oracle._ScaledRow([row.ints[j - 1] for j in cols], row.scale) for row in rows]
-    in_s2 = (in_s1 or sign > 0) and oracle.feasible_nonneg_solution(picked, b.entries).feasible
+    in_s2 = in_s1 and oracle.feasible_nonneg_solution(picked, b.entries).feasible
     m_lam = max_distinguished_order(P, lam, tol)
     order_b = spectral_pair(P, b, tol).order
     # (rho_b, order_b) <= (lambda, m_lam - 1) lexicographically

@@ -260,7 +260,7 @@ def spectral_pair(
     tax = taxonomy(P, tol)
     mask = tax.analysis.accessors_mask(tax.analysis.classes_meeting(support(x)))
     members = [c for c in range(tax.analysis.class_count) if mask >> c & 1]
-    rho_x = max(tax.radii[c] for c in members)
+    rho_x = tax.radii[tax.peak_class(mask)]
     at_radius = [c for c in members if tax.radius_sign(c, rho_x) == 0]
     return SpectralPair(rho_x, _longest_chain(tax.analysis, at_radius))
 

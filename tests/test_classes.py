@@ -94,6 +94,32 @@ class TestCondense:
         }
 
 
+def test_access_is_the_reachability_of_the_digraph():
+    # condense against a transitive closure of the digraph of P (Warshall,
+    # vertex by vertex): u's class has access to v's class iff a path leads
+    # from u to v, and two vertices share a class iff each reaches the other
+    rnd = rng(37)
+    pairs = Counter()
+    for _ in range(150):
+        P = fuzz_matrix(rnd, n_max=8)
+        n = P.n
+        reach = [{i} | {j for j in range(n) if P.rows[i][j] != 0} for i in range(n)]
+        for k in range(n):
+            for i in range(n):
+                if k in reach[i]:
+                    reach[i] |= reach[k]
+        an = condense(P)
+        for u in range(n):
+            for v in range(n):
+                cu, cv = an.vertex_class[u], an.vertex_class[v]
+                assert an.has_access(cu, cv) == (v in reach[u]), (P.rows, u + 1, v + 1)
+                assert (cu == cv) == (v in reach[u] and u in reach[v]), (P.rows, u + 1, v + 1)
+        k = an.class_count
+        pairs["with access"] += sum(an.has_access(c, d) for c in range(k) for d in range(c + 1, k))
+        pairs["without"] += sum(not an.has_access(c, d) for c in range(k) for d in range(c + 1, k))
+    assert min(pairs.values()) >= 100, pairs
+
+
 class TestInitialSets:
     def test_closure_pulls_in_accessing_vertices(self):
         P = mat([[1, 1], [0, 1]])

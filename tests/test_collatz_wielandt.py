@@ -16,7 +16,6 @@ from coneq.core import (
 )
 from coneq.classes import condense, smallest_initial_superset
 from coneq.collatz_wielandt import (
-    _generalized_null_is_eigen,
     boundary_report,
     cw_numbers,
     cw_sets,
@@ -28,14 +27,17 @@ from coneq.collatz_wielandt import (
 )
 from coneq.eq_type1 import minimal_solution, solvable_set
 from coneq.spectral import (
+    class_radii,
     fv_eigenvector,
     local_spectral_radius,
+    max_distinguished_order,
     spectral_radius,
     taxonomy,
 )
 from coneq import oracle
 
 from fuzz import fuzz_matrix, fuzz_vector, irregular, rng
+from test_oracle import _ref_generalized_null_is_eigen
 
 
 def mat(rows, mode=RATIONAL):
@@ -348,7 +350,7 @@ def _reference_conditions_a_b(P):
     if j_verts:
         sub_tax = taxonomy(P.submatrix(j_verts))
         closure = all(sub_tax.radius_sign(c, rho) == 0 for c in sub_tax.eigen_classes)
-    return rho_in_sigma1(P.transpose()), _generalized_null_is_eigen(P, rho) and closure
+    return rho_in_sigma1(P.transpose()), _ref_generalized_null_is_eigen(P, rho) and closure
 
 
 def test_zero_intersection_matches_the_transpose_and_submatrix_records():
@@ -365,6 +367,24 @@ def test_zero_intersection_matches_the_transpose_and_submatrix_records():
             verdicts.update((name, getattr(rep, name)) for name in "abc")
             compared += 1
     assert min(verdicts[(name, flag)] for name in "abc" for flag in (True, False)) >= 40, verdicts
+
+
+def test_the_record_reads_the_null_vectors_at_every_rational_class_radius():
+    # the record's form of the exact route at any shift: the nonnegative
+    # generalized null vectors at a rational class radius lam are all
+    # eigenvectors iff lam is not a distinguished eigenvalue (the cone is
+    # {0}) or no nonnegative generalized eigenvector at lam has order 2
+    rnd = rng(707)
+    verdicts = Counter()
+    for _ in range(250):
+        P = fuzz_matrix(rnd, n_max=8)
+        for M in (P, irregular(rnd, P)):
+            tax = taxonomy(M)
+            for lam in {r for r in class_radii(M) if isinstance(r, Fraction)}:
+                record = not tax.is_distinguished_eigenvalue(lam) or max_distinguished_order(M, lam) <= 1
+                assert record == _ref_generalized_null_is_eigen(M, lam), (M, lam)
+                verdicts[record] += 1
+    assert min(verdicts[True], verdicts[False]) >= 40, verdicts
 
 
 class TestBoundary:

@@ -18,7 +18,13 @@ from coneq.core import (
 )
 from coneq.classes import ClassTaxonomy, condense
 from coneq.eq_type1 import solve1
-from coneq.spectral import spectral_pair, spectral_radius, taxonomy
+from coneq.spectral import (
+    distinguished_eigenvalues,
+    max_distinguished_order,
+    spectral_pair,
+    spectral_radius,
+    taxonomy,
+)
 from coneq.eq_type2 import (
     combinatorial_solvable_above,
     image_membership,
@@ -30,7 +36,7 @@ from coneq.eq_type2 import (
     subcritical_window,
     tracedown_witness,
 )
-from coneq import eq_type2, oracle
+from coneq import cli, eq_type2, oracle
 
 from fuzz import fuzz_irreducible, fuzz_matrix, fuzz_vector, irregular, lambda_sweep, rng
 
@@ -593,8 +599,6 @@ class TestImageMembership:
             )
 
     def test_membership_sets_are_nested(self):
-        from coneq.spectral import distinguished_eigenvalues
-
         rnd = rng(777)
         cases = 0
         for _ in range(20):
@@ -610,6 +614,46 @@ class TestImageMembership:
                     if rep.in_s2:
                         assert rep.in_s3
         assert cases >= 60
+
+
+def _ref_image_membership(P, lam, b):
+    """image_membership's three flags for a nonzero b, as they read while
+    the column LP also ran where the LP on all columns is skipped (rho_b >
+    lambda), with the sign of rho_b - lambda and that column LP's verdict
+    there (None where it is not skipped)."""
+    tax = taxonomy(P)
+    j_verts = tax.accessor_vertices(tax.classes_at(lam, tax.semi_distinguished))
+    supp = support(b)
+    sign = tax.local_sign(supp, lam)
+    rows = oracle.shifted_image_rows(P, lam)
+    in_s1 = sign <= 0 and oracle.feasible_nonneg_solution(rows, b.entries).feasible
+    column_lp = (in_s1 or sign > 0) and oracle.feasible_nonneg_solution(
+        [[row[j - 1] for j in sorted(j_verts)] for row in rows], b.entries
+    ).feasible
+    order_b = spectral_pair(P, b).order
+    in_s3 = supp <= j_verts and (sign < 0 or sign == 0 and order_b <= max_distinguished_order(P, lam) - 1)
+    return (in_s1, column_lp, in_s3), sign, column_lp if sign > 0 else None
+
+
+def test_image_membership_matches_the_flags_with_the_skipped_column_lp():
+    # the column LP runs only after a feasible LP on all columns; where that
+    # LP is skipped (rho_b > lambda) the column LP was infeasible every time,
+    # since J is initial and its classes have radius at most lambda
+    rnd = rng(11)
+    seen = Counter()
+    for _ in range(150):
+        P = fuzz_matrix(rnd, n_max=7)
+        for M in (P, irregular(rnd, P)):
+            for lam in distinguished_eigenvalues(M):
+                if not isinstance(lam, Fraction) or lam <= 0:
+                    continue
+                for b in cli._sample_vectors(M):
+                    rep = image_membership(M, lam, b)
+                    want, sign, skipped = _ref_image_membership(M, lam, b)
+                    assert (rep.in_s1, rep.in_s2, rep.in_s3) == want, (M.rows, lam, b)
+                    assert skipped is not True, (M.rows, lam, b)
+                    seen[sign, rep.in_s2] += 1
+    assert seen[1, False] >= 200 and seen[0, True] >= 50 and seen[0, False] >= 50, seen
 
 
 def _ref_tracedown_witness(P, class_index, tol):

@@ -7,10 +7,12 @@ shift with a radius and it compares radii by one rule, only the record
 reads the classes a set reaches, one runner builds the CLI's sampled reports, no
 module builds a transpose or a submatrix, one helper reads the float
 lane's peripheral band, one generator bisects on a Sturm root count, one
-back-substitution is handed its Perron classes, a shift is read in one
-place, the shifted product has one implementation, every LP reaches the
-simplex through solve_lp and has its rows scaled by one helper, every
-import sits at module level, and numpy is bound once, lazily, in core."""
+back-substitution is handed its Perron classes, the zero-intersection
+battery runs one LP, image_membership's column LP follows a feasible full
+LP, a shift is read in one place, the shifted product has one
+implementation, every LP reaches the simplex through solve_lp and has its
+rows scaled by one helper, every import sits at module level, and numpy is
+bound once, lazily, in core."""
 
 import ast
 import inspect
@@ -195,6 +197,38 @@ def test_only_the_record_reads_the_classes_a_set_reaches():
     # the complement of an initial set below a shift is the one question
     # that needs the classes a set reaches; rho-attainment reads final flags
     assert _innermost_call_sites("reached_mask") == {("classes.py", "ClassTaxonomy.blocked_mask")}
+
+
+def test_the_zero_intersection_battery_runs_one_lp():
+    # conditions a and b are read off the structure record, so
+    # collatz_wielandt takes no exact matrix power or nullspace and runs no
+    # LP of its own: its one LP, condition c, is the face probe at rho
+    names = ["matrix_power_exact", "nullspace_exact", "max_support", "solve_lp", "lp_feasible",
+             "feasible_nonneg_solution", "solvable_face_probe"]
+    sites = {
+        name: [site for site in found if site[0] == "collatz_wielandt.py"] for name, found in _call_sites(names).items()
+    }
+    want = {name: [] for name in names}
+    want["solvable_face_probe"] = [("collatz_wielandt.py", "zero_intersection_conditions")]
+    assert sites == want, sites
+
+
+def test_the_column_lp_runs_after_a_feasible_full_lp():
+    # image_membership's LP on the columns of J runs only when the LP on all
+    # columns is feasible: where that one is skipped (rho_b > lambda) no
+    # x >= 0 supported in the initial set J has b as its image
+    func = next(
+        node
+        for node in _trees()["eq_type2.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "image_membership"
+    )
+    assigned = {
+        node.targets[0].id: ast.unparse(node.value)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+    assert assigned["in_s2"].startswith("in_s1 and oracle.feasible_nonneg_solution("), assigned["in_s2"]
+    assert assigned["in_s1"].startswith("sign <= 0 and oracle.feasible_nonneg_solution("), assigned["in_s1"]
 
 
 def test_one_sampled_report_builder():

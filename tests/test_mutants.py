@@ -12,9 +12,10 @@ import test_collatz_wielandt
 import test_eq_type2
 import test_oracle
 import test_shift_reading
+import test_shifted_rows
 import test_spectral
 from coneq import classes, collatz_wielandt, eq_type2, oracle, spectral
-from coneq.core import RATIONAL
+from coneq.core import RATIONAL, NonnegMatrix
 
 
 def _edited(func, old, new):
@@ -99,6 +100,24 @@ def _attainment_on_initial_flags(monkeypatch):
         monkeypatch.setattr(module, "rho_in_sigma1", edited)
 
 
+def _basic_chains_ignored(monkeypatch):
+    # condition b passes a basic class that another basic class has access to
+    old = "tax.distinguished[c] == tax.basic[c]"
+    edited = _edited(collatz_wielandt.zero_intersection_conditions, old, "tax.distinguished[c] <= tax.basic[c]")
+    monkeypatch.setattr(collatz_wielandt, "zero_intersection_conditions", edited)
+    monkeypatch.setattr(test_collatz_wielandt, "zero_intersection_conditions", edited)
+
+
+def _one_access_edge_dropped(monkeypatch):
+    # the direct edge from the first class to the last is not recorded; the
+    # edited copy is memoised afresh
+    old = "if cj != ci:"
+    edited = _edited(classes.condense.__wrapped__, old, "if cj != ci and (ci, cj) != (0, k - 1):")
+    # spectral and the test module import the name, so every binding is patched
+    for module in (classes, spectral, test_classes):
+        monkeypatch.setattr(module, "condense", edited)
+
+
 @pytest.mark.parametrize(
     "mutant, check",
     [
@@ -115,10 +134,15 @@ def _attainment_on_initial_flags(monkeypatch):
             _attainment_on_initial_flags,
             lambda cap: test_collatz_wielandt.TestAttainment().test_agrees_with_the_positive_subinvariant_lp(),
         ),
+        (
+            _basic_chains_ignored,
+            lambda cap: test_collatz_wielandt.test_zero_intersection_matches_the_transpose_and_submatrix_records(),
+        ),
+        (_one_access_edge_dropped, lambda cap: test_classes.test_access_is_the_reachability_of_the_digraph()),
     ],
     ids=[
         "exact-sign", "exact-eigen-dedup", "exact-above-others", "ties-to-the-higher-index", "unnegated-transpose",
-        "widened-radius-sign", "attainment-on-initial",
+        "widened-radius-sign", "attainment-on-initial", "basic-chains-ignored", "one-access-edge-dropped",
     ],
 )
 def test_record_mutant_is_killed(monkeypatch, capsys, mutant, check):
@@ -164,3 +188,15 @@ def test_lp_mutant_is_killed(monkeypatch, mutant, check):
     # the check undoes its own patches, so it gets a monkeypatch of its own
     with pytest.MonkeyPatch.context() as mp, pytest.raises(AssertionError):
         check(mp)
+
+
+def _negated_shifted_apply(monkeypatch):
+    edited = _edited(NonnegMatrix.shifted_apply, "if sign > 0:", "if sign < 0:")
+    monkeypatch.setattr(NonnegMatrix, "shifted_apply", edited)
+
+
+def test_shifted_product_mutant_is_killed(monkeypatch):
+    _negated_shifted_apply(monkeypatch)
+    # the check patches the product itself, so it gets a monkeypatch of its own
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(AssertionError):
+        test_shifted_rows.test_vector_products_match_the_hand_written_ones(mp)

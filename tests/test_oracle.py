@@ -11,7 +11,7 @@ from pytest import raises as assert_raises
 from coneq.core import DEFAULT_TOL, FLOAT, RATIONAL, ConeVector, InvalidInput, NonnegMatrix
 from coneq import cli, oracle
 from coneq.alternating import alternating_bound_report
-from coneq.collatz_wielandt import _generalized_null_is_eigen, power_limit_exists
+from coneq.collatz_wielandt import power_limit_exists, zero_intersection_conditions
 from coneq.eq_type2 import solvable_face_probe
 from coneq.oracle import (
     EigComponent,
@@ -479,9 +479,29 @@ def _null_rows(P, rho):
     return shift, matrix_power_exact(shift, P.n)
 
 
+def _ref_generalized_null_is_eigen(P, rho):
+    """collatz_wielandt's condition (b) on the null vectors as it was
+    computed before it came off the record: no x >= 0 with
+    (rho*I - P)^n x = 0 but (rho*I - P)x != 0.
+
+    One maximal-support LP gives the support F of that cone C; a point of C
+    positive on F makes span(C) = N((rho*I - P)^n) restricted to F, so the
+    answer is whether rho*I - P vanishes on an exact basis of that space,
+    tested on each row's integers (the row times its positive scale)."""
+    n = P.n
+    shift, powered = _null_rows(P, rho)
+    face = sorted(oracle.max_support([[int(i == j) for j in range(n)] for i in range(n)], powered))
+    if not face:
+        return True
+    basis = oracle.nullspace_exact([[row[j - 1] for j in face] for row in powered])
+    return all(
+        sum(row.ints[j - 1] * v for j, v in zip(face, vec)) == 0 for vec in basis for row in shift
+    )
+
+
 def _ref_null_is_eigen(P, rho):
-    """collatz_wielandt._generalized_null_is_eigen as it was: one LP per
-    coordinate and sign, x >= 0 with (rho*I - P)^n x = 0 and
+    """_ref_generalized_null_is_eigen before its maximal-support LP: one LP
+    per coordinate and sign, x >= 0 with (rho*I - P)^n x = 0 and
     +-[(rho*I - P)x]_i >= 1."""
     shift, powered = _null_rows(P, rho)
     eq_rows = [(row, 0) for row in powered]
@@ -490,16 +510,6 @@ def _ref_null_is_eigen(P, rho):
         for i in range(P.n)
         for sgn in (1, -1)
     )
-
-
-def _null_support(P, rho):
-    """The support of {x >= 0 : (rho*I - P)^n x = 0}, one LP per coordinate."""
-    eq_rows = [(row, 0) for row in _null_rows(P, rho)[1]]
-    return {
-        i + 1
-        for i in range(P.n)
-        if lp_feasible(LPProblem.build(P.n, eq_rows, [([int(j == i) for j in range(P.n)], 1)])).feasible
-    }
 
 
 def _face_shifts(P):
@@ -637,7 +647,7 @@ class TestLP:
                     problems += _face_probe_lps(P, lam)
                     solvable_face_probe(P, lam)
                     if lam == r:
-                        _generalized_null_is_eigen(P, lam)
+                        _ref_generalized_null_is_eigen(P, lam)
         monkeypatch.undo()
         problems += recorded
         fuzzed, seen = Counter(), Counter()
@@ -809,7 +819,7 @@ class TestFaceQuestions:
                 faces["empty" if not face else "full" if len(face) == P.n else "partial"] += 1
                 if oracle._poly_eval(coeffs, lam) != 0:
                     continue
-                verdict = _generalized_null_is_eigen(P, lam)
+                verdict = _ref_generalized_null_is_eigen(P, lam)
                 assert verdict == _ref_null_is_eigen(P, lam), (P.rows, lam)
                 verdicts[verdict] += 1
         assert min(faces[k] for k in ("empty", "full", "partial")) >= 50, faces
@@ -828,10 +838,10 @@ class TestFaceQuestions:
             coeffs = charpoly_exact(P)
             for lam in _face_shifts(P):
                 at_eigenvalue = oracle._poly_eval(coeffs, lam) == 0
-                new = solvable_face_probe(P, lam), at_eigenvalue and _generalized_null_is_eigen(P, lam)
+                new = solvable_face_probe(P, lam), at_eigenvalue and _ref_generalized_null_is_eigen(P, lam)
                 with monkeypatch.context() as patched:
                     patched.setattr(oracle, "solve_lp", all_artificial)
-                    old = solvable_face_probe(P, lam), at_eigenvalue and _generalized_null_is_eigen(P, lam)
+                    old = solvable_face_probe(P, lam), at_eigenvalue and _ref_generalized_null_is_eigen(P, lam)
                 assert new == old, (P.rows, lam)
                 faces["empty" if not new[0] else "full" if len(new[0]) == P.n else "partial"] += 1
                 if at_eigenvalue:
@@ -840,8 +850,11 @@ class TestFaceQuestions:
         assert verdicts[True] >= 30 and verdicts[False] >= 10, verdicts
 
     def test_each_face_question_is_one_lp(self, monkeypatch):
+        # the face probe is one LP at every shift, and the zero-intersection
+        # battery, which reads a and b off the record, runs that LP at rho
+        # and no other LP, matrix power or nullspace
         calls = Counter()
-        for name in ("solve_lp", "nullspace_exact"):
+        for name in ("solve_lp", "nullspace_exact", "matrix_power_exact"):
 
             def counted(*args, _real=getattr(oracle, name), _name=name):
                 calls[_name] += 1
@@ -849,22 +862,19 @@ class TestFaceQuestions:
 
             monkeypatch.setattr(oracle, name, counted)
         rnd = rng(708)
-        supports = Counter()
+        batteries = Counter()
         for P in _face_question_matrices(rnd, 10):
             one = min(P.n, 1)  # the empty matrix asks no LP
-            coeffs = charpoly_exact(P)
             for lam in _face_shifts(P):
                 calls.clear()
                 solvable_face_probe(P, lam)
                 assert calls == Counter(solve_lp=one), (P.rows, lam)
-                # off the eigenvalues (lam*I - P)^n is nonsingular: F is empty
-                support = _null_support(P, lam) if oracle._poly_eval(coeffs, lam) == 0 else set()
+            if P.mode == RATIONAL and isinstance(spectral_radius(P), Fraction):
                 calls.clear()
-                _generalized_null_is_eigen(P, lam)
-                # one nullspace on the support F, none when F is empty
-                assert calls == Counter(solve_lp=one, nullspace_exact=int(bool(support)))
-                supports[bool(support)] += 1
-        assert min(supports[True], supports[False]) >= 20, supports
+                rep = zero_intersection_conditions(P)
+                assert calls == Counter(solve_lp=one), P.rows
+                batteries[rep.c] += 1
+        assert min(batteries[True], batteries[False]) >= 10, batteries
 
     def test_max_support_examples(self):
         ms = oracle.max_support
