@@ -15,8 +15,9 @@ matrix (a matrix hashes once, on first use), so repeated lookups are O(1).
 ``ClassTaxonomy`` is the one structure record per matrix: the classes and
 their access relation, the class radii, the basic, final, initial,
 distinguished and semi-distinguished flags, the distinguished eigenvalues,
-and the derived initial sets every decision procedure asks for (the
-accessors of a set of classes, the largest initial set below a shift).
+and the derived sets every decision procedure asks for (the accessors of a
+set of classes, and at a shift the flagged classes whose radius equals it
+and the classes outside the largest initial set below it).
 It keeps the tolerance it was built with and decides every comparison of a
 shift with a radius, so no other module compares the two itself; ``_sign``
 is the one rule for both those comparisons and the comparisons of two radii
@@ -26,8 +27,9 @@ that build the record's flags.  ``spectral.taxonomy`` builds it once per
 The one-pass rule: a query computes each fact about (P, lambda, b) once and
 passes it on.  ``classify`` compares each pair of classes with access once;
 ``ClassTaxonomy.signs`` compares each class radius it is asked about with a
-shift once, and ``peak_class`` reads the first class of a bitmask in the
-record's order by radius instead of comparing radii per query.
+shift once, ``classes_at`` and ``blocked_mask`` read the class sets at a
+shift off those signs, and ``peak_class`` reads the first class of a bitmask
+in the record's order by radius instead of comparing radii per query.
 """
 
 from __future__ import annotations
@@ -260,10 +262,11 @@ class ClassTaxonomy:
         radii with lam that a query reads."""
         return {c: self.radius_sign(c, lam) for c in range(len(self.radii)) if flags is None or flags[c]}
 
-    def classes_at(self, lam, flags: Optional[Sequence[bool]] = None) -> tuple:
-        """Indices of the classes whose radius equals lam, among those the
-        flags mark (all classes when flags is None)."""
-        return tuple(c for c, s in self.signs(lam, flags).items() if s == 0)
+    def classes_at(self, signs: dict, flags: Optional[Sequence[bool]] = None) -> tuple:
+        """Indices of the classes whose radius equals lam, read off signs =
+        self.signs(lam, ...) (signs[c] == 0), among those the flags mark
+        (every class of signs when flags is None)."""
+        return tuple(c for c, s in signs.items() if s == 0 and (flags is None or flags[c]))
 
     def is_distinguished_eigenvalue(self, lam) -> bool:
         """Does lam equal a distinguished eigenvalue (see radius_sign)?"""
@@ -290,13 +293,6 @@ class ClassTaxonomy:
         for c in classes:
             mask |= 1 << c
         return self.analysis.vertices_of_mask(self.analysis.accessors_mask(mask))
-
-    def initial_below(self, lam, *, strict: bool = True) -> tuple:
-        """Indices of the classes all of whose accessors have radius < lam
-        (<= lam when not strict): the largest initial set of classes below
-        lam."""
-        blocked = self.blocked_mask(self.signs(lam), 0 if strict else 1)
-        return tuple(c for c in range(len(self.radii)) if not blocked >> c & 1)
 
     def blocked_mask(self, signs: dict, cut: int = 0) -> int:
         """The classes some class c with signs[c] >= cut has access to, as a

@@ -114,7 +114,7 @@ def _cmd_analyze(P: NonnegMatrix, tol) -> dict:
         "faces": [
             {
                 "eigenvalue": lam,
-                "eigenvector_face": sorted(tax.accessor_vertices(tax.classes_at(lam, tax.distinguished))),
+                "eigenvector_face": sorted(tax.accessor_vertices(tax.classes_at(tax.signs(lam, tax.distinguished)))),
                 "necessary_face": sorted(eq_type2.necessary_face(P, lam, tol)),
             }
             for lam in tax.distinguished_eigenvalues

@@ -282,8 +282,10 @@ def vec_sub(a, b) -> tuple:
 def snap_cone(entries: Sequence, mode: str, tol: Tolerance = DEFAULT_TOL) -> ConeVector:
     """Wrap float entries that are nonnegative up to eq_tol noise as a ConeVector.
 
-    Only for internally constructed vectors; genuinely negative entries still
-    raise.  Rational entries are never snapped.
+    A float entry e < 0 with |e| <= eq_tol * max(1, max |entry|) becomes 0.0,
+    as does -0.0, so no zero is negative.  Only for internally constructed
+    vectors; genuinely negative entries still raise.  Rational entries are
+    never snapped.
     """
     if mode == RATIONAL:
         return ConeVector(tuple(entries), mode)
@@ -291,7 +293,7 @@ def snap_cone(entries: Sequence, mode: str, tol: Tolerance = DEFAULT_TOL) -> Con
     out = []
     for e in entries:
         e = float(e)
-        if e < 0:
+        if e <= 0:
             if -e > tol.eq_tol * scale:
                 raise InvalidInput(f"negative entry {e} beyond snapping tolerance")
             e = 0.0

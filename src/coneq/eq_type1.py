@@ -37,6 +37,7 @@ from .core import (
     as_scalar,
     np,
     require_operand,
+    snap_cone,
     solve_linear,
     support,
     vec_sub,
@@ -78,11 +79,6 @@ def _query(tax, lam, b) -> tuple:
     return bmask, amask, tax.peak_class(amask), tax.signs(lam, tax.semi_distinguished)
 
 
-def _flagged_at(flags, signs) -> tuple:
-    """The classes the flags mark whose radius equals lambda (signs[c] = 0)."""
-    return tuple(c for c, flag in enumerate(flags) if flag and signs[c] == 0)
-
-
 def _witness(tax, signs, bmask) -> Optional[int]:
     """A distinguished class c of radius >= lambda (signs[c] >= 0) with
     access to a class in bmask (those meeting supp(b)); exists whenever the
@@ -120,9 +116,7 @@ def _minimal_solution(P, lam, b, tax, amask) -> ConeVector:
     entries = [zero(P.mode)] * P.n
     for k, i in enumerate(idx):
         entries[i - 1] = sol[k]
-    if P.mode == FLOAT:
-        entries = [max(0.0, e) if abs(e) <= tax.tol.eq_tol else e for e in entries]
-    return ConeVector(tuple(entries), P.mode)
+    return snap_cone(entries, P.mode, tax.tol)
 
 
 @dataclass(frozen=True)
@@ -143,7 +137,7 @@ def solve1(P: NonnegMatrix, lam: Scalar, b: ConeVector, tol: Tolerance = DEFAULT
     tax = taxonomy(P, tol)
     bmask, amask, c_b, signs = _query(tax, lam, b)
     rho_b = zero(P.mode) if c_b is None else tax.radii[c_b]
-    freedom = _flagged_at(tax.distinguished, signs)
+    freedom = tax.classes_at(signs, tax.distinguished)
     if c_b is not None and signs[c_b] >= 0:
         return SolveReport1(False, rho_b, None, None, freedom, "h", None, _witness(tax, signs, bmask))
     x0 = _minimal_solution(P, lam, b, tax, amask)
@@ -184,7 +178,7 @@ def solvable_set(P: NonnegMatrix, lam: Scalar, tol: Tolerance = DEFAULT_TOL) -> 
     """
     lam = _check_inputs(P, lam)
     tax = taxonomy(P, tol)
-    return frozenset(v for c in tax.initial_below(lam) for v in tax.analysis.classes[c])
+    return tax.analysis.vertices_of_mask(~tax.blocked_mask(tax.signs(lam)))
 
 
 @dataclass(frozen=True)

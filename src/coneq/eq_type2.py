@@ -50,7 +50,7 @@ from .core import (
     support,
     zero,
 )
-from .eq_type1 import _check_inputs, _flagged_at, _minimal_solution, _query
+from .eq_type1 import _check_inputs, _minimal_solution, _query
 from .spectral import (
     _back_substitute,
     class_radii,  # noqa: F401  (bench/test_smoke.py expects this binding)
@@ -67,7 +67,7 @@ def combinatorial_solvable_above(P, lam, b, tol=DEFAULT_TOL) -> bool:
     lam = _check_inputs(P, lam, b)
     tax = taxonomy(P, tol)
     bmask = tax.analysis.classes_meeting(support(b))
-    return _reaches_all(tax, bmask, tax.classes_at(lam, tax.distinguished))
+    return _reaches_all(tax, bmask, tax.classes_at(tax.signs(lam, tax.distinguished)))
 
 
 def _reaches_all(tax, bmask, dist) -> bool:
@@ -94,7 +94,7 @@ def solve2_above(
     bmask, amask, c_b, signs = _query(tax, lam, b)
     if signs[c_b] >= 0:
         raise InvalidInput("construction requires the shift to exceed the local radius of b")
-    dist = _flagged_at(tax.distinguished, signs)
+    dist = tax.classes_at(signs, tax.distinguished)
     if not _reaches_all(tax, bmask, dist):
         raise InvalidInput("no nonnegative solution exists at this shift")
     return _solve2_above(P, lam, b, tax, bmask, amask, dist)
@@ -143,7 +143,7 @@ def solvable2(
     bmask, amask, c_b, signs = _query(tax, lam, b)
     rho_b = tax.radii[c_b]
     if signs[c_b] < 0:
-        dist = _flagged_at(tax.distinguished, signs)
+        dist = tax.classes_at(signs, tax.distinguished)
         if _reaches_all(tax, bmask, dist):
             x = _solve2_above(P, lam, b, tax, bmask, amask, dist)
             pair = spectral_pair(P, x, tol)
@@ -183,9 +183,9 @@ def necessary_face(P: NonnegMatrix, lam: Scalar, tol: Tolerance = DEFAULT_TOL) -
 def _necessary_mask(tax, signs) -> int:
     """necessary_face as a bitmask of classes, given the sign of radius -
     lambda of each semi-distinguished class."""
-    an = tax.analysis
+    an, at = tax.analysis, tax.classes_at(signs, tax.semi_distinguished)
     # a class strictly above s: an accessor of s other than s itself
-    return reduce(or_, (an.accessors_mask(1 << s) & ~(1 << s) for s in _flagged_at(tax.semi_distinguished, signs)), 0)
+    return reduce(or_, (an.accessors_mask(1 << s) & ~(1 << s) for s in at), 0)
 
 
 def solvable_face_probe(P: NonnegMatrix, lam: Scalar, tol: Tolerance = DEFAULT_TOL) -> frozenset:
@@ -272,7 +272,7 @@ def image_membership(
         raise InvalidInput("membership is defined at distinguished eigenvalues")
     if b.is_zero():
         return MembershipReport(True, True, True)
-    j_verts = tax.accessor_vertices(tax.classes_at(lam, tax.semi_distinguished))
+    j_verts = tax.accessor_vertices(tax.classes_at(tax.signs(lam, tax.semi_distinguished)))
     supp = support(b)
     sign = tax.local_sign(supp, lam)
     rows = oracle.shifted_image_rows(P, lam)

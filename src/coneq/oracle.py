@@ -264,28 +264,27 @@ def feasible_nonneg_solution(mat_rows: Sequence[Sequence[Fraction]], rhs: Sequen
     return solve_lp(LPProblem.build(n, eq_rows=list(zip(mat_rows, rhs))))  # no objective: phase one
 
 
-def max_support(forms, eq_rows=()) -> frozenset:
-    """{i : L_i x > 0 for some x >= 0 with Lx >= 0 and Ex = 0}, 1-based, for
-    the rows L_i of forms and E of eq_rows.
+def max_support(forms) -> frozenset:
+    """{i : L_i x > 0 for some x >= 0 with Lx >= 0}, 1-based, for the rows
+    L_i of forms.
 
     One LP (Freund, Roundy & Todd 1985): maximise sum(t) over x >= 0 and
     0 <= t <= 1 with Lx >= t.  The feasible x form a cone, so every optimum
-    has t_i = 1 exactly on the set and 0 off it.  Every >= row holds at
-    x = 0, so each form row L_i x - t_i >= 0 keeps its own denominator; the
-    equality rows share theirs, and the padding and objective are ints."""
+    has t_i = 1 exactly on the set and 0 off it.  Every row holds at x = 0,
+    so each form row L_i x - t_i >= 0 keeps its own denominator, no row
+    needs an artificial, and the padding and objective are ints."""
     m = len(forms)
     if not m:
         return frozenset()
     n = len(forms[0])
-    scaled, _ = _integer_rows([*forms, *eq_rows], [True] * m, [-1] * m)
+    scaled, _ = _integer_rows(forms, [True] * m, [-1] * m)
 
     def t(i, v):  # v in the column of t_i
         return (*[0] * i, v, *[0] * (m - 1 - i))
 
-    ge_rows = [((*row[:n], *t(i, row[n])), 0) for i, row in enumerate(scaled[:m])]
+    ge_rows = [((*row[:n], *t(i, row[n])), 0) for i, row in enumerate(scaled)]
     ge_rows += [((*[0] * n, *t(i, -1)), -1) for i in range(m)]
-    eq = tuple(((*row, *[0] * m), 0) for row in scaled[m:])
-    res = solve_lp(LPProblem(n + m, eq, tuple(ge_rows), (*[0] * n, *[1] * m), True))
+    res = solve_lp(LPProblem(n + m, (), tuple(ge_rows), (*[0] * n, *[1] * m), True))
     if res.status != "optimal":  # x = 0 is feasible and sum(t) <= m
         raise NumericFailure(f"maximal-support LP ended {res.status}")
     return frozenset(i + 1 for i, t in enumerate(res.witness[n:]) if t)

@@ -274,7 +274,7 @@ def eigenvalue_index(P: NonnegMatrix, lam: Scalar, tol: Tolerance = DEFAULT_TOL)
     Jordan data hidden inside individual blocks.
     """
     tax = taxonomy(P, tol)
-    return _longest_chain(tax.analysis, tax.classes_at(lam))
+    return _longest_chain(tax.analysis, tax.classes_at(tax.signs(lam)))
 
 
 def max_distinguished_order(
@@ -284,13 +284,15 @@ def max_distinguished_order(
 
     Computed on the largest initial subset whose classes all have radius at
     most lam: the longest access chain of radius-lam classes inside it.
-    Requires lam to be a distinguished eigenvalue.
+    Requires lam to be a distinguished eigenvalue.  Every class radius is
+    compared with lam once.
     """
     tax = taxonomy(P, tol)
-    if not tax.is_distinguished_eigenvalue(lam):
+    signs = tax.signs(lam)
+    if not any(signs[c] == 0 for c in tax.eigen_classes):
         raise InvalidInput("order bound requires a distinguished eigenvalue")
-    inside = tax.initial_below(lam, strict=False)
-    members = [c for c in inside if tax.radius_sign(c, lam) == 0]
+    blocked = tax.blocked_mask(signs, 1)
+    members = [c for c in tax.classes_at(signs) if not blocked >> c & 1]
     return _longest_chain(tax.analysis, members)
 
 

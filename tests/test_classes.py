@@ -217,7 +217,7 @@ class TestTaxonomy:
         for _ in range(40):
             P = fuzz_matrix(rnd)
             t = taxonomy(P)
-            at_rho = set(t.classes_at(t.rho, t.semi_distinguished))
+            at_rho = set(t.classes_at(t.signs(t.rho), t.semi_distinguished))
             assert at_rho == {c for c, b in enumerate(t.basic) if b}
 
     def test_derived_sets_match_brute_force_loops(self):
@@ -240,14 +240,17 @@ class TestTaxonomy:
                 for lam in shifts:
                     for c, r in enumerate(t.radii):
                         assert t.radius_sign(c, lam) == _sign(r, lam)
+                    signs = t.signs(lam)
                     for flags in (None, t.distinguished, t.semi_distinguished):
                         at = tuple(
                             c
                             for c in range(k)
                             if (flags is None or flags[c]) and scalars_equal(t.radii[c], lam)
                         )
-                        assert t.classes_at(lam, flags) == at
-                    at = t.classes_at(lam, t.distinguished)
+                        # the flags filter every sign, or pick the signs taken
+                        assert t.classes_at(signs, flags) == at
+                        assert t.classes_at(t.signs(lam, flags)) == at
+                    at = t.classes_at(signs, t.distinguished)
                     reached["distinguished at"] += bool(at)
                     is_dval = any(scalars_equal(lam, v) for v in t.distinguished_eigenvalues)
                     assert t.is_distinguished_eigenvalue(lam) == is_dval
@@ -259,13 +262,16 @@ class TestTaxonomy:
                     # no vertex: the local radius of the zero vector is the
                     # exact 0, compared exactly even with a float shift
                     assert t.local_sign((), lam) == (0 > lam) - (0 < lam)
-                    for strict, below in ((True, scalar_lt), (False, scalar_le)):
+                    # the largest initial set below lam (at most lam for cut
+                    # 1) is the complement of the classes blocked at lam
+                    for cut, below in ((0, scalar_lt), (1, scalar_le)):
                         inside = tuple(
                             c
                             for c in range(k)
                             if all(below(t.radii[d], lam) for d in range(k) if an.has_access(d, c))
                         )
-                        assert t.initial_below(lam, strict=strict) == inside
+                        blocked = t.blocked_mask(signs, cut)
+                        assert tuple(c for c in range(k) if not blocked >> c & 1) == inside
                         reached["proper initial"] += 0 < len(inside) < k
                 for classes in [(), *((c,) for c in range(k)), tuple(rnd.sample(range(k), rnd.randint(0, k)))]:
                     want = frozenset(

@@ -233,6 +233,16 @@ class TestSolve1:
             "x0": [1, 0, 0],
         }
 
+    def test_float_mode_snaps_solve_noise(self, capsys, tmp_path):
+        # the float solve leaves -3.3e-9 beside entries near 8e9; solve1
+        # reports the solution instead of exiting 2 on a negative entry
+        from test_eq_type1 import NOISY_B, NOISY_LAM, NOISY_ROWS
+
+        argv = ["--mode", "float", "solve1", "--lambda", repr(NOISY_LAM)]
+        argv += ["--b", _write(tmp_path, "b.json", {"entries": NOISY_B})]
+        doc = run_json(capsys, [*argv, _write(tmp_path, "P.json", {"entries": NOISY_ROWS})])
+        assert doc["solvable"] is True and min(doc["x0"]) >= 0
+
     def test_float_mode_reports_float_scalars(self, capsys, docs):
         doc = run_json(
             capsys,

@@ -160,6 +160,9 @@ def test_support_is_one_based():
 def test_snap_cone():
     snapped = snap_cone((1.0, -1e-12, 0.5), FLOAT, DEFAULT_TOL)
     assert snapped.entries == (1.0, 0.0, 0.5)
+    # no zero is negative, and the band scales with the largest entry
+    assert repr(snap_cone((-0.0, 0.0), FLOAT, DEFAULT_TOL).entries) == "(0.0, 0.0)"
+    assert snap_cone((1e4, -1e-6), FLOAT, DEFAULT_TOL).entries == (1e4, 0.0)
     with pytest.raises(InvalidInput):
         snap_cone((1.0, -0.5), FLOAT, DEFAULT_TOL)
     exact = snap_cone((Fraction(1), Fraction(0)), RATIONAL, DEFAULT_TOL)

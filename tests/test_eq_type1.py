@@ -122,6 +122,21 @@ def vec(*entries):
     return ConeVector.make(list(entries))
 
 
+# a float system whose solve leaves -3.3e-9 on a coordinate of exact value
+# 1.4e-9, beside entries near 8e9: noise beyond the absolute eq_tol but
+# well within eq_tol times the scale of the solution
+NOISY_ROWS = [
+    [0, .17707982565317393, 0, .9187142133928065, .7966911773931225, .1979291528488054],
+    [0, 0, 0, 0, 0, 0],
+    [0, 0, .7139328643079095, 0, 0, 0],
+    [0, 10, 1e6, .4287573456521535, .6583518948454723, .09132102475977655],
+    [0, .6368630236905737, .12374119148632401, 0, 1e-5, 0],
+    [.32419810759391054, .6343923348929636, 0, 0, 0, .21215064605627532],
+]
+NOISY_LAM = 0.7149328643079095
+NOISY_B = (1, 1e-9, 1, 0, 1e-9, 0)
+
+
 def _term_by_term_c_d(P, lam, b, tol):
     """Reference for conditions c and d: one step of P/lambda per term."""
     a = P.to_numpy() / float(lam)
@@ -218,6 +233,29 @@ class TestMinimalSolution:
     def test_requires_solvability(self):
         with assert_raises(InvalidInput):
             minimal_solution(D, F(1), ConeVector.unit(3, 3))
+
+    def test_float_solve_noise_is_snapped_relative_to_the_scale(self):
+        # solvable1 and the exact LP on the same binary values say solvable,
+        # so solve1 must return x0 >= 0 with a small residual, not raise
+        P, b = mat(NOISY_ROWS, FLOAT), ConeVector.make(NOISY_B, FLOAT)
+        assert solvable1(P, NOISY_LAM, b)
+        rows = oracle.shifted_image_rows(mat(NOISY_ROWS), F(NOISY_LAM), sign=-1)
+        assert oracle.feasible_nonneg_solution(rows, [F(e) for e in NOISY_B]).feasible
+        rep = solve1(P, NOISY_LAM, b)
+        assert rep.solvable and min(rep.x0.entries) >= 0
+        assert rep.residual_norm <= 1e-15 * max(rep.x0.entries)
+
+    def test_float_zeros_are_written_as_the_absolute_rule_wrote_them(self, monkeypatch):
+        # the snap writes 0.0 wherever the absolute rule max(0.0, e) for
+        # |e| <= eq_tol did, a -0.0 from the solve included, and keeps a
+        # tiny positive entry
+        noise = [-0.0, -1e-12, 1e-12, 0.0]
+        real = eq_type1.solve_linear
+        monkeypatch.setattr(eq_type1, "solve_linear", lambda *args: [*real(*args)[:1], *noise])
+        P = mat([[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [0, 0, 0, 0, 0]], FLOAT)
+        x0 = minimal_solution(P, 2.0, ConeVector.unit(5, 5, FLOAT))
+        old = [max(0.0, e) if abs(e) <= DEFAULT_TOL.eq_tol else e for e in noise]
+        assert repr(x0.entries[1:]) == repr(tuple(old)) == "(0.0, 0.0, 1e-12, 0.0)"
 
     def test_zero_rhs(self):
         assert minimal_solution(T, F(1), ConeVector.zero_vector(2)).is_zero()
@@ -784,7 +822,13 @@ def _two_pass_battery(P, lam, b, tol=DEFAULT_TOL) -> tuple:
         None,
     )
     cond_h = witness is None
-    solvable = frozenset(v for c in tax.initial_below(lam) for v in tax.analysis.classes[c])
+    an, k = tax.analysis, len(tax.radii)
+    solvable = frozenset(
+        v
+        for c in range(k)
+        if all(tax.radius_sign(d, lam) < 0 for d in range(k) if an.has_access(d, c))
+        for v in an.classes[c]
+    )
     cond_b = support(b) <= solvable
     cond_c, cond_d = _reduction_c_d(P, lam, b, tol, Counter())
     cond_e, cond_f, cond_i, cond_j = _row_loop_peripheral_float(P, b, lam, tax)

@@ -17,7 +17,7 @@ from coneq.core import (
     to_json,
 )
 from coneq.classes import ClassTaxonomy, condense
-from coneq.eq_type1 import solve1
+from coneq.eq_type1 import solvable_set, solve1
 from coneq.spectral import (
     distinguished_eigenvalues,
     max_distinguished_order,
@@ -622,7 +622,7 @@ def _ref_image_membership(P, lam, b):
     lambda), with the sign of rho_b - lambda and that column LP's verdict
     there (None where it is not skipped)."""
     tax = taxonomy(P)
-    j_verts = tax.accessor_vertices(tax.classes_at(lam, tax.semi_distinguished))
+    j_verts = tax.accessor_vertices(tax.classes_at(tax.signs(lam, tax.semi_distinguished)))
     supp = support(b)
     sign = tax.local_sign(supp, lam)
     rows = oracle.shifted_image_rows(P, lam)
@@ -801,7 +801,7 @@ def _ref_solve2_above(P, lam, b, tol):
         raise InvalidInput("construction requires the shift to exceed the local radius of b")
     if not combinatorial_solvable_above(P, lam, b, tol):
         raise InvalidInput("no nonnegative solution exists at this shift")
-    dist = tax.classes_at(lam, tax.distinguished)
+    dist = tax.classes_at(tax.signs(lam, tax.distinguished))
     relevant = [c for c in dist if support(b) & tax.accessor_vertices((c,))]
     vecs = [fv_eigenvector(P, c, tol) for c in relevant]
     x0 = minimal_solution(P, lam, b, tol)
@@ -856,11 +856,11 @@ def _peak_cases(rounds=200):
         for M in (P, Q, P.to_float(), Q.to_float()):
             tax = taxonomy(M)
             for lam in sorted({r for r in tax.radii if r > 0}):
-                below = tax.analysis.vertices_of_mask(sum(1 << c for c in tax.initial_below(lam)))
+                below = tax.analysis.vertices_of_mask(~tax.blocked_mask(tax.signs(lam)))
                 for v in vecs:
                     b = ConeVector.make([e if i in below else 0 for i, e in enumerate(v.entries, 1)], M.mode)
                     relevant = [
-                        c for c in tax.classes_at(lam, tax.distinguished)
+                        c for c in tax.classes_at(tax.signs(lam), tax.distinguished)
                         if support(b) & tax.accessor_vertices((c,))
                     ]
                     yield M, tax, lam, b, relevant
@@ -890,10 +890,19 @@ def _counted(monkeypatch, fn, M, lam, b):
     return out, counts
 
 
+def _order(M, lam, b):
+    return max_distinguished_order(M, lam)
+
+
+def _solvable_set(M, lam, b):
+    return solvable_set(M, lam)
+
+
 def test_a_decider_query_reads_each_fact_once(monkeypatch):
     # one pass per query: a rational solve1, solvable or not, and an
-    # above-regime solvable2 read supp(b) once and compare each class radius
-    # with lambda at most once
+    # above-regime solvable2 read supp(b) once, and they, solvable_set and
+    # max_distinguished_order compare each class radius with lambda at most
+    # once
     seen = Counter()
     for M, tax, lam, b, relevant in _peak_cases(rounds=60):
         # rational radii only: at a shift tied to an irrational radius, a
@@ -903,13 +912,16 @@ def test_a_decider_query_reads_each_fact_once(monkeypatch):
         # fresh shift objects: lam and rho_b are radii of the record
         lam, rho_b = Fraction(lam), Fraction(tax.radii[tax.local_class(support(b))])
         queries = [(solve1, lam), (solvable2, lam)] + [(solve1, rho_b)] * (rho_b > 0)
+        queries += [(_solvable_set, lam)] + [(_order, lam)] * tax.is_distinguished_eigenvalue(lam)
         for fn, shift in queries:
             rep, counts = _counted(monkeypatch, fn, M, shift, b)
-            assert counts.pop("supp(b)") == 1, (fn.__name__, M.rows, shift, b)
+            reads_b = fn not in (_solvable_set, _order)
+            assert counts.pop("supp(b)", 0) == reads_b, (fn.__name__, M.rows, shift, b)
             assert 0 < max(counts.values()) == 1, (fn.__name__, M.rows, shift, b, counts)
-            seen[fn.__name__, getattr(rep, "regime", None), rep.solvable] += 1
+            seen[fn.__name__, getattr(rep, "regime", None), getattr(rep, "solvable", None)] += 1
     assert seen["solve1", None, False] >= 40 and seen["solve1", None, True] >= 40, seen
     assert seen["solvable2", "above", True] >= 40 and seen["solvable2", "above", False] >= 5, seen
+    assert seen["_solvable_set", None, None] >= 40 and seen["_order", None, None] >= 40, seen
 
 
 def test_solve2_above_matches_the_per_class_eigenvector_sum():

@@ -199,6 +199,18 @@ def test_only_the_record_reads_the_classes_a_set_reaches():
     assert _innermost_call_sites("reached_mask") == {("classes.py", "ClassTaxonomy.blocked_mask")}
 
 
+def test_a_radius_is_compared_with_a_shift_in_four_places():
+    # the one-pass rule: every class set at a shift (the flagged classes at
+    # it, the classes blocked at it) is read off the signs that
+    # ClassTaxonomy.signs returns; spectral_pair compares radii with rho_x
+    assert _innermost_call_sites("radius_sign") == {
+        ("classes.py", "ClassTaxonomy.signs"),
+        ("classes.py", "ClassTaxonomy.is_distinguished_eigenvalue"),
+        ("classes.py", "ClassTaxonomy.local_sign"),
+        ("spectral.py", "spectral_pair"),
+    }
+
+
 def test_the_zero_intersection_battery_runs_one_lp():
     # conditions a and b are read off the structure record, so
     # collatz_wielandt takes no exact matrix power or nullspace and runs no

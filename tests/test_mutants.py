@@ -10,11 +10,12 @@ import pytest
 import test_classes
 import test_collatz_wielandt
 import test_eq_type2
+import test_json
 import test_oracle
 import test_shift_reading
 import test_shifted_rows
 import test_spectral
-from coneq import classes, collatz_wielandt, eq_type2, oracle, spectral
+from coneq import classes, cli, collatz_wielandt, eq_type2, oracle, spectral
 from coneq.core import RATIONAL, NonnegMatrix
 
 
@@ -118,6 +119,19 @@ def _one_access_edge_dropped(monkeypatch):
         monkeypatch.setattr(module, "condense", edited)
 
 
+def _classes_at_ignoring_flags(monkeypatch):
+    edited = _edited(classes.ClassTaxonomy.classes_at, "s == 0 and (flags is None or flags[c])", "s == 0")
+    monkeypatch.setattr(classes.ClassTaxonomy, "classes_at", edited)
+
+
+def _order_at_cut_zero(monkeypatch):
+    # the classes at lambda block themselves, so no class is left to chain
+    edited = _edited(spectral.max_distinguished_order, "tax.blocked_mask(signs, 1)", "tax.blocked_mask(signs, 0)")
+    # eq_type2 and the test module import the name, so every binding is patched
+    for module in (spectral, eq_type2, test_spectral):
+        monkeypatch.setattr(module, "max_distinguished_order", edited)
+
+
 @pytest.mark.parametrize(
     "mutant, check",
     [
@@ -139,10 +153,19 @@ def _one_access_edge_dropped(monkeypatch):
             lambda cap: test_collatz_wielandt.test_zero_intersection_matches_the_transpose_and_submatrix_records(),
         ),
         (_one_access_edge_dropped, lambda cap: test_classes.test_access_is_the_reachability_of_the_digraph()),
+        (
+            _classes_at_ignoring_flags,
+            lambda cap: test_classes.TestTaxonomy().test_derived_sets_match_brute_force_loops(),
+        ),
+        (
+            _order_at_cut_zero,
+            lambda cap: test_spectral.TestPairsAndOrders().test_order_bound_among_nonnegative_eigenvectors(),
+        ),
     ],
     ids=[
         "exact-sign", "exact-eigen-dedup", "exact-above-others", "ties-to-the-higher-index", "unnegated-transpose",
         "widened-radius-sign", "attainment-on-initial", "basic-chains-ignored", "one-access-edge-dropped",
+        "classes-at-ignoring-flags", "order-at-cut-zero",
     ],
 )
 def test_record_mutant_is_killed(monkeypatch, capsys, mutant, check):
@@ -168,6 +191,20 @@ def _max_support_one_short(monkeypatch):
     monkeypatch.setattr(oracle, "max_support", edited)
 
 
+def _build_rows_over_their_own_denominators(monkeypatch):
+    # the rows that get an artificial no longer share one denominator
+    old = "own = [k >= n_eq and rhs <= 0 for k, (_, rhs) in enumerate(rows)]"
+    edited = _edited(oracle.LPProblem.build, old, "own = [True] * len(rows)")
+    monkeypatch.setattr(oracle.LPProblem, "build", edited)  # a staticmethod, as compiled
+
+
+def _diagonal_denominator_off_by_one(monkeypatch):
+    edited = _edited(oracle.shifted_image_rows, "_ScaledRow(row, q * L // g)", "_ScaledRow(row, q * L // g + 1)")
+    # the test module imports the name, so both bindings are patched
+    for module in (oracle, test_oracle):
+        monkeypatch.setattr(module, "shifted_image_rows", edited)
+
+
 @pytest.mark.parametrize(
     "mutant, check",
     [
@@ -180,8 +217,19 @@ def _max_support_one_short(monkeypatch):
             _max_support_one_short,
             lambda mp: test_oracle.TestFaceQuestions().test_face_questions_match_the_per_coordinate_lps(),
         ),
+        (
+            _build_rows_over_their_own_denominators,
+            lambda mp: test_oracle.TestLP().test_scaling_keeps_the_rational_pivots(mp),
+        ),
+        (
+            _diagonal_denominator_off_by_one,
+            lambda mp: test_oracle.test_shifted_image_rows_equal_the_entrywise_expression(),
+        ),
     ],
-    ids=["bland-tie-break-reversed", "zero-column-rows-relabelled", "max-support-one-short"],
+    ids=[
+        "bland-tie-break-reversed", "zero-column-rows-relabelled", "max-support-one-short",
+        "build-rows-over-their-own-denominators", "diagonal-denominator-off-by-one",
+    ],
 )
 def test_lp_mutant_is_killed(monkeypatch, mutant, check):
     mutant(monkeypatch)
@@ -200,3 +248,17 @@ def test_shifted_product_mutant_is_killed(monkeypatch):
     # the check patches the product itself, so it gets a monkeypatch of its own
     with pytest.MonkeyPatch.context() as mp, pytest.raises(AssertionError):
         test_shifted_rows.test_vector_products_match_the_hand_written_ones(mp)
+
+
+def _gap_report_without_skips(monkeypatch):
+    old = ', "skipped_irrational": len(eigenvalues) - len(exact)}'
+    edited = _edited(cli._check_membership_gap, old, "}")
+    # the suite table holds the guarded suite, built at import
+    monkeypatch.setitem(cli.PROPERTY_SUITES, "cor4.8-gap", cli._guarded(edited, rational_mode=True))
+
+
+def test_cli_mutant_is_killed(monkeypatch, tmp_path, capsys):
+    _gap_report_without_skips(monkeypatch)
+    # the check patches the decider it forces, so it gets a monkeypatch of its own
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(AssertionError):
+        test_json.test_check_counterexample_json("cor4.8-gap", RATIONAL, tmp_path, mp, capsys)

@@ -479,6 +479,34 @@ def _null_rows(P, rho):
     return shift, matrix_power_exact(shift, P.n)
 
 
+def _ref_max_support_lp(forms, eq_rows) -> LPProblem:
+    """max_support's LP as it was built while it took equality rows E:
+    maximise sum(t) over x >= 0 and 0 <= t <= 1 with Lx >= t and Ex = 0,
+    built from the rational rows.  Each form row and each padding row holds
+    at x = 0 and keeps its own denominator; the equality rows share one and
+    get the artificials."""
+    m, n = len(forms), len(forms[0])
+
+    def t(i, v):  # v in the column of t_i
+        return [*[0] * i, v, *[0] * (m - 1 - i)]
+
+    ge = [([*row, *t(i, -1)], 0) for i, row in enumerate(forms)]
+    ge += [([0] * n + t(i, -1), -1) for i in range(m)]
+    eq = [([*row, *[0] * m], 0) for row in eq_rows]
+    return LPProblem.build(n + m, eq, ge, [0] * n + [1] * m, True)
+
+
+def _ref_max_support(forms, eq_rows) -> frozenset:
+    """{i : L_i x > 0 for some x >= 0 with Lx >= 0 and Ex = 0}, 1-based,
+    from _ref_max_support_lp (solved by oracle.solve_lp, so a patch of it
+    applies)."""
+    if not forms:
+        return frozenset()
+    res = oracle.solve_lp(_ref_max_support_lp(forms, eq_rows))
+    assert res.status == "optimal"  # x = 0 is feasible and sum(t) <= m
+    return frozenset(i + 1 for i, t in enumerate(res.witness[len(forms[0]):]) if t)
+
+
 def _ref_generalized_null_is_eigen(P, rho):
     """collatz_wielandt's condition (b) on the null vectors as it was
     computed before it came off the record: no x >= 0 with
@@ -490,7 +518,7 @@ def _ref_generalized_null_is_eigen(P, rho):
     tested on each row's integers (the row times its positive scale)."""
     n = P.n
     shift, powered = _null_rows(P, rho)
-    face = sorted(oracle.max_support([[int(i == j) for j in range(n)] for i in range(n)], powered))
+    face = sorted(_ref_max_support([[int(i == j) for j in range(n)] for i in range(n)], powered))
     if not face:
         return True
     basis = oracle.nullspace_exact([[row[j - 1] for j in face] for row in powered])
@@ -712,9 +740,10 @@ class TestLP:
 
     def test_max_support_scaling_keeps_the_rational_pivots(self, monkeypatch):
         # the maximal-support LP scales each form row L_i x - t_i >= 0 by its
-        # own denominator and the equality rows (collatz_wielandt's
-        # zero-intersection check) by theirs; it equals the Fraction simplex
-        # on the rational LP, with and without equality rows
+        # own denominator; it is the reference's LP without equality rows,
+        # and with them (the reference null-space check's LP, artificials
+        # and an objective) that LP scales them by their one denominator;
+        # each equals the Fraction simplex on the rational LP
         rnd = rng(2021)
         recorded = []
         monkeypatch.setattr(oracle, "solve_lp", lambda prob: recorded.append(prob) or solve_lp(prob))
@@ -730,9 +759,11 @@ class TestLP:
                 [Fraction(rnd.choice((-1, 0, 0, 1)) * rnd.randint(1, 3), rnd.choice((1, 4))) for _ in range(n)]
                 for _ in range(rnd.randint(0, 2))
             ]
-            recorded.clear()
-            face = oracle.max_support(forms, eq_rows)
-            (prob,) = recorded
+            prob = _ref_max_support_lp(forms, eq_rows)
+            face = _ref_max_support(forms, eq_rows)
+            if not eq_rows:
+                recorded.clear()
+                assert oracle.max_support(forms) == face and recorded == [prob]
             zeros = [Fraction(0)] * m
 
             def t(i, v):
@@ -788,8 +819,8 @@ class TestLP:
         slack_only = LPProblem.build(2, ge_rows=[((1, -1), 0), ((-1, Fraction(1, 2)), -3)])
         res = lp_feasible(slack_only)
         assert (res.status, res.witness, res.pivots) == ("optimal", (0, 0), 0)
-        # so the face LP without equality rows runs phase 2 only, and one
-        # with them runs phase 1 for the equality rows as well
+        # so the face LP runs phase 2 only, and the reference's face LP with
+        # equality rows runs phase 1 for them as well
         runs = Counter()
 
         def counted(*args, _real=oracle._simplex_min):
@@ -799,7 +830,7 @@ class TestLP:
         monkeypatch.setattr(oracle, "_simplex_min", counted)
         assert oracle.max_support([[1, -1], [0, 1]]) == {1, 2} and runs["simplex"] == 1
         runs.clear()
-        assert oracle.max_support([[1, -1], [0, 1]], eq_rows=[[0, 1]]) == {1}
+        assert _ref_max_support([[1, -1], [0, 1]], [[0, 1]]) == {1}
         assert runs["simplex"] == 2
 
 
@@ -878,19 +909,19 @@ class TestFaceQuestions:
 
     def test_max_support_examples(self):
         ms = oracle.max_support
-        assert ms([]) == frozenset() and ms([], eq_rows=[[1, -1]]) == frozenset()
+        assert ms([]) == frozenset()
         # -x1 - x2 >= 0 forces x = 0, so no form can be positive
         assert ms([[-1, -1], [1, 2], [0, 1]]) == frozenset()
         # x1 >= x2 and x2 >= x1 hold both first forms at zero
         assert ms([[1, -1], [-1, 1], [0, 1]]) == {3}
         assert ms([[1, -1], [0, 1]]) == {1, 2}
-        # equality rows cut the support
+        # the reference's equality rows cut the support
         identity = [[int(i == j) for j in range(3)] for i in range(3)]
-        assert ms(identity) == {1, 2, 3}
-        assert ms(identity, eq_rows=[[1, -1, 0]]) == {1, 2, 3}
-        assert ms(identity, eq_rows=[[1, 1, 0]]) == {3}
-        assert ms(identity, eq_rows=[[1, 1, 1]]) == frozenset()
-        assert ms([[1, -1], [0, 1]], eq_rows=[[0, 1]]) == {1}
+        assert ms(identity) == _ref_max_support(identity, []) == {1, 2, 3}
+        assert _ref_max_support(identity, [[1, -1, 0]]) == {1, 2, 3}
+        assert _ref_max_support(identity, [[1, 1, 0]]) == {3}
+        assert _ref_max_support(identity, [[1, 1, 1]]) == frozenset()
+        assert _ref_max_support([[1, -1], [0, 1]], [[0, 1]]) == {1}
         # the probe's forms: U - I images into coordinate 1 only
         assert ms(shifted_image_rows(U, Fraction(1))) == {1}
 
