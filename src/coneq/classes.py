@@ -35,6 +35,7 @@ in the record's order by radius instead of comparing radii per query.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import or_
 from typing import Iterable, Optional, Sequence
@@ -44,6 +45,7 @@ from .core import (
     InvalidInput,
     NonnegMatrix,
     Tolerance,
+    _sign_key,
     scalars_equal,
 )
 
@@ -304,7 +306,10 @@ class ClassTaxonomy:
 
 def _sign(r, s, tol: Tolerance) -> int:
     """Sign of r - s: 0 when they are equal under tol (exactly, when both are
-    rational)."""
+    rational; two Fractions by one integer, never a Fraction comparison)."""
+    if type(r) is Fraction and type(s) is Fraction:
+        d = _sign_key(r, s)
+        return (d > 0) - (d < 0)
     if scalars_equal(r, s, tol):
         return 0
     return -1 if r < s else 1

@@ -8,6 +8,10 @@ mixed modes at entry.  Eigen-quantities that have no exact representation
 computation.  Ints and Fractions compare exactly; the comparison helpers
 fall back to tolerance-based tests only when an operand is a float.  Public
 entry points read a shift with ``as_scalar``, as the CLI reads --lambda.
+``as_scalar`` reads the exact types first (a Fraction, an int and an ASCII
+"p" or "p/q" string in rational mode, a finite float in float mode), with the
+same results as its general path; the containers check a Fraction entry's
+sign off its numerator (``_sign_key``), never through a Fraction comparison.
 
 Vertex indices are 1-based throughout the public API: supports, classes and
 initial subsets are sets of integers drawn from {1, .., n}.
@@ -100,6 +104,24 @@ def as_scalar(value, mode: str) -> Scalar:
     "p/q" are exact rationals in both modes, and integers of any type and
     Decimals exactly.
     """
+    # the exact types first, each read as the chain below reads it
+    if mode == RATIONAL:
+        if type(value) is Fraction:
+            return value
+        if type(value) is int:  # bool is not
+            return Fraction(value)
+        if type(value) is str and value.isascii():
+            num, slash, den = value.partition("/")
+            if num.isdigit() and (den.isdigit() or not slash):
+                try:
+                    p, q = int(num), int(den or 1)
+                except ValueError:  # past int's digit limit: the chain reports it
+                    pass
+                else:
+                    if q:
+                        return Fraction(p, q)
+    elif mode == FLOAT and type(value) is float and math.isfinite(value):
+        return value
     if isinstance(value, bool):
         raise InvalidInput("booleans are not scalars")
     if mode == RATIONAL:
@@ -207,7 +229,22 @@ def lex_leq(a: SpectralPair, b: SpectralPair, tol: Tolerance = DEFAULT_TOL) -> b
 
 
 def _read_entries(entries, mode) -> tuple:
+    if mode == RATIONAL:  # a Fraction reads as itself
+        return tuple(e if type(e) is Fraction else as_scalar(e, mode) for e in entries)
     return tuple(as_scalar(e, mode) for e in entries)
+
+
+def _sign_key(a, b=None):
+    """A number with the sign of a (of a - b when b is given).  For
+    Fractions it is an int read off numerators and denominators, a's
+    numerator or the cross-product difference a.n*b.d - b.n*a.d, so no
+    Fraction is compared or built; any other a is returned as it is (a - b)."""
+    if type(a) is Fraction:
+        if b is None:
+            return a.numerator
+        if type(b) is Fraction:
+            return a.numerator * b.denominator - b.numerator * a.denominator
+    return a if b is None else a - b
 
 
 @dataclass(frozen=True)
@@ -223,7 +260,7 @@ class ConeVector:
 
     def __post_init__(self):
         for e in self.entries:
-            if e < 0:
+            if _sign_key(e) < 0:
                 raise InvalidInput(f"negative entry {e} in nonnegative vector")
 
     @staticmethod
@@ -318,7 +355,7 @@ class NonnegMatrix:
             if len(row) != n:
                 raise InvalidInput("matrix must be square")
             for e in row:
-                if e < 0:
+                if _sign_key(e) < 0:
                     raise InvalidInput(f"negative entry {e} in nonnegative matrix")
 
     def __hash__(self) -> int:

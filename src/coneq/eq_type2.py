@@ -53,8 +53,8 @@ from .core import (
 from .eq_type1 import _check_inputs, _minimal_solution, _query
 from .spectral import (
     _back_substitute,
+    _order_bound,
     class_radii,  # noqa: F401  (bench/test_smoke.py expects this binding)
-    max_distinguished_order,
     spectral_pair,
     taxonomy,
 )
@@ -268,13 +268,14 @@ def image_membership(
     if P.mode != RATIONAL:
         raise InvalidInput("image membership runs in rational mode only")
     tax = taxonomy(P, tol)
-    if not tax.is_distinguished_eigenvalue(lam):
+    signs = tax.signs(lam)  # each class radius compared with lambda once
+    if not any(signs[c] == 0 for c in tax.eigen_classes):
         raise InvalidInput("membership is defined at distinguished eigenvalues")
     if b.is_zero():
         return MembershipReport(True, True, True)
-    j_verts = tax.accessor_vertices(tax.classes_at(tax.signs(lam, tax.semi_distinguished)))
+    j_verts = tax.accessor_vertices(tax.classes_at(signs, tax.semi_distinguished))
     supp = support(b)
-    sign = tax.local_sign(supp, lam)
+    sign = signs[tax.local_class(supp)]  # b != 0, so supp(b) has a class
     rows = oracle.shifted_image_rows(P, lam)
     in_s1 = sign <= 0 and oracle.feasible_nonneg_solution(rows, b.entries).feasible
     # x >= 0 supported inside j_verts: the LP on those columns alone.  Such
@@ -285,7 +286,7 @@ def image_membership(
     cols = sorted(j_verts)
     picked = [oracle._ScaledRow([row.ints[j - 1] for j in cols], row.scale) for row in rows]
     in_s2 = in_s1 and oracle.feasible_nonneg_solution(picked, b.entries).feasible
-    m_lam = max_distinguished_order(P, lam, tol)
+    m_lam = _order_bound(tax, signs)
     order_b = spectral_pair(P, b, tol).order
     # (rho_b, order_b) <= (lambda, m_lam - 1) lexicographically
     in_s3 = supp <= j_verts and (sign < 0 or sign == 0 and order_b <= m_lam - 1)

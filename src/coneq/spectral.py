@@ -291,6 +291,13 @@ def max_distinguished_order(
     signs = tax.signs(lam)
     if not any(signs[c] == 0 for c in tax.eigen_classes):
         raise InvalidInput("order bound requires a distinguished eigenvalue")
+    return _order_bound(tax, signs)
+
+
+def _order_bound(tax, signs: dict) -> int:
+    """max_distinguished_order read off signs = tax.signs(lam) at a
+    distinguished eigenvalue lam: the longest access chain of classes at lam
+    inside the largest initial set of classes of radius at most lam."""
     blocked = tax.blocked_mask(signs, 1)
     members = [c for c in tax.classes_at(signs) if not blocked >> c & 1]
     return _longest_chain(tax.analysis, members)

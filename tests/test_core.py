@@ -1,7 +1,9 @@
 import math
+import operator
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 import pytest
@@ -94,6 +96,91 @@ def test_as_scalar_rejects_junk():
         as_scalar(1, "decimal")
 
 
+def _ref_as_scalar(value, mode):
+    """as_scalar as it was before it read the exact types first."""
+    if isinstance(value, bool):
+        raise InvalidInput("booleans are not scalars")
+    if mode == RATIONAL:
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise InvalidInput("non-finite scalar")
+            value = repr(float(value))
+        elif not isinstance(value, (int, str, Decimal)):
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise InvalidInput(f"cannot read scalar of type {type(value).__name__}") from None
+    elif mode != FLOAT:
+        raise InvalidInput(f"unknown mode {mode!r}")
+    elif not isinstance(value, (float, int, str, Real, Decimal)):
+        raise InvalidInput(f"cannot read scalar of type {type(value).__name__}")
+    try:
+        if mode == RATIONAL:
+            return Fraction(value)
+        out = float(Fraction(value) if isinstance(value, str) else value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise InvalidInput(f"cannot read scalar {value!r}") from exc
+    if not math.isfinite(out):
+        raise InvalidInput("non-finite scalar")
+    return out
+
+
+def _read(reader, value, mode):
+    """What reader(value, mode) gives: the type and value of its result (and
+    a float's repr, which tells -0.0 from 0.0), or the type and message of
+    what it raises."""
+    try:
+        got = reader(value, mode)
+    except Exception as exc:  # a bare ValueError must show, not only InvalidInput
+        return type(exc), str(exc)
+    return type(got), got, repr(got) if type(got) is float else None
+
+
+class _Half(Fraction):
+    pass
+
+
+SCALAR_MODES = (RATIONAL, FLOAT, "decimal")
+SCALAR_CORPUS = (
+    True, False, np.True_, np.False_, 0, 7, -3, 10**400, -(10**400), np.int64(5), np.int64(-5),
+    np.uint8(200), np.float64(0.1), np.float32(1.5), Fraction(3, 4), Fraction(-1, 2), _Half(1, 2),
+    0.0, -0.0, 0.1, 1.5, -2.5, 1e308, 5e-324, math.nan, math.inf, -math.inf,
+    Decimal("0.1"), Decimal("-3"), Decimal("1e-400"), Decimal("NaN"), Decimal("sNaN"), Decimal("-Infinity"),
+    "3/4", "0", "12", "0/7", "10/4", "007/010", " 3/4", "3/4 ", "+3/4", "-1/2", "-0", "1/0", "0/0", "3/",
+    "/4", "3//4", "3/4/5", "3 / 4", "0.5", "1e400", "1_000", "1/1_0", "٣/4", "4/٣", "²/3", "", "/", "abc",
+    "NaN", "inf", "9" * 4300, "1" + "0" * 4999, "1/" + "7" * 4999, "7" * 4999 + "/1",
+    None, [1], (1, 2), np.complex128(1), 1j, object(),
+)
+
+
+@pytest.mark.parametrize("mode", SCALAR_MODES)
+def test_as_scalar_matches_the_reference_on_the_corpus(mode):
+    for value in SCALAR_CORPUS:
+        assert _read(as_scalar, value, mode) == _read(_ref_as_scalar, value, mode), (value, mode)
+    if mode == RATIONAL:  # a Fraction, a subclass's too, comes back as itself
+        assert all(as_scalar(v, mode) is v for v in SCALAR_CORPUS if isinstance(v, Fraction))
+
+
+@given(
+    st.one_of(
+        st.integers(),
+        st.fractions(),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.decimals(allow_nan=True, allow_infinity=True),
+        st.booleans(),
+        st.from_regex(r"\A[0-9]{0,6}(/[0-9]{0,6})?\Z"),
+        st.text(alphabet="0123456789/+-. _eE٣²", max_size=8),
+    ),
+    st.sampled_from(SCALAR_MODES),
+)
+def test_as_scalar_matches_the_reference(value, mode):
+    assert _read(as_scalar, value, mode) == _read(_ref_as_scalar, value, mode)
+    if mode == RATIONAL and isinstance(value, Fraction):
+        assert as_scalar(value, mode) is value
+
+
 def test_exact_fraction_is_binary_exact():
     assert exact_fraction(0.5) == Fraction(1, 2)
     assert exact_fraction(0.1) == Fraction(0.1)  # the binary value, not 1/10
@@ -151,6 +238,52 @@ def test_cone_vector_rejects_negative():
         ConeVector.make([0.0, -0.5], FLOAT)
 
 
+def _message(build):
+    """The message of the InvalidInput build() raises, None when it raises none."""
+    try:
+        build()
+    except InvalidInput as exc:
+        return str(exc)
+    return None
+
+
+def test_containers_check_fractions_by_sign(monkeypatch):
+    # on all-Fraction input the containers read each entry's sign off its
+    # numerator: no Fraction comparison runs
+    compared = []
+    real = Fraction._richcmp
+
+    def counted(self, other, op):
+        compared.append((self, other, op))
+        return real(self, other, op)
+
+    monkeypatch.setattr(Fraction, "_richcmp", counted)
+    rows = [
+        [Fraction(0), Fraction(3, 4), Fraction(10**30, 7)],
+        [Fraction(5), Fraction(0), Fraction(1, 3)],
+        [Fraction(0)] * 3,
+    ]
+    entries = [Fraction(0), Fraction(1, 2), Fraction(0)]
+    assert _message(lambda: NonnegMatrix.make(rows, RATIONAL)) is None
+    assert _message(lambda: ConeVector.make(entries, RATIONAL)) is None
+    assert compared == []
+    # a negative entry of every type still raises the message it raised
+    builds = {
+        "fraction": lambda: ConeVector.make([Fraction(1), Fraction(-1, 2)], RATIONAL),
+        "float": lambda: NonnegMatrix.make([[0.0, -0.5], [1.0, 0.0]], FLOAT),
+        "int": lambda: NonnegMatrix.make([[1, -2], [3, 4]], RATIONAL),
+        "raw int": lambda: ConeVector((1, -1), RATIONAL),
+        "zeros": lambda: NonnegMatrix.make([[-0.0, 0.0], [0, Fraction(0)]], FLOAT),
+    }
+    assert {name: _message(build) for name, build in builds.items()} == {
+        "fraction": "negative entry -1/2 in nonnegative vector",
+        "float": "negative entry -0.5 in nonnegative matrix",
+        "int": "negative entry -2 in nonnegative matrix",
+        "raw int": "negative entry -1 in nonnegative vector",
+        "zeros": None,
+    }
+
+
 def test_support_is_one_based():
     v = ConeVector.make([0, 3, 0, 1], RATIONAL)
     assert support(v) == {2, 4}
@@ -199,6 +332,11 @@ def test_scalar_comparisons():
     assert scalars_equal(1.0, 1.0 + 1e-12)
     assert _sign(Fraction(1), Fraction(2), DEFAULT_TOL) < 0
     assert _sign(1.0, 1.0 + 1e-12, DEFAULT_TOL) == 0
+    # two Fractions are compared by integers, with Fraction's own result
+    pairs = [(Fraction(1, 3), Fraction(2, 6)), (Fraction(-1, 2), Fraction(1, 3))]
+    pairs.append((Fraction(10**30, 7), Fraction(10**30 + 1, 7)))
+    for r, s in pairs + [(s, r) for r, s in pairs]:
+        assert _sign(r, s, DEFAULT_TOL) == (r > s) - (r < s), (r, s)
     # a rational beyond the float range meets a float under the same rule, exactly
     huge = Fraction(10**400)
     assert not scalars_equal(1.0, huge) and not scalars_equal(huge, 1.0)

@@ -924,6 +924,18 @@ def test_a_decider_query_reads_each_fact_once(monkeypatch):
     assert seen["_solvable_set", None, None] >= 40 and seen["_order", None, None] >= 40, seen
 
 
+def test_image_membership_compares_each_radius_with_lambda_once(monkeypatch):
+    # one sign vector serves the distinguished-eigenvalue check, J, the sign
+    # of rho_b - lambda and the order bound: three tied classes, each
+    # compared with lambda once (four times for the peak class before)
+    M = NonnegMatrix.make([[2, 0, 0], [0, 2, 0], [2, 0, 2]], RATIONAL)
+    lam, b = Fraction(2), ConeVector.make([1, 0, 1], RATIONAL)
+    rep, counts = _counted(monkeypatch, image_membership, M, lam, b)
+    counts.pop("supp(b)")
+    assert counts == {0: 1, 1: 1, 2: 1}, counts
+    assert (rep.in_s1, rep.in_s2, rep.in_s3) == _ref_image_membership(M, lam, b)[0]
+
+
 def test_solve2_above_matches_the_per_class_eigenvector_sum():
     # one back-substitution over every relevant class gives the sum of the
     # per-class eigenvectors: exactly in rational mode, and to the bit in

@@ -379,8 +379,9 @@ def test_one_simplex_entry_and_one_row_scaling():
     # every LP is pivoted through solve_lp, the traced entry, and only
     # oracle._integer_rows turns rational rows into integer ones: no other
     # code takes a common denominator or reads a numerator or denominator
-    # (but core.format_scalar, which prints a Fraction, and
-    # oracle.shifted_image_rows, which reads its one shift as p/q)
+    # (but core.format_scalar, which prints a Fraction,
+    # oracle.shifted_image_rows, which reads its one shift as p/q, and
+    # core._sign_key, which reads a sign off them, never a scale)
     assert _innermost_call_sites("_simplex_min") == {("oracle.py", "solve_lp")}
     assert _innermost_call_sites("lcm") == {("oracle.py", "_integer_rows")}
     assert _innermost_call_sites("as_integer_ratio") == {
@@ -394,7 +395,7 @@ def test_one_simplex_entry_and_one_row_scaling():
         for node in ast.walk(top)
         if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator")
     }
-    assert readers == {("core.py", "format_scalar")}, readers
+    assert readers == {("core.py", "format_scalar"), ("core.py", "_sign_key")}, readers
 
 
 def test_one_pivot_kernel():

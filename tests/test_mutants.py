@@ -9,13 +9,14 @@ import pytest
 
 import test_classes
 import test_collatz_wielandt
+import test_core
 import test_eq_type2
 import test_json
 import test_oracle
 import test_shift_reading
 import test_shifted_rows
 import test_spectral
-from coneq import classes, cli, collatz_wielandt, eq_type2, oracle, spectral
+from coneq import classes, cli, collatz_wielandt, core, eq_type2, oracle, spectral
 from coneq.core import RATIONAL, NonnegMatrix
 
 
@@ -126,10 +127,10 @@ def _classes_at_ignoring_flags(monkeypatch):
 
 def _order_at_cut_zero(monkeypatch):
     # the classes at lambda block themselves, so no class is left to chain
-    edited = _edited(spectral.max_distinguished_order, "tax.blocked_mask(signs, 1)", "tax.blocked_mask(signs, 0)")
-    # eq_type2 and the test module import the name, so every binding is patched
-    for module in (spectral, eq_type2, test_spectral):
-        monkeypatch.setattr(module, "max_distinguished_order", edited)
+    edited = _edited(spectral._order_bound, "tax.blocked_mask(signs, 1)", "tax.blocked_mask(signs, 0)")
+    # eq_type2 imports the name, so both bindings are patched
+    for module in (spectral, eq_type2):
+        monkeypatch.setattr(module, "_order_bound", edited)
 
 
 @pytest.mark.parametrize(
@@ -262,3 +263,31 @@ def test_cli_mutant_is_killed(monkeypatch, tmp_path, capsys):
     # the check patches the decider it forces, so it gets a monkeypatch of its own
     with pytest.MonkeyPatch.context() as mp, pytest.raises(AssertionError):
         test_json.test_check_counterexample_json("cor4.8-gap", RATIONAL, tmp_path, mp, capsys)
+
+
+def _zero_entries_read_as_negative(monkeypatch):
+    edited = _edited(NonnegMatrix.__post_init__, "_sign_key(e) < 0", "_sign_key(e) <= 0")
+    monkeypatch.setattr(NonnegMatrix, "__post_init__", edited)
+
+
+def _ratio_over_zero_read(monkeypatch):
+    # "1/0" and "0/0" reach Fraction(p, 0) instead of the general chain
+    edited = _edited(core.as_scalar, "if q:", "if True:")
+    # the test module imports the name, so both bindings are patched
+    for module in (core, test_core):
+        monkeypatch.setattr(module, "as_scalar", edited)
+
+
+@pytest.mark.parametrize(
+    "mutant, check",
+    [
+        (_zero_entries_read_as_negative, lambda mp: test_core.test_containers_check_fractions_by_sign(mp)),
+        (_ratio_over_zero_read, lambda mp: test_core.test_as_scalar_matches_the_reference_on_the_corpus(RATIONAL)),
+    ],
+    ids=["zero-entries-read-as-negative", "ratio-over-zero-read"],
+)
+def test_reader_mutant_is_killed(monkeypatch, mutant, check):
+    mutant(monkeypatch)
+    # the check patches Fraction itself, so it gets a monkeypatch of its own
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(AssertionError):
+        check(mp)
